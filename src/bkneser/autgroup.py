@@ -29,6 +29,7 @@ from .perms import (
     VertexPermutation,
     closure_images,
     is_graph_automorphism,
+    orbit_partition,
 )
 
 DEFAULT_SIZE_LIMIT = 128
@@ -184,18 +185,7 @@ class _AutSearch:
         gens = self.generators[gens_before:]
         if not gens:
             return False
-        seen = set(processed)
-        queue = list(processed)
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = g[x]
-                if y == u:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return False
+        return any(u in orb for orb in orbit_partition(processed, gens, self.n))
 
 
 def automorphism_group(
@@ -292,6 +282,7 @@ def are_isomorphic(
     gens = search.run()
 
     # Orbit of the first apex, with a witness permutation per reached vertex.
+    # This BFS builds a transversal, not just an orbit, so it is not orbit_partition.
     identity = tuple(range(2 * m + 2))
     witness: dict[int, tuple[int, ...]] = {a1: identity}
     queue = [a1]

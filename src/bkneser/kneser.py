@@ -60,14 +60,15 @@ def build_bipartite_kneser(n: int, k: int, allow_null: bool = False) -> KneserGr
 
     adjacency = [0] * (2 * side)
     if n > 2 * k:
-        # Neighbors of a k-subset A are the (n-k)-supersets A ∪ T, T from [n]∖A.
-        ground = range(1, n + 1)
+        # Neighbors of a k-subset A are the (n-k)-supersets A ∪ T, T from [n]∖A;
+        # A ∪ T sits at side + the rank of its complement, a k-subset.
+        full = (1 << n) - 1
+        rank = {labels[r].bits: r for r in range(side)}
         for i in range(side):
-            a = labels[i]
-            outside = [x for x in ground if x not in a]
+            a = labels[i].bits
+            outside = [1 << x for x in range(n) if not a >> x & 1]
             for extra in combinations(outside, n - 2 * k):
-                b = Subset.from_elements(n, a.elements() + extra)
-                j = side + rank_subset(b.complement(), k)
+                j = side + rank[full ^ (a | sum(extra))]
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
 

@@ -4,10 +4,16 @@ Groups are handled the blunt way: breadth-first closure under composition,
 with a configurable order cap.  Every group this package cares about has
 order at most a few times 7!, where exhaustive enumeration is both fast and
 independently trustworthy.
+
+Orbits come from one primitive, ``orbit_partition``: a BFS over generator
+image tables on integer points.  Vertex, ordered-pair and unordered-pair
+orbits are thin encodings over it.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -89,10 +95,6 @@ class VertexPermutation:
         if sorted(self.images) != list(range(n)):
             raise DomainError(f"not a permutation of 0..{n - 1}")
 
-    @classmethod
-    def identity(cls, degree: int) -> "VertexPermutation":
-        return cls(tuple(range(degree)))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -160,17 +162,27 @@ def inverse(p: VertexPermutation) -> VertexPermutation:
 
 
 def element_order(p: VertexPermutation) -> int:
-    ident = tuple(range(p.degree))
-    power = p.images
+    """The lcm of the cycle lengths."""
+    images = p.images
+    seen = bytearray(len(images))
     order = 1
-    while power != ident:
-        power = tuple(p.images[x] for x in power)
-        order += 1
+    for start in range(len(images)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            x = images[x]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
     return order
 
 
 def commutes(p: VertexPermutation, q: VertexPermutation) -> bool:
-    return compose(p, q) == compose(q, p)
+    if p.degree != q.degree:
+        raise DomainError("cannot compare permutations of different degrees")
+    pi, qi = p.images, q.images
+    return all(pi[qi[x]] == qi[pi[x]] for x in range(len(pi)))
 
 
 @dataclass(frozen=True)
@@ -235,30 +247,59 @@ def group_closure(
     return PermutationGroup(generators=gens, degree=degree, elements=wrapped)
 
 
+def orbit_partition(
+    points: Iterable[int],
+    tables: Sequence[Sequence[int]],
+    size: int,
+) -> list[tuple[int, ...]]:
+    """Orbits through ``points`` of the group generated by ``tables``.
+
+    Points are ints in 0..size-1 and each generator is an image table, g[x].
+    Each orbit is a sorted tuple, and the orbits are ordered by least point.
+    When ``points`` is not a union of orbits, an orbit may include points
+    outside it.
+    """
+    seen = bytearray(size)
+    out = []
+    for start in points:
+        if seen[start]:
+            continue
+        seen[start] = 1
+        members = [start]
+        for x in members:  # the list is the BFS queue: appends are visited too
+            for g in tables:
+                y = g[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    members.append(y)
+        members.sort()
+        out.append(tuple(members))
+    out.sort()
+    return out
+
+
 def orbit(group: PermutationGroup, point: int) -> tuple[int, ...]:
-    """Orbit of a vertex under the generated group, by BFS over generators."""
-    seen = {point}
-    queue = [point]
-    gens = [g.images for g in group.generators]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = g[x]
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return tuple(sorted(seen))
+    """Orbit of a vertex under the generated group."""
+    tables = [g.images for g in group.generators]
+    return orbit_partition([point], tables, group.degree)[0]
 
 
 def orbits_on_vertices(group: PermutationGroup) -> list[tuple[int, ...]]:
-    remaining = set(range(group.degree))
-    out = []
-    while remaining:
-        rep = min(remaining)
-        orb = orbit(group, rep)
-        out.append(orb)
-        remaining.difference_update(orb)
-    return out
+    tables = [g.images for g in group.generators]
+    return orbit_partition(range(group.degree), tables, group.degree)
+
+
+def _pair_tables(group: PermutationGroup) -> list[array]:
+    """Each generator lifted to the diagonal action on pairs, (u, v) as u*V+v."""
+    n = group.degree
+    tables = []
+    for g in group.generators:
+        table = array("l")
+        for gu in g.images:
+            base = gu * n
+            table.extend([base + gv for gv in g.images])
+        tables.append(table)
+    return tables
 
 
 def orbits_on_ordered_pairs(
@@ -270,53 +311,30 @@ def orbits_on_ordered_pairs(
     ``pairs`` defaults to all ordered pairs including the diagonal; pass the
     arc list to get arc orbits.
     """
-    if pairs is None:
-        n = group.degree
-        pool = [(u, v) for u in range(n) for v in range(n)]
-    else:
-        pool = list(pairs)
-    gens = [g.images for g in group.generators]
-    remaining = set(pool)
-    out = []
-    while remaining:
-        rep = min(remaining)
-        seen = {rep}
-        queue = [rep]
-        while queue:
-            (u, v) = queue.pop()
-            for g in gens:
-                pair = (g[u], g[v])
-                if pair not in seen:
-                    seen.add(pair)
-                    queue.append(pair)
-        out.append(tuple(sorted(seen)))
-        remaining.difference_update(seen)
-    return out
+    n = group.degree
+    points = range(n * n) if pairs is None else [u * n + v for u, v in pairs]
+    return [
+        tuple(divmod(x, n) for x in orb)
+        for orb in orbit_partition(points, _pair_tables(group), n * n)
+    ]
 
 
 def orbits_on_unordered_pairs(
     group: PermutationGroup,
     pairs: Iterable[tuple[int, int]],
 ) -> list[tuple[tuple[int, int], ...]]:
-    """Orbit partition of unordered pairs, stored as (min, max)."""
-    gens = [g.images for g in group.generators]
-    remaining = {(min(u, v), max(u, v)) for u, v in pairs}
-    out = []
-    while remaining:
-        rep = min(remaining)
-        seen = {rep}
-        queue = [rep]
-        while queue:
-            (u, v) = queue.pop()
-            for g in gens:
-                a, b = g[u], g[v]
-                pair = (a, b) if a < b else (b, a)
-                if pair not in seen:
-                    seen.add(pair)
-                    queue.append(pair)
-        out.append(tuple(sorted(seen)))
-        remaining.difference_update(seen)
-    return out
+    """Orbit partition of unordered pairs, stored as (min, max).
+
+    Ordered-pair orbits under the group with the transpose (u, v) -> (v, u)
+    adjoined hold both orientations of each pair; (min, max) keeps one.
+    """
+    n = group.degree
+    transpose = array("l", [v * n + u for u in range(n) for v in range(n)])
+    points = [u * n + v for u, v in pairs]
+    return [
+        tuple(divmod(x, n) for x in orb if x // n <= x % n)
+        for orb in orbit_partition(points, _pair_tables(group) + [transpose], n * n)
+    ]
 
 
 def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:

@@ -1,6 +1,10 @@
 """Transitivity hierarchy, direct-product structure, and the open-question
 explorations.
 
+The transitivity report reads all four levels off one partition of the
+ordered pairs into orbits; the single-level predicates stay as one-liners
+over the orbit functions of ``perms``.
+
 Every test here takes the acting group as an argument instead of recomputing
 it, so the same check can run against both the induced-map generators and the
 search engine's output; disagreement between the two is a test failure, not a
@@ -28,8 +32,11 @@ from .perms import (
     PermutationGroup,
     VertexPermutation,
     closure_images,
+    commutes,
     complement_automorphism,
+    element_order,
     group_closure,
+    orbit_partition,
     orbits_on_ordered_pairs,
     orbits_on_unordered_pairs,
     orbits_on_vertices,
@@ -55,30 +62,9 @@ def is_arc_transitive(graph: Graph, group: PermutationGroup) -> bool:
     return len(orbits_on_ordered_pairs(group, arcs)) == 1
 
 
-def _distance_matrix(graph: Graph) -> list[list[int | float]]:
-    return [graph.bfs_distances(v) for v in range(graph.vertex_count)]
-
-
 def is_distance_transitive(graph: Graph, group: PermutationGroup) -> bool:
-    """One pair-orbit per distance value; requires a connected graph.
-
-    Every pair-orbit has constant distance under any group of automorphisms;
-    that is asserted unconditionally, so a violation reveals a non-automorphism
-    in the group rather than returning a wrong answer.
-    """
-    if not graph.is_connected():
-        raise DisconnectedError("distance-transitivity needs a connected graph")
-    dist = _distance_matrix(graph)
-    pair_orbits = orbits_on_ordered_pairs(group)
-    for orb in pair_orbits:
-        values = {dist[u][v] for u, v in orb}
-        if len(values) != 1:
-            raise StructureError(
-                "a pair orbit mixes distances; the group contains a non-automorphism"
-            )
-    distinct = {dist[u][v] for u in range(graph.vertex_count)
-                for v in range(graph.vertex_count)}
-    return len(pair_orbits) == len(distinct)
+    """One pair-orbit per distance value; requires a connected graph."""
+    return transitivity_report(graph, group).distance_transitive
 
 
 @dataclass(frozen=True)
@@ -110,36 +96,52 @@ class TransitivityReport:
 
 
 def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityReport:
-    """All four levels at once, with the hierarchy asserted before returning."""
-    vertex_orbs = orbits_on_vertices(group)
-    edges = graph.edges()
-    arcs = graph.arcs()
-    edge_orbs = orbits_on_unordered_pairs(group, edges) if edges else []
-    arc_orbs = orbits_on_ordered_pairs(group, arcs) if arcs else []
+    """All four levels from one partition of the ordered pairs, hierarchy asserted.
+
+    Every pair orbit must have constant distance; a violation raises, as it
+    reveals a non-automorphism in the group rather than a wrong answer.  Once
+    that holds, every generator maps arcs to arcs and non-arcs to non-arcs,
+    so the group acts by automorphisms and the counts follow from the pair
+    orbits alone:
+
+    * vertex orbits are the distance-0 orbits, since (v, v) -> v is
+      equivariant;
+    * arc orbits are the distance-1 orbits;
+    * each edge orbit lifts to either one arc orbit holding both orientations
+      (self-paired: it contains (v, u) for its representative (u, v)) or to
+      two arc orbits that are each other's transpose, so
+      edge orbits = (arc orbits + self-paired arc orbits) / 2.
+    """
     if not graph.is_connected():
         raise DisconnectedError("transitivity report needs a connected graph")
-    dist = _distance_matrix(graph)
+    dist = [graph.bfs_distances(v) for v in range(graph.vertex_count)]
     pair_orbs = orbits_on_ordered_pairs(group)
+    orbit_distance = []
     for orb in pair_orbs:
-        if len({dist[u][v] for u, v in orb}) != 1:
+        values = {dist[u][v] for u, v in orb}
+        if len(values) != 1:
             raise StructureError(
                 "a pair orbit mixes distances; the group contains a non-automorphism"
             )
-    distinct = {dist[u][v] for u in range(graph.vertex_count)
-                for v in range(graph.vertex_count)}
+        orbit_distance.append(values.pop())
+    arc_orbs = [orb for orb, d in zip(pair_orbs, orbit_distance) if d == 1]
+    self_paired = sum((orb[0][1], orb[0][0]) in orb for orb in arc_orbs)
+    vertex_orbits = orbit_distance.count(0)
+    edge_orbits = (len(arc_orbs) + self_paired) // 2
+    distinct = len(set(orbit_distance))
 
     report = TransitivityReport(
-        vertex_transitive=len(vertex_orbs) == 1,
-        edge_transitive=len(edge_orbs) <= 1,
+        vertex_transitive=vertex_orbits == 1,
+        edge_transitive=edge_orbits <= 1,
         arc_transitive=len(arc_orbs) <= 1,
-        distance_transitive=len(pair_orbs) == len(distinct),
-        vertex_orbits=len(vertex_orbs),
-        edge_orbits=len(edge_orbs),
+        distance_transitive=len(pair_orbs) == distinct,
+        vertex_orbits=vertex_orbits,
+        edge_orbits=edge_orbits,
         arc_orbits=len(arc_orbs),
         pair_orbits=len(pair_orbs),
-        distance_values=len(distinct),
+        distance_values=distinct,
     )
-    if edges:
+    if graph.edge_count:
         if report.distance_transitive and not report.arc_transitive:
             raise StructureError("hierarchy violated: distance-transitive but not arc")
         if report.arc_transitive and not report.vertex_transitive:
@@ -201,7 +203,7 @@ def verify_direct_product(
         )
     if alpha in sym_group.elements:
         raise StructureError("step (b): complementation lies inside the Sym image")
-    if not (_commutes(alpha, f_swap) and _commutes(alpha, f_cycle)):
+    if not (commutes(alpha, f_swap) and commutes(alpha, f_cycle)):
         raise StructureError("step (c): complementation fails to commute with a generator")
     product = group_closure([f_swap, f_cycle, alpha], order_cap=order_cap)
     if product.order != 2 * n_factorial:
@@ -221,27 +223,6 @@ def verify_direct_product(
         product_order=product.order,
         aut_order=aut_order,
     )
-
-
-def _commutes(p: VertexPermutation, q: VertexPermutation) -> bool:
-    pi, qi = p.images, q.images
-    return all(pi[qi[x]] == qi[pi[x]] for x in range(len(pi)))
-
-
-def _perm_order(images: tuple[int, ...]) -> int:
-    seen = [False] * len(images)
-    order = 1
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x]
-            length += 1
-        order = order * length // math.gcd(order, length)
-    return order
 
 
 @dataclass(frozen=True)
@@ -285,23 +266,12 @@ def find_regular_subgroup(
         raise DomainError("regular-subgroup search needs a fully enumerated group")
 
     degree = group.degree
-    images = [g.images for g in group.elements]
-    candidates = [
-        imgs for imgs in images if vertex_count % _perm_order(imgs) == 0
-    ]
+    orders = ((g.images, element_order(g)) for g in group.elements)
+    candidates = [(imgs, order) for imgs, order in orders if vertex_count % order == 0]
     checked = 0
 
     def transitive(gens: list[tuple[int, ...]]) -> bool:
-        seen = {0}
-        queue = [0]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return len(seen) == vertex_count
+        return len(orbit_partition([0], gens, degree)[0]) == vertex_count
 
     def wrap(gens: list[tuple[int, ...]], elements: set[tuple[int, ...]]) -> PermutationGroup:
         return PermutationGroup(
@@ -310,14 +280,15 @@ def find_regular_subgroup(
             elements=tuple(VertexPermutation(e) for e in sorted(elements)),
         )
 
-    for g in candidates:
+    for g, order in candidates:
         checked += 1
-        if _perm_order(g) == vertex_count and transitive([g]):
+        if order == vertex_count and transitive([g]):
             elements = closure_images([g], degree, order_cap=vertex_count)
             return RegularSubgroupSearch(wrap([g], elements), generator_bound, checked)
     if generator_bound >= 2:
-        for i, g in enumerate(candidates):
-            for h in candidates[i + 1:]:
+        images = [g for g, _ in candidates]
+        for i, g in enumerate(images):
+            for h in images[i + 1:]:
                 checked += 1
                 try:
                     elements = closure_images([g, h], degree, order_cap=vertex_count)

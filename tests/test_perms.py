@@ -19,11 +19,14 @@ from bkneser import (
     is_regular_action,
     known_generators,
     orbit,
+    orbits_on_ordered_pairs,
+    orbits_on_unordered_pairs,
     orbits_on_vertices,
     stabilizer,
     sym_generators,
 )
 from bkneser.errors import DomainError, NeedEnumerationError, OrderCapExceeded
+from conftest import cycle_graph
 
 
 def random_permutation(rng, n):
@@ -248,3 +251,39 @@ def test_psi_injective_and_alpha_outside_small_n():
         side = kg.side_size
         assert alpha(0) >= side
         assert all(f_images[0] < side for f_images in seen)
+
+
+def test_orbit_functions_match_orbits_of_the_elements():
+    # oracle: the orbit of p is {g(p) : g in the fully enumerated group}
+    rotation = VertexPermutation(tuple((i + 1) % 6 for i in range(6)))
+    cases = [(cycle_graph(6), group_closure([rotation])),
+             (cycle_graph(6), group_closure([], degree=6))]
+    for n, k in ((4, 1), (5, 2)):
+        kg = build_bipartite_kneser(n, k)
+        cases.append((kg.graph, group_closure(known_generators(kg))))
+
+    def on_vertex(g, v):
+        return g[v]
+
+    def on_ordered(g, pair):
+        return (g[pair[0]], g[pair[1]])
+
+    def on_unordered(g, pair):
+        return tuple(sorted(on_ordered(g, pair)))
+
+    ragged = [(0, 1), (1, 0), (2, 5), (3, 3)]  # not a union of orbits
+    for graph, group in cases:
+        def oracle(points, act):
+            return sorted({tuple(sorted({act(g.images, p) for g in group.elements}))
+                           for p in points})
+
+        vertices = range(group.degree)
+        all_pairs = [(u, v) for u in vertices for v in vertices]
+        for v in vertices:
+            assert orbit(group, v) == oracle([v], on_vertex)[0]
+        assert orbits_on_vertices(group) == oracle(vertices, on_vertex)
+        assert orbits_on_ordered_pairs(group) == oracle(all_pairs, on_ordered)
+        for pool in (graph.arcs(), ragged):
+            assert orbits_on_ordered_pairs(group, pool) == oracle(pool, on_ordered)
+        for pool in (graph.edges(), ragged):
+            assert orbits_on_unordered_pairs(group, pool) == oracle(pool, on_unordered)

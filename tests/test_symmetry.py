@@ -20,12 +20,15 @@ from bkneser import (
     is_edge_transitive,
     is_vertex_transitive,
     known_generators,
+    orbits_on_ordered_pairs,
+    orbits_on_unordered_pairs,
+    orbits_on_vertices,
     sym_generators,
     transitivity_report,
     verify_direct_product,
 )
 from bkneser.errors import DisconnectedError, DomainError, StructureError
-from bkneser.symmetry import question2_table
+from bkneser.symmetry import feasible_parameters, question2_table
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 
 
@@ -228,3 +231,18 @@ def test_explore_question1_smoke():
     assert rows[(4, 1)].regular_subgroup_order == 8
     assert rows[(5, 2)].regular_subgroup_order is None
     assert "not exhaustive" in rows[(5, 2)].verdict
+
+
+def test_transitivity_report_counts_match_direct_orbits(corpus):
+    # the report reads vertex, edge and arc orbits off the ordered-pair partition
+    cases = [(g, automorphism_group(g)) for g in corpus.values() if g.is_connected()]
+    rotation = VertexPermutation(tuple((i + 1) % 6 for i in range(6)))
+    cases.append((cycle_graph(6), PermutationGroup(generators=(rotation,), degree=6)))
+    for n, k in feasible_parameters(7):
+        kg = build_bipartite_kneser(n, k)
+        cases.append((kg.graph, known_group(kg)))
+    for graph, group in cases:
+        report = transitivity_report(graph, group)
+        assert report.vertex_orbits == len(orbits_on_vertices(group))
+        assert report.edge_orbits == len(orbits_on_unordered_pairs(group, graph.edges()))
+        assert report.arc_orbits == len(orbits_on_ordered_pairs(group, graph.arcs()))
