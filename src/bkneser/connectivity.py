@@ -1,164 +1,116 @@
-"""Exact vertex connectivity through unit-capacity max-flow.
+"""Exact vertex connectivity by BFS augmenting paths on the implicit
+vertex-split graph.
 
-Local connectivity of a non-adjacent pair reduces to max-flow on the usual
-split network (each interior vertex becomes an in/out pair joined by a
-unit-capacity arc).  Global connectivity minimizes over every non-adjacent
-pair; at the few-hundred-vertex sizes this package targets that is cheap and
-unconditionally correct.  Every solve extracts a minimum cut and checks it
-against the flow value.
+Internally disjoint u-v paths are unit flows once every vertex w is split
+into w_in = 2w and w_out = 2w + 1, joined by a unit-capacity arc, and every
+edge xy becomes the uncapacitated arcs x_out -> y_in and y_out -> x_in
+(Even & Tarjan, SIAM J. Comput. 1975).  The split graph is never built: the
+search reads the adjacency bitsets directly.  Global connectivity minimizes
+over every non-adjacent pair; at the few-hundred-vertex sizes this package
+targets that is cheap and unconditionally correct.  Every solve reads a
+minimum cut off its last, failed search and checks it against the flow value.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AdjacencyError, DomainError, VerificationError
-from .graphs import Graph
-
-
-class FlowNetwork:
-    """Directed network; arc i and its residual twin are indices 2j, 2j+1."""
-
-    def __init__(self, node_count: int, source: int, sink: int):
-        if source == sink:
-            raise DomainError("source and sink must differ")
-        if not (0 <= source < node_count and 0 <= sink < node_count):
-            raise DomainError("source/sink outside node range")
-        self.node_count = node_count
-        self.source = source
-        self.sink = sink
-        self.out: list[list[int]] = [[] for _ in range(node_count)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_arc(self, u: int, v: int, capacity: int) -> int:
-        if capacity < 0:
-            raise DomainError("negative capacity")
-        index = len(self.to)
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.out[u].append(index)
-        self.to.append(u)
-        self.cap.append(0)
-        self.out[v].append(index + 1)
-        return index
+from .graphs import Graph, _bits
 
 
 @dataclass
 class MaxFlowResult:
     value: int
-    flow: list[int]  # per forward arc index (even indices of the network)
-    cut_source_side: tuple[int, ...]
     cut_capacity: int
-    residual: list[int] = field(repr=False)
+    paths: list[list[int]]  # one internally disjoint u .. v path per unit of flow
 
 
-def max_flow(net: FlowNetwork) -> MaxFlowResult:
-    """Dinic blocking-flow; the returned min cut is checked against the value."""
-    n = net.node_count
-    s, t = net.source, net.sink
-    to = net.to
-    residual = list(net.cap)
-    out = net.out
+def max_flow(graph: Graph, u: int, v: int) -> MaxFlowResult:
+    """Most internally disjoint u-v paths, not counting a direct u-v edge.
 
-    value = 0
+    Each round is a BFS over the split states from u_out to v_in in the
+    residual graph.  The flow is held as prv[w] = x: the unit through the
+    interior vertex w enters it from x.  The vertices whose in-state the last,
+    failed BFS reached but whose out-state it did not form a minimum cut.
+    """
+    n = graph.vertex_count
+    if u == v:
+        raise DomainError("max-flow needs two distinct vertices")
+    if not (0 <= u < n and 0 <= v < n):
+        raise DomainError(f"vertex pair ({u}, {v}) outside range 0..{n - 1}")
+    adjacency = graph.adjacency
+    source, sink = 2 * u + 1, 2 * v
+    prv = [-1] * n
+    ends: list[int] = []  # the last interior vertex of each path
     while True:
-        level = [-1] * n
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in out[u]:
-                v = to[e]
-                if residual[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[t] < 0:
+        parent = [-1] * (2 * n)
+        parent[source] = source
+        seen_in = 1 << u  # no path re-enters u
+        queue = [source]
+        for state in queue:
+            w = state >> 1
+            if state & 1:
+                fresh = adjacency[w] & ~seen_in
+                if w == u:
+                    fresh &= ~(1 << v)  # the direct edge is not an interior path
+                if fresh >> v & 1:
+                    parent[sink] = state
+                    break
+                seen_in |= fresh
+                for y in _bits(fresh):
+                    parent[2 * y] = state
+                    queue.append(2 * y)
+                if prv[w] >= 0 and not seen_in >> w & 1:  # w's unit can run back to w_in
+                    seen_in |= 1 << w
+                    parent[2 * w] = state
+                    queue.append(2 * w)
+            else:
+                # a free vertex passes on to its out-state; a used one only
+                # back along the edge its unit came in by
+                nxt = 2 * w + 1 if prv[w] < 0 else 2 * prv[w] + 1
+                if parent[nxt] < 0:
+                    parent[nxt] = state
+                    queue.append(nxt)
+        else:
             break
-        iters = [0] * n
+        b = sink
+        while b != source:
+            a = parent[b]
+            if a & 1 and not b & 1:  # an arc into an in-state
+                x, y = a >> 1, b >> 1
+                if x == y:
+                    prv[y] = -1  # the path cancels the unit through y
+                elif y == v:
+                    ends.append(x)
+                else:
+                    prv[y] = x
+            b = a
 
-        def dfs(u: int, pushed: int) -> int:
-            if u == t:
-                return pushed
-            while iters[u] < len(out[u]):
-                e = out[u][iters[u]]
-                v = to[e]
-                if residual[e] > 0 and level[v] == level[u] + 1:
-                    got = dfs(v, min(pushed, residual[e]))
-                    if got > 0:
-                        residual[e] -= got
-                        residual[e ^ 1] += got
-                        return got
-                iters[u] += 1
-            return 0
-
-        while True:
-            pushed = dfs(s, 1 << 60)
-            if pushed == 0:
-                break
-            value += pushed
-
-    # Min cut: source side of the residual reachability, then its capacity.
-    reach = [False] * n
-    reach[s] = True
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for e in out[u]:
-            v = to[e]
-            if residual[e] > 0 and not reach[v]:
-                reach[v] = True
-                queue.append(v)
-    cut_capacity = 0
-    for e in range(0, len(to), 2):
-        u = to[e ^ 1]
-        v = to[e]
-        if reach[u] and not reach[v]:
-            cut_capacity += net.cap[e]
-    if cut_capacity != value:
+    cut = sum(1 for w in _bits(seen_in) if parent[2 * w + 1] < 0)
+    if cut != len(ends):
         raise VerificationError(
-            f"max-flow {value} does not match extracted min-cut {cut_capacity}"
+            f"max-flow {len(ends)} does not match extracted min-cut {cut}"
         )
-
-    flow = [net.cap[e] - residual[e] for e in range(0, len(to), 2)]
-    side = tuple(v for v in range(n) if reach[v])
-    return MaxFlowResult(
-        value=value,
-        flow=flow,
-        cut_source_side=side,
-        cut_capacity=cut_capacity,
-        residual=residual,
-    )
-
-
-def _split_network(
-    graph: Graph, u: int, v: int, skip_edge: bool = False
-) -> FlowNetwork:
-    """Vertex-split network for u -> v paths; w_in = 2w, w_out = 2w + 1."""
-    net = FlowNetwork(2 * graph.vertex_count, source=2 * u + 1, sink=2 * v)
-    for w in range(graph.vertex_count):
-        if w != u and w != v:
-            net.add_arc(2 * w, 2 * w + 1, 1)
-    for x, y in graph.edges():
-        if skip_edge and (x, y) == (min(u, v), max(u, v)):
-            continue
-        if x != v and y != u:
-            net.add_arc(2 * x + 1, 2 * y, 1)
-        if y != v and x != u:
-            net.add_arc(2 * y + 1, 2 * x, 1)
-    return net
+    paths = []
+    for x in ends:
+        path = [v]
+        while x != u:
+            path.append(x)
+            x = prv[x]
+        path.append(u)
+        paths.append(path[::-1])
+    return MaxFlowResult(value=len(ends), cut_capacity=cut, paths=paths)
 
 
 def local_vertex_connectivity(graph: Graph, u: int, v: int) -> int:
     """Minimum number of other vertices whose removal separates u from v."""
-    if u == v:
-        raise DomainError("local connectivity needs two distinct vertices")
+    value = max_flow(graph, u, v).value  # validates the pair first
     if graph.has_edge(u, v):
         raise AdjacencyError(
             f"vertices {u} and {v} are adjacent; no vertex cut separates them"
         )
-    return max_flow(_split_network(graph, u, v)).value
+    return value
 
 
 def vertex_connectivity(graph: Graph) -> int:
@@ -184,45 +136,17 @@ def vertex_connectivity(graph: Graph) -> int:
     return best
 
 
-def _decompose_paths(
-    graph: Graph, net: FlowNetwork, result: MaxFlowResult, u: int, v: int
-) -> list[list[int]]:
-    """Split a unit flow into vertex sequences u .. v, consuming arc flows."""
-    flow = list(result.flow)
-    paths = []
-    for _ in range(result.value):
-        node = net.source
-        path = [u]
-        while node != net.sink:
-            for e in net.out[node]:
-                if e % 2 == 0 and flow[e // 2] > 0:
-                    flow[e // 2] -= 1
-                    node = net.to[e]
-                    break
-            else:
-                raise VerificationError("flow decomposition ran out of arcs")
-            if node % 2 == 0 and node != net.sink:
-                path.append(node // 2)
-        path.append(v)
-        paths.append(path)
-    return paths
-
-
 def menger_certificate(graph: Graph, u: int, v: int) -> list[list[int]]:
     """Internally disjoint u-v paths witnessing the local connectivity.
 
-    Non-adjacent pairs get exactly local_vertex_connectivity(u, v) paths from
-    the flow decomposition.  Adjacent pairs get the direct edge plus the
-    disjoint paths of the graph with that edge removed.  Every path is
-    re-verified edge by edge and pairwise interior-disjointness is checked.
+    Non-adjacent pairs get exactly local_vertex_connectivity(u, v) paths.
+    Adjacent pairs get the direct edge first, then the disjoint paths that
+    avoid it.  The flow paths are sorted by their first interior vertex.
+    Every path is re-verified edge by edge and pairwise interior-disjointness
+    is checked.
     """
-    if u == v:
-        raise DomainError("certificate needs two distinct vertices")
-    adjacent = graph.has_edge(u, v)
-    net = _split_network(graph, u, v, skip_edge=adjacent)
-    result = max_flow(net)
-    paths = _decompose_paths(graph, net, result, u, v)
-    if adjacent:
+    paths = sorted(max_flow(graph, u, v).paths)
+    if graph.has_edge(u, v):
         paths.insert(0, [u, v])
 
     interiors: set[int] = set()

@@ -99,47 +99,36 @@ class Graph:
             out.append((v, u))
         return out
 
+    def _layers(self, start: int):
+        """Yield the BFS layers from ``start`` as vertex masks, ``start`` first."""
+        seen = frontier = 1 << start
+        while frontier:
+            yield frontier
+            reach = 0
+            for v in _bits(frontier):
+                reach |= self.adjacency[v]
+            frontier = reach & ~seen
+            seen |= frontier
+
     def bfs_distances(self, start: int) -> list[int | float]:
         """Distances from ``start``; math.inf marks unreachable vertices."""
         if not 0 <= start < self.vertex_count:
             raise IndexError(f"vertex {start} outside range 0..{self.vertex_count - 1}")
         dist: list[int | float] = [math.inf] * self.vertex_count
-        dist[start] = 0
-        seen = 1 << start
-        frontier = 1 << start
-        d = 0
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= self.adjacency[v]
-            frontier = reach & ~seen
-            seen |= frontier
-            d += 1
-            for v in _bits(frontier):
+        for d, layer in enumerate(self._layers(start)):
+            for v in _bits(layer):
                 dist[v] = d
         return dist
 
     def is_connected(self) -> bool:
-        seen = 1
-        frontier = 1
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= self.adjacency[v]
-            frontier = reach & ~seen
-            seen |= frontier
-        return seen == (1 << self.vertex_count) - 1
+        # the layers are disjoint masks, so their sum is the reached set
+        return sum(self._layers(0)) == (1 << self.vertex_count) - 1
 
     def diameter(self) -> int:
         """Largest BFS distance over all pairs; requires connectivity."""
-        best = 0
-        for v in range(self.vertex_count):
-            dist = self.bfs_distances(v)
-            worst = max(dist)
-            if worst == math.inf:
-                raise DisconnectedError("diameter of a disconnected graph")
-            best = max(best, int(worst))
-        return best
+        if not self.is_connected():
+            raise DisconnectedError("diameter of a disconnected graph")
+        return max(sum(1 for _ in self._layers(v)) - 1 for v in range(self.vertex_count))
 
     def bipartition(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Two-coloring as (class of vertex 0, other class), or None on an odd cycle."""

@@ -35,7 +35,6 @@ from bkneser import (
     verify_family_counts,
     vertex_connectivity,
 )
-from bkneser.connectivity import _split_network
 from bkneser.perms import is_graph_automorphism
 from oracles import brute_vertex_connectivity
 
@@ -201,7 +200,7 @@ def test_criterion_8_oracle_cross_checks(corpus):
     # flow value vs extracted min cut on a batch of solves
     for n, k in [(3, 1), (4, 1), (5, 2), (6, 2)]:
         kg = build_bipartite_kneser(n, k)
-        result = max_flow(_split_network(kg.graph, 0, kg.side_size))
+        result = max_flow(kg.graph, 0, kg.side_size)
         if result.value != result.cut_capacity:
             problems.append((n, k, "cut"))
     elapsed = time.monotonic() - start

@@ -1,46 +1,69 @@
+import random
+
 import pytest
 
 from bkneser import (
-    FlowNetwork,
+    Graph,
     build_bipartite_kneser,
     local_vertex_connectivity,
     max_flow,
     menger_certificate,
     vertex_connectivity,
 )
-from bkneser.connectivity import _split_network
 from bkneser.errors import AdjacencyError, DomainError
-from conftest import complete_graph, cycle_graph, star_graph
+from conftest import complete_graph, cycle_graph, path_graph, star_graph
 from oracles import brute_vertex_connectivity, edge_dict
 
 
 def test_max_flow_parallel_paths():
-    # s=0 -> {1, 2} -> t=3, two disjoint unit paths
-    net = FlowNetwork(4, source=0, sink=3)
-    net.add_arc(0, 1, 1)
-    net.add_arc(1, 3, 1)
-    net.add_arc(0, 2, 1)
-    net.add_arc(2, 3, 1)
-    result = max_flow(net)
+    # 0 -> {1, 3} -> 2 around C4: two internally disjoint paths
+    result = max_flow(cycle_graph(4), 0, 2)
     assert result.value == 2
     assert result.cut_capacity == 2
 
 
 def test_max_flow_single_edge():
-    net = FlowNetwork(2, source=0, sink=1)
-    net.add_arc(0, 1, 1)
-    assert max_flow(net).value == 1
+    # the direct edge is not an interior path
+    assert max_flow(complete_graph(2), 0, 1).value == 0
 
 
 def test_max_flow_vertex_split_k4():
-    # between two (adjacent) vertices of K4 the split network carries 3 units
-    net = _split_network(complete_graph(4), 0, 1)
-    assert max_flow(net).value == 3
+    # between two adjacent vertices of K4: two interior paths, plus the edge
+    k4 = complete_graph(4)
+    assert max_flow(k4, 0, 1).value == 2
+    assert len(menger_certificate(k4, 0, 1)) == 3
 
 
-def test_flow_network_rejects_equal_endpoints():
+def test_max_flow_rejects_bad_endpoints():
+    g = cycle_graph(3)
     with pytest.raises(DomainError):
-        FlowNetwork(3, source=1, sink=1)
+        max_flow(g, 1, 1)
+    with pytest.raises(DomainError):
+        max_flow(g, 0, 3)
+    with pytest.raises(DomainError):
+        max_flow(g, -1, 1)
+
+
+def test_min_cut_reached_through_a_used_vertex():
+    # 0-1-2-5 and 0-3-4-5 meet at the cut vertex 5 before 6.  The last search
+    # reaches 2 and then 1 only backwards along the unit through 0-1-2-5-6; a
+    # search that stopped at 2's out-state would count 1 and 5 as a cut of 2.
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5), (5, 6)])
+    result = max_flow(g, 0, 6)
+    assert result.value == result.cut_capacity == 1
+    assert result.paths == [[0, 1, 2, 5, 6]]
+
+
+def test_rerouted_unit_frees_its_vertex():
+    # The first path is 0-1-4-8-11.  The second search enters 8 from 6, runs
+    # back through 4 to 1 and leaves by 5-9-11, which frees 4.  The last
+    # search reaches 4 again by 0-3-7-10 and must find it free, or it counts
+    # a cut of 3 against a flow of 2.
+    g = Graph.from_edges(12, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (3, 7),
+                              (4, 8), (4, 10), (5, 9), (6, 8), (7, 10), (8, 11), (9, 11)])
+    result = max_flow(g, 0, 11)
+    assert result.value == result.cut_capacity == 2
+    assert sorted(result.paths) == [[0, 1, 5, 9, 11], [0, 2, 6, 8, 11]]
 
 
 def test_local_connectivity_examples():
@@ -130,5 +153,38 @@ def test_menger_paths_are_sound():
 def test_min_cut_verified_on_kneser_pairs():
     for n, k in [(3, 1), (4, 1), (5, 2)]:
         kg = build_bipartite_kneser(n, k)
-        result = max_flow(_split_network(kg.graph, 0, kg.side_size))
+        result = max_flow(kg.graph, 0, kg.side_size)
         assert result.value == result.cut_capacity
+
+
+def test_long_path_needs_no_recursion():
+    # a recursive augmenting search overflows the interpreter stack here
+    path = path_graph(1500)
+    assert local_vertex_connectivity(path, 0, 1499) == 1
+    assert menger_certificate(path, 0, 1499) == [list(range(1500))]
+
+
+def test_connectivity_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.connectivity import local_node_connectivity
+
+    rng = random.Random(1975)
+    for _ in range(60):
+        n = rng.randint(2, 12)
+        p = rng.uniform(0.15, 0.85)
+        g = Graph.from_edges(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        )
+        ng = nx.Graph()
+        ng.add_nodes_from(range(n))
+        ng.add_edges_from(g.edges())
+        for u in range(n):
+            for v in range(u + 1, n):
+                if not g.has_edge(u, v):
+                    expected = local_node_connectivity(ng, u, v)
+                    assert local_vertex_connectivity(g, u, v) == expected, (g.edges(), u, v)
+    for n in range(3, 8):
+        for k in range(1, (n - 1) // 2 + 1):
+            graph = build_bipartite_kneser(n, k).graph
+            expected = nx.node_connectivity(nx.Graph(graph.edges()))
+            assert vertex_connectivity(graph) == expected, (n, k)
