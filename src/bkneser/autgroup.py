@@ -26,7 +26,6 @@ from .graphs import Graph
 from .perms import (
     DEFAULT_ORDER_CAP,
     PermutationGroup,
-    VertexPermutation,
     closure_images,
     is_graph_automorphism,
     orbit_partition,
@@ -209,13 +208,8 @@ def automorphism_group(
     for images in gen_images:
         if not is_graph_automorphism(graph, images):
             raise StructureError("engine emitted a non-automorphism; this is a bug")
-    elements = closure_images(gen_images, n, order_cap)
-    wrapped = tuple(VertexPermutation(imgs) for imgs in sorted(elements))
-    return PermutationGroup(
-        generators=tuple(VertexPermutation(imgs) for imgs in gen_images),
-        degree=n,
-        elements=wrapped,
-    )
+    elements = tuple(sorted(closure_images(gen_images, n, order_cap)))
+    return PermutationGroup(generators=tuple(gen_images), degree=n, elements=elements)
 
 
 def brute_force_automorphism_order(graph: Graph, limit: int = 8) -> int:

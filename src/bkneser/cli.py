@@ -21,6 +21,7 @@ from .kneser import build_bipartite_kneser, verify_family_counts
 from .perms import (
     DEFAULT_ORDER_CAP,
     PermutationGroup,
+    format_cycles,
     group_closure,
     is_regular_action,
     known_generators,
@@ -100,20 +101,19 @@ def cmd_aut(args: argparse.Namespace) -> int:
 
     if args.method == "engine":
         payload["order"] = engine_group.order
-        payload["generators"] = [str(g) for g in engine_group.generators]
+        payload["generators"] = [format_cycles(g) for g in engine_group.generators]
     elif args.method == "generators":
         payload["order"] = generator_group.order
-        payload["generators"] = [str(g) for g in generator_group.generators]
+        payload["generators"] = [format_cycles(g) for g in generator_group.generators]
     else:
-        agree = set(engine_group.elements) == set(generator_group.elements)
-        if not agree:
+        if engine_group.elements != generator_group.elements:
             raise VerificationError(
                 f"engine group (order {engine_group.order}) differs from the "
                 f"closure of the known generators (order {generator_group.order})"
             )
         payload["order"] = engine_group.order
         payload["agree"] = True
-        payload["generators"] = [str(g) for g in engine_group.generators]
+        payload["generators"] = [format_cycles(g) for g in engine_group.generators]
     _emit(payload, None)
     return 0
 

@@ -14,7 +14,7 @@ from typing import Iterable
 from .errors import ConnectionSetError, DomainError, IsomorphismError
 from .graphs import Graph
 from .kneser import KneserGraph, build_bipartite_kneser
-from .perms import PermutationGroup, VertexPermutation, is_graph_automorphism
+from .perms import PermutationGroup, is_graph_automorphism
 
 
 @dataclass(frozen=True)
@@ -178,12 +178,12 @@ def left_regular_subgroup(n: int, iso: CayleyIsomorphism) -> PermutationGroup:
         images = tuple(back[translation[forward[v]]] for v in range(2 * n))
         if not is_graph_automorphism(iso.kneser.graph, images):
             raise IsomorphismError(f"transported translation by {g} broke an edge")
-        perms.append(VertexPermutation(images))
+        perms.append(images)
 
     gen_a = perms[dihedral_index(DihedralElement(1, 0), n)]
     gen_b = perms[dihedral_index(DihedralElement(0, 1), n)]
     return PermutationGroup(
         generators=(gen_a, gen_b),
         degree=2 * n,
-        elements=tuple(sorted(perms, key=lambda p: p.images)),
+        elements=tuple(sorted(perms)),
     )

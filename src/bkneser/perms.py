@@ -1,5 +1,10 @@
 """Permutations of [n], induced vertex maps, and small permutation groups.
 
+A vertex map is its image tuple: ``images[v]`` is the image of vertex v.
+Maps enter through ``is_graph_automorphism`` or ``group_closure``, which
+reject tuples that are not permutations of 0..V-1; products and inverses of
+checked maps are not checked again.
+
 Groups are handled the blunt way: breadth-first closure under composition,
 with a configurable order cap.  Every group this package cares about has
 order at most a few times 7!, where exhaustive enumeration is both fast and
@@ -84,31 +89,13 @@ class Permutation:
         return format_cycles(self.images, offset=1)
 
 
-@dataclass(frozen=True)
-class VertexPermutation:
-    """A bijection of the vertex index set of a fixed graph."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise DomainError(f"not a permutation of 0..{n - 1}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, v: int) -> int:
-        return self.images[v]
-
-    def __str__(self) -> str:
-        return format_cycles(self.images)
-
-
 def is_graph_automorphism(graph: Graph, images: Sequence[int]) -> bool:
-    """True iff the vertex map preserves adjacency in both directions."""
-    if len(images) != graph.vertex_count:
+    """True iff the vertex map is a bijection that preserves adjacency.
+
+    A bijection of a finite graph that maps edges to edges also maps
+    non-edges to non-edges, so one direction suffices.
+    """
+    if sorted(images) != list(range(graph.vertex_count)):
         return False
     for u, v in graph.edges():
         if not graph.has_edge(images[u], images[v]):
@@ -116,7 +103,7 @@ def is_graph_automorphism(graph: Graph, images: Sequence[int]) -> bool:
     return True
 
 
-def induced_automorphism(kg: KneserGraph, theta: Permutation) -> VertexPermutation:
+def induced_automorphism(kg: KneserGraph, theta: Permutation) -> tuple[int, ...]:
     """The vertex map f_theta sending each subset {x1..xt} to {theta(x1)..theta(xt)}.
 
     Adjacency preservation is verified eagerly; a failure would mean a
@@ -129,69 +116,68 @@ def induced_automorphism(kg: KneserGraph, theta: Permutation) -> VertexPermutati
         s = kg.subset_of_vertex(index)
         mapped = type(s).from_elements(kg.n, (theta(x) for x in s.elements()))
         images.append(kg.vertex_of_subset(mapped))
-    perm = VertexPermutation(tuple(images))
-    if not is_graph_automorphism(kg.graph, perm.images):
+    if not is_graph_automorphism(kg.graph, images):
         raise DomainError(f"induced map of {theta} is not an automorphism")
-    return perm
+    return tuple(images)
 
 
-def complement_automorphism(kg: KneserGraph) -> VertexPermutation:
+def complement_automorphism(kg: KneserGraph) -> tuple[int, ...]:
     """The complementation involution: the index shift i <-> i + C(n, k)."""
     side = kg.side_size
     images = tuple((i + side) % (2 * side) for i in range(2 * side))
-    perm = VertexPermutation(images)
-    if kg.n != 2 * kg.k and not is_graph_automorphism(kg.graph, perm.images):
+    if kg.n != 2 * kg.k and not is_graph_automorphism(kg.graph, images):
         raise DomainError("complementation failed the adjacency check")
-    return perm
+    return images
 
 
-def compose(p: VertexPermutation, q: VertexPermutation) -> VertexPermutation:
-    """(p after q): v -> p(q(v))."""
-    if p.degree != q.degree:
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """(p after q): v -> p[q[v]]."""
+    if len(p) != len(q):
         raise DomainError("cannot compose permutations of different degrees")
-    qi = q.images
-    pi = p.images
-    return VertexPermutation(tuple(pi[x] for x in qi))
+    return tuple(p[x] for x in q)
 
 
-def inverse(p: VertexPermutation) -> VertexPermutation:
-    images = [0] * p.degree
-    for v, w in enumerate(p.images):
+def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    images = [0] * len(p)
+    for v, w in enumerate(p):
         images[w] = v
-    return VertexPermutation(tuple(images))
+    return tuple(images)
 
 
-def element_order(p: VertexPermutation) -> int:
+def element_order(p: tuple[int, ...]) -> int:
     """The lcm of the cycle lengths."""
-    images = p.images
-    seen = bytearray(len(images))
+    seen = bytearray(len(p))
     order = 1
-    for start in range(len(images)):
+    for start in range(len(p)):
         length = 0
         x = start
         while not seen[x]:
             seen[x] = 1
-            x = images[x]
+            x = p[x]
             length += 1
         if length:
             order = math.lcm(order, length)
     return order
 
 
-def commutes(p: VertexPermutation, q: VertexPermutation) -> bool:
-    if p.degree != q.degree:
+def commutes(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
+    if len(p) != len(q):
         raise DomainError("cannot compare permutations of different degrees")
-    pi, qi = p.images, q.images
-    return all(pi[qi[x]] == qi[pi[x]] for x in range(len(pi)))
+    return all(p[q[x]] == q[p[x]] for x in range(len(p)))
 
 
 @dataclass(frozen=True)
 class PermutationGroup:
-    """Generators plus (optionally) the full element set of a vertex group."""
+    """Generators plus (optionally) the full element set of a vertex group.
 
-    generators: tuple[VertexPermutation, ...]
+    Every element is an image tuple of length ``degree``; ``elements``, when
+    present, is sorted, so membership and equality of enumerated groups
+    compare plain tuples.
+    """
+
+    generators: tuple[tuple[int, ...], ...]
     degree: int
-    elements: Optional[tuple[VertexPermutation, ...]] = None
+    elements: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
     def order(self) -> int:
@@ -230,21 +216,21 @@ def closure_images(
 
 
 def group_closure(
-    generators: Iterable[VertexPermutation],
+    generators: Iterable[tuple[int, ...]],
     order_cap: int = DEFAULT_ORDER_CAP,
     degree: Optional[int] = None,
 ) -> PermutationGroup:
     """Fully enumerate the group generated by the given vertex permutations."""
     gens = tuple(generators)
     if gens:
-        degree = gens[0].degree
-        if any(g.degree != degree for g in gens):
-            raise DomainError("generators act on different vertex sets")
+        degree = len(gens[0])
     elif degree is None:
         raise DomainError("empty generator list needs an explicit degree")
-    elements = closure_images([g.images for g in gens], degree, order_cap)
-    wrapped = tuple(VertexPermutation(imgs) for imgs in sorted(elements))
-    return PermutationGroup(generators=gens, degree=degree, elements=wrapped)
+    points = list(range(degree))
+    if any(sorted(g) != points for g in gens):
+        raise DomainError(f"a generator is not a permutation of 0..{degree - 1}")
+    elements = closure_images(gens, degree, order_cap)
+    return PermutationGroup(generators=gens, degree=degree, elements=tuple(sorted(elements)))
 
 
 def orbit_partition(
@@ -280,13 +266,11 @@ def orbit_partition(
 
 def orbit(group: PermutationGroup, point: int) -> tuple[int, ...]:
     """Orbit of a vertex under the generated group."""
-    tables = [g.images for g in group.generators]
-    return orbit_partition([point], tables, group.degree)[0]
+    return orbit_partition([point], group.generators, group.degree)[0]
 
 
 def orbits_on_vertices(group: PermutationGroup) -> list[tuple[int, ...]]:
-    tables = [g.images for g in group.generators]
-    return orbit_partition(range(group.degree), tables, group.degree)
+    return orbit_partition(range(group.degree), group.generators, group.degree)
 
 
 def _pair_tables(group: PermutationGroup) -> list[array]:
@@ -295,11 +279,16 @@ def _pair_tables(group: PermutationGroup) -> list[array]:
     tables = []
     for g in group.generators:
         table = array("l")
-        for gu in g.images:
+        for gu in g:
             base = gu * n
-            table.extend([base + gv for gv in g.images])
+            table.extend([base + gv for gv in g])
         tables.append(table)
     return tables
+
+
+def _pair_decoder(n: int) -> list[tuple[int, int]]:
+    """The pair (u, v) at index u*n+v: one tuple per pair, shared by all orbits."""
+    return [(u, v) for u in range(n) for v in range(n)]
 
 
 def orbits_on_ordered_pairs(
@@ -313,8 +302,9 @@ def orbits_on_ordered_pairs(
     """
     n = group.degree
     points = range(n * n) if pairs is None else [u * n + v for u, v in pairs]
+    decode = _pair_decoder(n)
     return [
-        tuple(divmod(x, n) for x in orb)
+        tuple(decode[x] for x in orb)
         for orb in orbit_partition(points, _pair_tables(group), n * n)
     ]
 
@@ -331,8 +321,9 @@ def orbits_on_unordered_pairs(
     n = group.degree
     transpose = array("l", [v * n + u for u in range(n) for v in range(n)])
     points = [u * n + v for u, v in pairs]
+    decode = _pair_decoder(n)
     return [
-        tuple(divmod(x, n) for x in orb if x // n <= x % n)
+        tuple(decode[x] for x in orb if x // n <= x % n)
         for orb in orbit_partition(points, _pair_tables(group) + [transpose], n * n)
     ]
 
@@ -341,7 +332,7 @@ def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
     """The subgroup of elements fixing ``point``; needs full enumeration."""
     if not group.is_enumerated:
         raise NeedEnumerationError("stabilizer needs a fully enumerated group")
-    fixed = tuple(g for g in group.elements if g.images[point] == point)
+    fixed = tuple(g for g in group.elements if g[point] == point)
     return PermutationGroup(generators=fixed, degree=group.degree, elements=fixed)
 
 
@@ -354,7 +345,7 @@ def is_regular_action(group: PermutationGroup, vertex_count: int) -> bool:
     return len(orbit(group, 0)) == vertex_count
 
 
-def sym_generators(kg: KneserGraph) -> tuple[VertexPermutation, VertexPermutation]:
+def sym_generators(kg: KneserGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """f over the canonical Sym([n]) generators (1 2) and (1 2 ... n)."""
     n = kg.n
     swap = Permutation.transposition(n, 1, 2)
@@ -362,7 +353,7 @@ def sym_generators(kg: KneserGraph) -> tuple[VertexPermutation, VertexPermutatio
     return induced_automorphism(kg, swap), induced_automorphism(kg, cycle)
 
 
-def known_generators(kg: KneserGraph) -> tuple[VertexPermutation, ...]:
+def known_generators(kg: KneserGraph) -> tuple[tuple[int, ...], ...]:
     """The standard generator set: f_(1 2), f_(1 2 ... n), and complementation."""
     f_swap, f_cycle = sym_generators(kg)
     return (f_swap, f_cycle, complement_automorphism(kg))

@@ -59,6 +59,7 @@ class Subset:
         return tuple(i + 1 for i in range(self.n) if self.bits >> i & 1)
 
     def complement(self) -> "Subset":
+        """[n] minus this subset; an involution."""
         return Subset(self.bits ^ ((1 << self.n) - 1), self.n)
 
     def __contains__(self, x: int) -> bool:
@@ -102,8 +103,3 @@ def unrank_subset(rank: int, n: int, k: int) -> Subset:
             rank -= block
         candidate += 1
     return Subset(bits, n)
-
-
-def complement(s: Subset) -> Subset:
-    """[n] minus s; an involution."""
-    return s.complement()

@@ -30,7 +30,6 @@ from .kneser import KneserGraph, build_bipartite_kneser
 from .perms import (
     DEFAULT_ORDER_CAP,
     PermutationGroup,
-    VertexPermutation,
     closure_images,
     commutes,
     complement_automorphism,
@@ -266,25 +265,19 @@ def find_regular_subgroup(
         raise DomainError("regular-subgroup search needs a fully enumerated group")
 
     degree = group.degree
-    orders = ((g.images, element_order(g)) for g in group.elements)
-    candidates = [(imgs, order) for imgs, order in orders if vertex_count % order == 0]
+    orders = ((g, element_order(g)) for g in group.elements)
+    candidates = [(g, order) for g, order in orders if vertex_count % order == 0]
     checked = 0
 
     def transitive(gens: list[tuple[int, ...]]) -> bool:
         return len(orbit_partition([0], gens, degree)[0]) == vertex_count
 
-    def wrap(gens: list[tuple[int, ...]], elements: set[tuple[int, ...]]) -> PermutationGroup:
-        return PermutationGroup(
-            generators=tuple(VertexPermutation(g) for g in gens),
-            degree=degree,
-            elements=tuple(VertexPermutation(e) for e in sorted(elements)),
-        )
-
     for g, order in candidates:
         checked += 1
         if order == vertex_count and transitive([g]):
             elements = closure_images([g], degree, order_cap=vertex_count)
-            return RegularSubgroupSearch(wrap([g], elements), generator_bound, checked)
+            subgroup = PermutationGroup((g,), degree, tuple(sorted(elements)))
+            return RegularSubgroupSearch(subgroup, generator_bound, checked)
     if generator_bound >= 2:
         images = [g for g, _ in candidates]
         for i, g in enumerate(images):
@@ -295,9 +288,8 @@ def find_regular_subgroup(
                 except OrderCapExceeded:
                     continue
                 if len(elements) == vertex_count and transitive([g, h]):
-                    return RegularSubgroupSearch(
-                        wrap([g, h], elements), generator_bound, checked
-                    )
+                    subgroup = PermutationGroup((g, h), degree, tuple(sorted(elements)))
+                    return RegularSubgroupSearch(subgroup, generator_bound, checked)
     return RegularSubgroupSearch(None, generator_bound, checked)
 
 

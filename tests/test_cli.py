@@ -155,10 +155,10 @@ def test_corrupted_graph_exits_1(capsys, monkeypatch):
 
 
 def test_aut_disagreement_exits_1(capsys, monkeypatch):
-    from bkneser.perms import PermutationGroup, VertexPermutation
+    from bkneser.perms import PermutationGroup
 
     def fake_engine(graph, size_limit=128, order_cap=100_000):
-        ident = VertexPermutation(tuple(range(graph.vertex_count)))
+        ident = tuple(range(graph.vertex_count))
         return PermutationGroup(generators=(), degree=graph.vertex_count,
                                 elements=(ident,))
 

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from bkneser import Subset, binomial, complement, rank_subset, unrank_subset
+from bkneser import Subset, binomial, rank_subset, unrank_subset
 from bkneser.errors import CardinalityError, DomainError, RankError
 
 
@@ -85,9 +85,9 @@ def test_rank_matches_lexicographic_enumeration():
 
 
 def test_complement_examples():
-    assert complement(Subset.from_elements(4, [1])).elements() == (2, 3, 4)
-    assert complement(Subset(0, 3)).elements() == (1, 2, 3)
-    assert complement(Subset.from_elements(5, [2, 3])).elements() == (1, 4, 5)
+    assert Subset.from_elements(4, [1]).complement().elements() == (2, 3, 4)
+    assert Subset(0, 3).complement().elements() == (1, 2, 3)
+    assert Subset.from_elements(5, [2, 3]).complement().elements() == (1, 4, 5)
 
 
 def test_complement_involution_and_size():
@@ -95,5 +95,5 @@ def test_complement_involution_and_size():
         for k in range(0, n + 1):
             for elems in combinations(range(1, n + 1), k):
                 s = Subset.from_elements(n, elems)
-                assert complement(s).cardinality == n - k
-                assert complement(complement(s)) == s
+                assert s.complement().cardinality == n - k
+                assert s.complement().complement() == s
