@@ -1,7 +1,8 @@
 """Command-line interface: every verification as a reproducible run.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 all assertions
-passed, 1 a verified claim failed, 2 usage or domain error.  The only
+passed, 1 a verified claim failed, 2 usage, domain or I/O error, 3 internal
+error (any other exception, a bug; its traceback goes to stderr).  The only
 environment knob is KNESER_ORDER_CAP, which overrides the group-closure cap.
 """
 
@@ -28,6 +29,7 @@ from .perms import (
 )
 from .subsets import binomial
 from .symmetry import (
+    SEARCH_SCOPE,
     explore_question1,
     explore_question2,
     question2_table,
@@ -199,7 +201,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "nmax": nmax,
             "generator_bound": 2,
             "rows": [r.as_dict() for r in rows],
-            "caveat": "only subgroups generated by at most 2 elements were searched; "
+            "caveat": f"only {SEARCH_SCOPE} were searched; "
                       "a miss is not a proof of non-Cayley-ness",
         }
         if args.format == "text":
@@ -278,9 +280,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationError as exc:
         print(f"claim failed: {exc}", file=sys.stderr)
         return 1
-    except BKneserError as exc:
+    except (BKneserError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # only on this path: the import costs every run startup time
+
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 def main() -> None:

@@ -8,6 +8,10 @@ Two families matter to callers:
 * ``VerificationError`` and its subclasses signal that a checked claim
   failed (a count mismatch, a broken isomorphism, a structure assertion).
   The CLI maps these to exit code 1.
+
+The CLI also maps ``OSError`` (an unwritable ``--out`` path, say) to exit
+code 2.  Any other exception escaping a command is a bug: the CLI reports it
+as an internal error, prints the traceback to stderr and exits with code 3.
 """
 
 

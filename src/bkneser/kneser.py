@@ -86,17 +86,6 @@ class FamilyReport:
     part_sizes: tuple[int, int]
     connected: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "degree": self.degree,
-            "part_sizes": list(self.part_sizes),
-            "connected": self.connected,
-        }
-
 
 def verify_family_counts(kg: KneserGraph) -> FamilyReport:
     """Check every counting fact about H(n, k): sizes, regularity, parts, connectivity."""

@@ -1,9 +1,11 @@
 """Transitivity hierarchy, direct-product structure, and the open-question
 explorations.
 
-The transitivity report reads all four levels off one partition of the
-ordered pairs into orbits; the single-level predicates stay as one-liners
-over the orbit functions of ``perms``.
+The transitivity report checks each generator as an automorphism, then reads
+all four levels off one partition of the ordered pairs into orbits, taking
+each orbit's distance from one BFS row per orbit representative; the
+single-level predicates stay as one-liners over the orbit functions of
+``perms``.
 
 Every test here takes the acting group as an argument instead of recomputing
 it, so the same check can run against both the induced-map generators and the
@@ -35,6 +37,7 @@ from .perms import (
     complement_automorphism,
     element_order,
     group_closure,
+    is_graph_automorphism,
     orbit_partition,
     orbits_on_ordered_pairs,
     orbits_on_unordered_pairs,
@@ -97,11 +100,13 @@ class TransitivityReport:
 def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityReport:
     """All four levels from one partition of the ordered pairs, hierarchy asserted.
 
-    Every pair orbit must have constant distance; a violation raises, as it
-    reveals a non-automorphism in the group rather than a wrong answer.  Once
-    that holds, every generator maps arcs to arcs and non-arcs to non-arcs,
-    so the group acts by automorphisms and the counts follow from the pair
-    orbits alone:
+    Every generator must be an automorphism of the graph; one that is not
+    raises, as it reveals a bad group rather than a wrong answer.  Then the
+    whole group acts by automorphisms, which preserve distance, so each pair
+    orbit has one distance: that of its least pair (u, v), read off the BFS
+    row of u.  Under a vertex-transitive group every orbit holds a pair
+    (0, w), so every least pair starts at vertex 0 and one BFS suffices.
+    The counts follow from the pair orbits alone:
 
     * vertex orbits are the distance-0 orbits, since (v, v) -> v is
       equivariant;
@@ -113,16 +118,13 @@ def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityRe
     """
     if not graph.is_connected():
         raise DisconnectedError("transitivity report needs a connected graph")
-    dist = [graph.bfs_distances(v) for v in range(graph.vertex_count)]
+    for g in group.generators:
+        if not is_graph_automorphism(graph, g):
+            raise StructureError("a generator of the group is not an automorphism")
     pair_orbs = orbits_on_ordered_pairs(group)
-    orbit_distance = []
-    for orb in pair_orbs:
-        values = {dist[u][v] for u, v in orb}
-        if len(values) != 1:
-            raise StructureError(
-                "a pair orbit mixes distances; the group contains a non-automorphism"
-            )
-        orbit_distance.append(values.pop())
+    reps = [orb[0] for orb in pair_orbs]
+    rows = {u: graph.bfs_distances(u) for u in {u for u, _ in reps}}
+    orbit_distance = [rows[u][v] for u, v in reps]
     arc_orbs = [orb for orb, d in zip(pair_orbs, orbit_distance) if d == 1]
     self_paired = sum((orb[0][1], orb[0][0]) in orb for orb in arc_orbs)
     vertex_orbits = orbit_distance.count(0)
@@ -155,26 +157,8 @@ class DirectProductReport:
     n: int
     k: int
     sym_closure_order: int
-    alpha_outside_sym: bool
-    alpha_commutes: bool
     product_order: int
     aut_order: int
-
-    @property
-    def conclusion(self) -> str:
-        return f"Aut(H({self.n},{self.k})) = Sym([{self.n}]) x Z_2"
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "sym_closure_order": self.sym_closure_order,
-            "alpha_outside_sym": self.alpha_outside_sym,
-            "alpha_commutes": self.alpha_commutes,
-            "product_order": self.product_order,
-            "aut_order": self.aut_order,
-            "conclusion": self.conclusion,
-        }
 
 
 def verify_direct_product(
@@ -217,50 +201,32 @@ def verify_direct_product(
         n=n,
         k=kg.k,
         sym_closure_order=sym_group.order,
-        alpha_outside_sym=True,
-        alpha_commutes=True,
         product_order=product.order,
         aut_order=aut_order,
     )
 
 
+SEARCH_SCOPE = "subgroups generated by at most 2 elements"
+
+
 @dataclass(frozen=True)
 class RegularSubgroupSearch:
     subgroup: Optional[PermutationGroup]
-    generator_bound: int
     candidates_checked: int
 
     @property
     def caveat(self) -> str:
-        return (
-            f"only subgroups generated by at most {self.generator_bound} elements "
-            "were searched; absence here is not a proof"
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "found": self.subgroup is not None,
-            "subgroup_order": None if self.subgroup is None else self.subgroup.order,
-            "generator_bound": self.generator_bound,
-            "candidates_checked": self.candidates_checked,
-            "caveat": self.caveat,
-        }
+        return f"only {SEARCH_SCOPE} were searched; absence here is not a proof"
 
 
-def find_regular_subgroup(
-    group: PermutationGroup,
-    vertex_count: int,
-    generator_bound: int = 2,
-) -> RegularSubgroupSearch:
+def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> RegularSubgroupSearch:
     """Look for a subgroup acting regularly on the vertices.
 
-    Scans subgroups generated by 1 or 2 elements of the (fully enumerated)
-    input group; a hit certifies that the graph is a Cayley graph, a miss is
-    only evidence.  Element orders must divide the target order, which prunes
-    most pairs before any closure runs.
+    Scans the cyclic subgroups of the (fully enumerated) input group, then
+    those generated by 2 elements; a hit certifies that the graph is a Cayley
+    graph, a miss is only evidence.  Element orders must divide the target
+    order, which prunes most pairs before any closure runs.
     """
-    if generator_bound not in (1, 2):
-        raise DomainError("generator bound must be 1 or 2")
     if not group.is_enumerated:
         raise DomainError("regular-subgroup search needs a fully enumerated group")
 
@@ -277,20 +243,19 @@ def find_regular_subgroup(
         if order == vertex_count and transitive([g]):
             elements = closure_images([g], degree, order_cap=vertex_count)
             subgroup = PermutationGroup((g,), degree, tuple(sorted(elements)))
-            return RegularSubgroupSearch(subgroup, generator_bound, checked)
-    if generator_bound >= 2:
-        images = [g for g, _ in candidates]
-        for i, g in enumerate(images):
-            for h in images[i + 1:]:
-                checked += 1
-                try:
-                    elements = closure_images([g, h], degree, order_cap=vertex_count)
-                except OrderCapExceeded:
-                    continue
-                if len(elements) == vertex_count and transitive([g, h]):
-                    subgroup = PermutationGroup((g, h), degree, tuple(sorted(elements)))
-                    return RegularSubgroupSearch(subgroup, generator_bound, checked)
-    return RegularSubgroupSearch(None, generator_bound, checked)
+            return RegularSubgroupSearch(subgroup, checked)
+    images = [g for g, _ in candidates]
+    for i, g in enumerate(images):
+        for h in images[i + 1:]:
+            checked += 1
+            try:
+                elements = closure_images([g, h], degree, order_cap=vertex_count)
+            except OrderCapExceeded:
+                continue
+            if len(elements) == vertex_count and transitive([g, h]):
+                subgroup = PermutationGroup((g, h), degree, tuple(sorted(elements)))
+                return RegularSubgroupSearch(subgroup, checked)
+    return RegularSubgroupSearch(None, checked)
 
 
 @dataclass(frozen=True)
@@ -391,7 +356,6 @@ class Question1Row:
 def explore_question1(
     n_max: int,
     k_max: Optional[int] = None,
-    generator_bound: int = 2,
     size_limit: int = DEFAULT_SIZE_LIMIT,
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> list[Question1Row]:
@@ -406,15 +370,14 @@ def explore_question1(
                 Question1Row(n, k, kg.vertex_count, None, None, "skipped", str(exc))
             )
             continue
-        search = find_regular_subgroup(aut, kg.vertex_count, generator_bound)
+        search = find_regular_subgroup(aut, kg.vertex_count)
         if search.subgroup is not None:
             verdict = "regular subgroup found: Cayley graph (regular-action criterion)"
             order = search.subgroup.order
         else:
             verdict = (
-                f"no regular subgroup among subgroups generated by at most "
-                f"{generator_bound} elements; consistent with a non-Cayley graph, "
-                "not a proof (search not exhaustive)"
+                f"no regular subgroup among {SEARCH_SCOPE}; consistent with a "
+                "non-Cayley graph, not a proof (search not exhaustive)"
             )
             order = None
         rows.append(Question1Row(n, k, kg.vertex_count, aut.order, order, verdict))

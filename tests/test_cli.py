@@ -166,3 +166,22 @@ def test_aut_disagreement_exits_1(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "aut", "--n", "3", "--k", "1", "--method", "both")
     assert code == 1
     assert "differs" in err
+
+
+def test_unwritable_out_path_exits_2(capsys, tmp_path):
+    out = tmp_path / "missing" / "g.json"
+    code, _, err = run_cli(capsys, "build", "--n", "5", "--k", "2", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def broken(n, k, allow_null=False):
+        raise RuntimeError("simulated bug")
+
+    monkeypatch.setattr(cli, "build_bipartite_kneser", broken)
+    code, _, err = run_cli(capsys, "props", "--n", "5", "--k", "2")
+    assert code == 3
+    assert "internal error" in err
+    assert "RuntimeError: simulated bug" in err

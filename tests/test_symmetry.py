@@ -93,11 +93,16 @@ def test_pair_orbits_have_constant_distance_even_for_subgroups():
 
 
 def test_non_automorphism_in_group_is_detected():
-    c6 = cycle_graph(6)
-    fake = (1, 0, 2, 3, 4, 5)  # not an automorphism of C6
-    group = PermutationGroup(generators=(fake,), degree=6)
-    with pytest.raises(StructureError):
-        is_distance_transitive(c6, group)
+    cases = [
+        (cycle_graph(6), (1, 0, 2, 3, 4, 5)),  # a bijection, not an automorphism of C6
+        # maps that are not bijections: forward reachability under them is not an orbit
+        (complete_graph(2), (1, 1)),
+        (complete_graph(3), (2, 2, 1)),
+    ]
+    for graph, fake in cases:
+        group = PermutationGroup(generators=(fake,), degree=graph.vertex_count)
+        with pytest.raises(StructureError):
+            transitivity_report(graph, group)
 
 
 def test_pair_orbit_count_h_n_1():
@@ -179,7 +184,7 @@ def test_alpha_conjugation_fixes_sym_elements():
 def test_find_regular_subgroup_h41():
     kg = build_bipartite_kneser(4, 1)
     aut = automorphism_group(kg.graph)
-    result = find_regular_subgroup(aut, kg.vertex_count, 2)
+    result = find_regular_subgroup(aut, kg.vertex_count)
     assert result.subgroup is not None
     assert result.subgroup.order == 8
 
@@ -187,7 +192,7 @@ def test_find_regular_subgroup_h41():
 def test_find_regular_subgroup_h52_none():
     kg = build_bipartite_kneser(5, 2)
     aut = automorphism_group(kg.graph)
-    result = find_regular_subgroup(aut, kg.vertex_count, 2)
+    result = find_regular_subgroup(aut, kg.vertex_count)
     assert result.subgroup is None
     assert "not a proof" in result.caveat
 
@@ -195,17 +200,14 @@ def test_find_regular_subgroup_h52_none():
 def test_find_regular_subgroup_k2():
     k2 = complete_graph(2)
     aut = automorphism_group(k2)
-    result = find_regular_subgroup(aut, 2, 1)
+    result = find_regular_subgroup(aut, 2)
     assert result.subgroup is not None and result.subgroup.order == 2
 
 
 def test_find_regular_subgroup_preconditions():
     kg = build_bipartite_kneser(3, 1)
     with pytest.raises(DomainError):
-        find_regular_subgroup(known_group(kg), 6, 2)  # not enumerated
-    aut = automorphism_group(kg.graph)
-    with pytest.raises(DomainError):
-        find_regular_subgroup(aut, 6, 3)
+        find_regular_subgroup(known_group(kg), 6)  # not enumerated
 
 
 def test_explore_question2_rows():
@@ -233,7 +235,9 @@ def test_explore_question1_smoke():
 
 
 def test_transitivity_report_counts_match_direct_orbits(corpus):
-    # the report reads vertex, edge and arc orbits off the ordered-pair partition
+    # the report reads vertex, edge and arc orbits off the ordered-pair partition,
+    # and each orbit's distance off one BFS row; the oracle is the full distance
+    # matrix, on which every pair of an orbit must have the same distance
     cases = [(g, automorphism_group(g)) for g in corpus.values() if g.is_connected()]
     rotation = tuple((i + 1) % 6 for i in range(6))
     cases.append((cycle_graph(6), PermutationGroup(generators=(rotation,), degree=6)))
@@ -245,3 +249,14 @@ def test_transitivity_report_counts_match_direct_orbits(corpus):
         assert report.vertex_orbits == len(orbits_on_vertices(group))
         assert report.edge_orbits == len(orbits_on_unordered_pairs(group, graph.edges()))
         assert report.arc_orbits == len(orbits_on_ordered_pairs(group, graph.arcs()))
+        dist = [graph.bfs_distances(v) for v in range(graph.vertex_count)]
+        pair_orbs = orbits_on_ordered_pairs(group)
+        orbit_distance = []
+        for orb in pair_orbs:
+            values = {dist[u][v] for u, v in orb}
+            assert len(values) == 1
+            orbit_distance.append(values.pop())
+        distinct = len(set(orbit_distance))
+        assert report.pair_orbits == len(pair_orbs)
+        assert report.distance_values == distinct
+        assert report.distance_transitive == (len(pair_orbs) == distinct)
