@@ -2,13 +2,7 @@
 algebraic properties: transitivity, connectivity, automorphism groups, and
 the dihedral Cayley structure of H(n, 1)."""
 
-from .autgroup import (
-    OrderedPartition,
-    are_isomorphic,
-    automorphism_group,
-    brute_force_automorphism_order,
-    equitable_refinement,
-)
+from .autgroup import are_isomorphic, automorphism_group
 from .connectivity import (
     local_vertex_connectivity,
     max_flow,
@@ -28,7 +22,6 @@ from .dihedral import (
 from .graphs import Graph
 from .kneser import KneserGraph, build_bipartite_kneser, verify_family_counts
 from .perms import (
-    Permutation,
     PermutationGroup,
     commutes,
     complement_automorphism,
@@ -66,14 +59,11 @@ __all__ = [
     "DihedralElement",
     "Graph",
     "KneserGraph",
-    "OrderedPartition",
-    "Permutation",
     "PermutationGroup",
     "Subset",
     "are_isomorphic",
     "automorphism_group",
     "binomial",
-    "brute_force_automorphism_order",
     "build_bipartite_kneser",
     "build_cayley_graph",
     "commutes",
@@ -82,7 +72,6 @@ __all__ = [
     "dihedral_inverse",
     "dihedral_multiply",
     "element_order",
-    "equitable_refinement",
     "explicit_iso_Hn1",
     "explore_question1",
     "explore_question2",

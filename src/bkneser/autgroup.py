@@ -11,17 +11,15 @@ is a product of that one with stabilizer elements found earlier).
 
 This engine is the independent check for the group-theoretic claims the rest
 of the package makes, so it deliberately shares no code with the induced-map
-constructions.  An exhaustive factorial-time counter is kept alongside as the
-oracle for the engine itself.
+constructions.  Its own oracle, an exhaustive factorial-time counter, lives
+with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional, Sequence
 
-from .errors import DomainError, IsomorphismError, SizeLimitError, StructureError
+from .errors import IsomorphismError, SizeLimitError, StructureError
 from .graphs import Graph
 from .perms import (
     DEFAULT_ORDER_CAP,
@@ -32,31 +30,6 @@ from .perms import (
 )
 
 DEFAULT_SIZE_LIMIT = 128
-
-
-@dataclass(frozen=True)
-class OrderedPartition:
-    """An ordered list of disjoint vertex cells; order is significant."""
-
-    cells: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for cell in self.cells:
-            if not cell:
-                raise DomainError("empty cell in ordered partition")
-            for v in cell:
-                if v in seen:
-                    raise DomainError(f"vertex {v} appears in two cells")
-                seen.add(v)
-
-    @classmethod
-    def unit(cls, vertex_count: int) -> "OrderedPartition":
-        return cls((tuple(range(vertex_count)),))
-
-    @property
-    def is_discrete(self) -> bool:
-        return all(len(c) == 1 for c in self.cells)
 
 
 def _refine(adjacency: Sequence[int], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -87,15 +60,6 @@ def _refine(adjacency: Sequence[int], cells: list[tuple[int, ...]]) -> list[tupl
         if not changed:
             return new_cells
         cells = new_cells
-
-
-def equitable_refinement(graph: Graph, partition: OrderedPartition) -> OrderedPartition:
-    """Public wrapper: coarsest equitable refinement of a partition of V(G)."""
-    covered = sorted(v for cell in partition.cells for v in cell)
-    if covered != list(range(graph.vertex_count)):
-        raise DomainError("partition does not cover the vertex set exactly")
-    refined = _refine(graph.adjacency, [tuple(sorted(c)) for c in partition.cells])
-    return OrderedPartition(tuple(refined))
 
 
 def _target_cell(cells: list[tuple[int, ...]]) -> Optional[int]:
@@ -210,28 +174,6 @@ def automorphism_group(
             raise StructureError("engine emitted a non-automorphism; this is a bug")
     elements = tuple(sorted(closure_images(gen_images, n, order_cap)))
     return PermutationGroup(generators=tuple(gen_images), degree=n, elements=elements)
-
-
-def brute_force_automorphism_order(graph: Graph, limit: int = 8) -> int:
-    """|Aut(G)| by scanning all |V|! vertex permutations; the engine's oracle.
-
-    Deliberately shares nothing with the search engine: no refinement, no
-    pruning, just the definition.
-    """
-    n = graph.vertex_count
-    if n > limit:
-        raise SizeLimitError(f"brute force is capped at {limit} vertices")
-    edges = graph.edges()
-    edge_set = set(edges)
-    count = 0
-    for p in permutations(range(n)):
-        for u, v in edges:
-            a, b = p[u], p[v]
-            if (a, b) not in edge_set and (b, a) not in edge_set:
-                break
-        else:
-            count += 1
-    return count
 
 
 def are_isomorphic(

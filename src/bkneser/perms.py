@@ -1,9 +1,12 @@
 """Permutations of [n], induced vertex maps, and small permutation groups.
 
-A vertex map is its image tuple: ``images[v]`` is the image of vertex v.
-Maps enter through ``is_graph_automorphism`` or ``group_closure``, which
-reject tuples that are not permutations of 0..V-1; products and inverses of
-checked maps are not checked again.
+Every map is its image tuple: ``images[v]`` is the image of point v.  A
+permutation theta of [n] is a tuple over 0..n-1 in which position i stands
+for element i+1, that is, for bit i of a subset mask; a vertex map is a tuple
+over 0..V-1.  Maps enter through ``PermutationGroup`` (its generators),
+``induced_automorphism`` (theta) or ``is_graph_automorphism``, which reject
+tuples that are not permutations; products and inverses of checked maps are
+not checked again.
 
 Groups are handled the blunt way: breadth-first closure under composition,
 with a configurable order cap.  Every group this package cares about has
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, NeedEnumerationError, OrderCapExceeded
@@ -29,8 +32,8 @@ from .kneser import KneserGraph
 DEFAULT_ORDER_CAP = 100_000
 
 
-def format_cycles(images: Sequence[int], offset: int = 0) -> str:
-    """Cycle notation over points offset..offset+len-1, fixed points omitted."""
+def format_cycles(images: Sequence[int]) -> str:
+    """Cycle notation over points 0..len-1, fixed points omitted."""
     n = len(images)
     seen = [False] * n
     parts = []
@@ -39,54 +42,14 @@ def format_cycles(images: Sequence[int], offset: int = 0) -> str:
             continue
         cycle = [start]
         seen[start] = True
-        x = images[start] - offset
+        x = images[start]
         while x != start:
             cycle.append(x)
             seen[x] = True
-            x = images[x] - offset
+            x = images[x]
         if len(cycle) > 1:
-            parts.append("(" + " ".join(str(c + offset) for c in cycle) + ")")
+            parts.append("(" + " ".join(map(str, cycle)) + ")")
     return "".join(parts) if parts else "()"
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of [n] = {1..n}; images[i-1] = theta(i)."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise DomainError(f"not a permutation of [{n}]: {self.images}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def transposition(cls, n: int, a: int, b: int) -> "Permutation":
-        images = list(range(1, n + 1))
-        images[a - 1], images[b - 1] = b, a
-        return cls(tuple(images))
-
-    @classmethod
-    def from_cycle(cls, n: int, cycle: Sequence[int]) -> "Permutation":
-        """The permutation that is the given cycle, fixing everything else."""
-        images = list(range(1, n + 1))
-        for i, x in enumerate(cycle):
-            images[x - 1] = cycle[(i + 1) % len(cycle)]
-        return cls(tuple(images))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x - 1]
-
-    def __str__(self) -> str:
-        return format_cycles(self.images, offset=1)
 
 
 def is_graph_automorphism(graph: Graph, images: Sequence[int]) -> bool:
@@ -103,22 +66,33 @@ def is_graph_automorphism(graph: Graph, images: Sequence[int]) -> bool:
     return True
 
 
-def induced_automorphism(kg: KneserGraph, theta: Permutation) -> tuple[int, ...]:
+def induced_automorphism(kg: KneserGraph, theta: Sequence[int]) -> tuple[int, ...]:
     """The vertex map f_theta sending each subset {x1..xt} to {theta(x1)..theta(xt)}.
 
-    Adjacency preservation is verified eagerly; a failure would mean a
-    construction bug, not a property of theta.
+    theta is an image tuple over 0..n-1, so it moves bit i of a subset mask
+    to bit theta[i].  Each k-side mask is mapped and looked up by rank;
+    f_theta commutes with complementation, so the (n-k)-side follows as
+    f(i + C(n,k)) = f(i) + C(n,k).  Adjacency preservation is verified
+    eagerly; a failure would mean a construction bug, not a property of theta.
     """
-    if theta.n != kg.n:
-        raise DomainError(f"permutation of [{theta.n}] cannot act on H({kg.n},{kg.k})")
-    images = []
-    for index in range(kg.vertex_count):
-        s = kg.subset_of_vertex(index)
-        mapped = type(s).from_elements(kg.n, (theta(x) for x in s.elements()))
-        images.append(kg.vertex_of_subset(mapped))
+    n, side = kg.n, kg.side_size
+    if sorted(theta) != list(range(n)):
+        raise DomainError(f"{tuple(theta)} is not a permutation of 0..{n - 1}; "
+                          f"it cannot act on H({n},{kg.k})")
+    masks = [kg.subset_of_vertex(i).bits for i in range(side)]
+    rank = {mask: i for i, mask in enumerate(masks)}
+    half = []
+    for mask in masks:
+        image = 0
+        while mask:
+            low = mask & -mask
+            image |= 1 << theta[low.bit_length() - 1]
+            mask ^= low
+        half.append(rank[image])
+    images = tuple(half + [i + side for i in half])
     if not is_graph_automorphism(kg.graph, images):
-        raise DomainError(f"induced map of {theta} is not an automorphism")
-    return tuple(images)
+        raise DomainError(f"induced map of {format_cycles(theta)} is not an automorphism")
+    return images
 
 
 def complement_automorphism(kg: KneserGraph) -> tuple[int, ...]:
@@ -170,14 +144,20 @@ def commutes(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
 class PermutationGroup:
     """Generators plus (optionally) the full element set of a vertex group.
 
-    Every element is an image tuple of length ``degree``; ``elements``, when
-    present, is sorted, so membership and equality of enumerated groups
-    compare plain tuples.
+    Every element is an image tuple of length ``degree``; the generators are
+    checked to be permutations of 0..degree-1 here, once, so the orbit
+    functions see a group.  ``elements``, when present, is sorted, so membership and
+    equality of enumerated groups compare plain tuples.
     """
 
     generators: tuple[tuple[int, ...], ...]
     degree: int
     elements: Optional[tuple[tuple[int, ...], ...]] = None
+
+    def __post_init__(self) -> None:
+        points = list(range(self.degree))
+        if any(sorted(g) != points for g in self.generators):
+            raise DomainError(f"a generator is not a permutation of 0..{self.degree - 1}")
 
     @property
     def order(self) -> int:
@@ -226,11 +206,9 @@ def group_closure(
         degree = len(gens[0])
     elif degree is None:
         raise DomainError("empty generator list needs an explicit degree")
-    points = list(range(degree))
-    if any(sorted(g) != points for g in gens):
-        raise DomainError(f"a generator is not a permutation of 0..{degree - 1}")
+    group = PermutationGroup(generators=gens, degree=degree)  # checks the generators
     elements = closure_images(gens, degree, order_cap)
-    return PermutationGroup(generators=gens, degree=degree, elements=tuple(sorted(elements)))
+    return replace(group, elements=tuple(sorted(elements)))
 
 
 def orbit_partition(
@@ -348,8 +326,8 @@ def is_regular_action(group: PermutationGroup, vertex_count: int) -> bool:
 def sym_generators(kg: KneserGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """f over the canonical Sym([n]) generators (1 2) and (1 2 ... n)."""
     n = kg.n
-    swap = Permutation.transposition(n, 1, 2)
-    cycle = Permutation.from_cycle(n, tuple(range(1, n + 1)))
+    swap = (1, 0, *range(2, n))
+    cycle = (*range(1, n), 0)
     return induced_automorphism(kg, swap), induced_automorphism(kg, cycle)
 
 

@@ -4,8 +4,8 @@ explorations.
 The transitivity report checks each generator as an automorphism, then reads
 all four levels off one partition of the ordered pairs into orbits, taking
 each orbit's distance from one BFS row per orbit representative; the
-single-level predicates stay as one-liners over the orbit functions of
-``perms``.
+single-level predicates check the generators the same way, then count orbits
+with the orbit functions of ``perms``.
 
 Every test here takes the acting group as an argument instead of recomputing
 it, so the same check can run against both the induced-map generators and the
@@ -46,11 +46,23 @@ from .perms import (
 )
 
 
+def _check_generators(graph: Graph, group: PermutationGroup) -> None:
+    """Raise unless every generator is an automorphism of the graph.
+
+    A generator that is not reveals a bad group rather than a wrong answer.
+    """
+    for g in group.generators:
+        if not is_graph_automorphism(graph, g):
+            raise StructureError("a generator of the group is not an automorphism")
+
+
 def is_vertex_transitive(graph: Graph, group: PermutationGroup) -> bool:
+    _check_generators(graph, group)
     return len(orbits_on_vertices(group)) == 1
 
 
 def is_edge_transitive(graph: Graph, group: PermutationGroup) -> bool:
+    _check_generators(graph, group)
     edges = graph.edges()
     if not edges:
         return True
@@ -58,6 +70,7 @@ def is_edge_transitive(graph: Graph, group: PermutationGroup) -> bool:
 
 
 def is_arc_transitive(graph: Graph, group: PermutationGroup) -> bool:
+    _check_generators(graph, group)
     arcs = graph.arcs()
     if not arcs:
         return True
@@ -100,9 +113,8 @@ class TransitivityReport:
 def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityReport:
     """All four levels from one partition of the ordered pairs, hierarchy asserted.
 
-    Every generator must be an automorphism of the graph; one that is not
-    raises, as it reveals a bad group rather than a wrong answer.  Then the
-    whole group acts by automorphisms, which preserve distance, so each pair
+    Every generator must be an automorphism of the graph, or the report
+    raises.  Then the whole group acts by automorphisms, which preserve distance, so each pair
     orbit has one distance: that of its least pair (u, v), read off the BFS
     row of u.  Under a vertex-transitive group every orbit holds a pair
     (0, w), so every least pair starts at vertex 0 and one BFS suffices.
@@ -118,9 +130,7 @@ def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityRe
     """
     if not graph.is_connected():
         raise DisconnectedError("transitivity report needs a connected graph")
-    for g in group.generators:
-        if not is_graph_automorphism(graph, g):
-            raise StructureError("a generator of the group is not an automorphism")
+    _check_generators(graph, group)
     pair_orbs = orbits_on_ordered_pairs(group)
     reps = [orb[0] for orb in pair_orbs]
     rows = {u: graph.bfs_distances(u) for u in {u for u, _ in reps}}

@@ -1,12 +1,15 @@
 """Independent oracles for cross-checking the package's main code paths.
 
 Nothing here shares logic with the implementation under test: distances come
-from a dictionary BFS, connectivity from exhaustive cut enumeration, and
-isomorphism from a direct scan over all bijections.
+from a dictionary BFS, connectivity from exhaustive cut enumeration,
+isomorphism from a direct scan over all bijections, and automorphism counts
+from a scan over all vertex permutations.
 """
 
 from collections import deque
 from itertools import combinations, permutations
+
+from bkneser.errors import SizeLimitError
 
 
 def edge_dict(graph):
@@ -78,3 +81,25 @@ def brute_isomorphism(g1, g2):
             if g1.edge_count == g2.edge_count:
                 return p
     return None
+
+
+def brute_force_automorphism_order(graph, limit=8):
+    """|Aut(G)| by scanning all |V|! vertex permutations; the engine's oracle.
+
+    Deliberately shares nothing with the search engine: no refinement, no
+    pruning, just the definition.
+    """
+    n = graph.vertex_count
+    if n > limit:
+        raise SizeLimitError(f"brute force is capped at {limit} vertices")
+    edges = graph.edges()
+    edge_set = set(edges)
+    count = 0
+    for p in permutations(range(n)):
+        for u, v in edges:
+            a, b = p[u], p[v]
+            if (a, b) not in edge_set and (b, a) not in edge_set:
+                break
+        else:
+            count += 1
+    return count

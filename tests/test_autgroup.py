@@ -4,20 +4,18 @@ import pytest
 
 from bkneser import (
     Graph,
-    OrderedPartition,
     are_isomorphic,
     automorphism_group,
-    brute_force_automorphism_order,
     build_bipartite_kneser,
-    equitable_refinement,
     explicit_iso_Hn1,
     group_closure,
     known_generators,
 )
-from bkneser.errors import DomainError, SizeLimitError
+from bkneser.autgroup import _refine
+from bkneser.errors import SizeLimitError
 from bkneser.perms import is_graph_automorphism
 from conftest import complete_graph, cycle_graph, star_graph
-from oracles import brute_isomorphism
+from oracles import brute_force_automorphism_order, brute_isomorphism
 
 
 def random_graph(rng, n, p):
@@ -25,23 +23,14 @@ def random_graph(rng, n, p):
     return Graph.from_edges(n, edges)
 
 
-def test_ordered_partition_validation():
-    with pytest.raises(DomainError):
-        OrderedPartition(((0, 1), (1, 2)))
-    with pytest.raises(DomainError):
-        OrderedPartition(((0,), ()))
-    assert OrderedPartition(((0,), (1,))).is_discrete
-
-
 def test_refinement_regular_graph_stays_unit():
     c6 = cycle_graph(6)
-    refined = equitable_refinement(c6, OrderedPartition.unit(6))
-    assert refined.cells == ((0, 1, 2, 3, 4, 5),)
+    assert _refine(c6.adjacency, [tuple(range(6))]) == [(0, 1, 2, 3, 4, 5)]
 
 
 def test_refinement_star_splits_by_degree():
-    refined = equitable_refinement(star_graph(3), OrderedPartition.unit(4))
-    assert set(refined.cells) == {(0,), (1, 2, 3)}
+    refined = _refine(star_graph(3).adjacency, [(0, 1, 2, 3)])
+    assert set(refined) == {(0,), (1, 2, 3)}
 
 
 def test_refinement_idempotent_and_refines():
@@ -49,22 +38,17 @@ def test_refinement_idempotent_and_refines():
     for _ in range(100):
         n = rng.randint(2, 12)
         g = random_graph(rng, n, rng.random())
-        once = equitable_refinement(g, OrderedPartition.unit(n))
-        twice = equitable_refinement(g, once)
+        once = _refine(g.adjacency, [tuple(range(n))])
+        twice = _refine(g.adjacency, once)
         assert once == twice
         # every refined cell sits inside one original cell (trivially the
         # unit cell here); also check against a random two-cell start
         if n >= 2:
             split = rng.randint(1, n - 1)
-            start = OrderedPartition((tuple(range(split)), tuple(range(split, n))))
-            refined = equitable_refinement(g, start)
-            for cell in refined.cells:
+            start = [tuple(range(split)), tuple(range(split, n))]
+            refined = _refine(g.adjacency, start)
+            for cell in refined:
                 assert set(cell) <= set(range(split)) or set(cell) <= set(range(split, n))
-
-
-def test_refinement_requires_cover():
-    with pytest.raises(DomainError):
-        equitable_refinement(cycle_graph(4), OrderedPartition(((0, 1),)))
 
 
 def test_automorphism_group_examples():

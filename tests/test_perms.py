@@ -4,7 +4,6 @@ from itertools import permutations as iter_permutations
 import pytest
 
 from bkneser import (
-    Permutation,
     PermutationGroup,
     Subset,
     build_bipartite_kneser,
@@ -25,34 +24,33 @@ from bkneser import (
     sym_generators,
 )
 from bkneser.errors import DomainError, NeedEnumerationError, OrderCapExceeded
-from bkneser.perms import is_graph_automorphism
+from bkneser.perms import format_cycles, is_graph_automorphism
 from conftest import cycle_graph, path_graph
 
 
 def random_permutation(rng, n):
-    return Permutation(tuple(rng.sample(range(1, n + 1), n)))
+    return tuple(rng.sample(range(n), n))
 
 
 def test_permutation_validation_and_cycles():
-    with pytest.raises(DomainError):
-        Permutation((1, 1, 3))
-    p = Permutation((2, 1, 4, 5, 3))
-    assert str(p) == "(1 2)(3 4 5)"
-    assert str(Permutation.identity(4)) == "()"
-    assert Permutation.transposition(4, 1, 3)(1) == 3
-    cyc = Permutation.from_cycle(5, (2, 3, 4, 5))
-    assert cyc(2) == 3 and cyc(5) == 2 and cyc(1) == 1
+    kg = build_bipartite_kneser(3, 1)
+    for bad in ((0, 0, 2), (1, 2, 3)):
+        with pytest.raises(DomainError):
+            induced_automorphism(kg, bad)
+    assert format_cycles((1, 0, 3, 4, 2)) == "(0 1)(2 3 4)"
+    assert format_cycles(range(4)) == "()"
+    assert format_cycles((0, 2, 3, 4, 1)) == "(1 2 3 4)"
 
 
 def test_induced_identity():
     kg = build_bipartite_kneser(3, 1)
-    f = induced_automorphism(kg, Permutation.identity(3))
+    f = induced_automorphism(kg, (0, 1, 2))
     assert f == tuple(range(6))
 
 
 def test_induced_transposition_on_h31():
     kg = build_bipartite_kneser(3, 1)
-    f = induced_automorphism(kg, Permutation.transposition(3, 1, 2))
+    f = induced_automorphism(kg, (1, 0, 2))
     v = kg.vertex_of_subset
     s = lambda *xs: Subset.from_elements(3, xs)
     assert f[v(s(1))] == v(s(2))
@@ -66,7 +64,19 @@ def test_induced_transposition_on_h31():
 def test_induced_size_mismatch():
     kg = build_bipartite_kneser(3, 1)
     with pytest.raises(DomainError):
-        induced_automorphism(kg, Permutation.identity(4))
+        induced_automorphism(kg, (0, 1, 2, 3))
+
+
+def test_induced_automorphism_on_the_middle_level():
+    # H(4,2) has no edges; each 2-subset and its complement both have size 2
+    kg = build_bipartite_kneser(4, 2, allow_null=True)
+    side = kg.side_size
+    assert induced_automorphism(kg, (0, 1, 2, 3)) == tuple(range(2 * side))
+    f = induced_automorphism(kg, (1, 0, 2, 3))
+    assert sorted(f) == list(range(2 * side))
+    assert all(f[i + side] == f[i] + side for i in range(side))
+    v = kg.vertex_of_subset
+    assert f[v(Subset.from_elements(4, [1, 3]))] == v(Subset.from_elements(4, [2, 3]))
 
 
 def test_containment_preserved_under_random_permutations():
@@ -78,8 +88,8 @@ def test_containment_preserved_under_random_permutations():
         a_elems = rng.sample(range(1, n + 1), k)
         rest = [x for x in range(1, n + 1) if x not in a_elems]
         b_elems = a_elems + rng.sample(rest, n - 2 * k)
-        a = Subset.from_elements(n, (theta(x) for x in a_elems))
-        b = Subset.from_elements(n, (theta(x) for x in b_elems))
+        a = Subset.from_elements(n, (theta[x - 1] + 1 for x in a_elems))
+        b = Subset.from_elements(n, (theta[x - 1] + 1 for x in b_elems))
         assert a.bits & ~b.bits == 0
 
 
@@ -113,7 +123,7 @@ def test_compose_size_mismatch():
 def test_element_order_of_induced_cycle():
     # rho = (2 3 4 5) on H(5,1): a cycle of length n-1 fixing vertex [n]-{1}
     kg = build_bipartite_kneser(5, 1)
-    f_rho = induced_automorphism(kg, Permutation.from_cycle(5, (2, 3, 4, 5)))
+    f_rho = induced_automorphism(kg, (0, 2, 3, 4, 1))
     assert element_order(f_rho) == 4
 
 
@@ -165,7 +175,7 @@ def test_closure_order_doubles_with_alpha():
 
 def test_orbit_under_cyclic_subgroup():
     kg = build_bipartite_kneser(5, 1)
-    f_rho = induced_automorphism(kg, Permutation.from_cycle(5, (2, 3, 4, 5)))
+    f_rho = induced_automorphism(kg, (0, 2, 3, 4, 1))
     group = PermutationGroup(generators=(f_rho,), degree=10)
     v = kg.vertex_of_subset
     expected = {v(Subset.from_elements(5, [i])) for i in (2, 3, 4, 5)}
@@ -231,8 +241,8 @@ def test_known_non_commuting_pair():
     # f_(1 2) and f_(2 3) on H(4,1) disagree already on vertex {1}:
     # (2 3)(1 2) sends 1 -> 3 while (1 2)(2 3) sends 1 -> 2.
     kg = build_bipartite_kneser(4, 1)
-    f12 = induced_automorphism(kg, Permutation.transposition(4, 1, 2))
-    f23 = induced_automorphism(kg, Permutation.transposition(4, 2, 3))
+    f12 = induced_automorphism(kg, (1, 0, 2, 3))
+    f23 = induced_automorphism(kg, (0, 2, 1, 3))
     v = kg.vertex_of_subset
     one = v(Subset.from_elements(4, [1]))
     assert compose(f23, f12)[one] == v(Subset.from_elements(4, [3]))
@@ -253,8 +263,8 @@ def test_psi_injective_and_alpha_outside_small_n():
         kg = build_bipartite_kneser(n, 1)
         alpha = complement_automorphism(kg)
         seen = {}
-        for images in iter_permutations(range(1, n + 1)):
-            f = induced_automorphism(kg, Permutation(images))
+        for images in iter_permutations(range(n)):
+            f = induced_automorphism(kg, images)
             assert f not in seen, "distinct theta gave equal induced maps"
             seen[f] = images
             assert f != alpha

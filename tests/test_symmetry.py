@@ -93,16 +93,21 @@ def test_pair_orbits_have_constant_distance_even_for_subgroups():
 
 
 def test_non_automorphism_in_group_is_detected():
-    cases = [
-        (cycle_graph(6), (1, 0, 2, 3, 4, 5)),  # a bijection, not an automorphism of C6
-        # maps that are not bijections: forward reachability under them is not an orbit
-        (complete_graph(2), (1, 1)),
-        (complete_graph(3), (2, 2, 1)),
-    ]
-    for graph, fake in cases:
-        group = PermutationGroup(generators=(fake,), degree=graph.vertex_count)
+    # maps that are not bijections never make a group: forward reachability
+    # under them is not an orbit
+    for fake in ((1, 1), (2, 2, 1)):
+        with pytest.raises(DomainError):
+            PermutationGroup(generators=(fake,), degree=len(fake))
+    # a bijection, not an automorphism of C6
+    c6_group = PermutationGroup(generators=((1, 0, 2, 3, 4, 5),), degree=6)
+    with pytest.raises(StructureError):
+        transitivity_report(cycle_graph(6), c6_group)
+    # the rotation of the path 0-1-2 is a bijection with one orbit, not an automorphism
+    p3_group = PermutationGroup(generators=((1, 2, 0),), degree=3)
+    for check in (is_vertex_transitive, is_edge_transitive, is_arc_transitive,
+                  is_distance_transitive, transitivity_report):
         with pytest.raises(StructureError):
-            transitivity_report(graph, group)
+            check(path_graph(3), p3_group)
 
 
 def test_pair_orbit_count_h_n_1():
