@@ -26,6 +26,7 @@ from .perms import (
     PermutationGroup,
     closure_images,
     is_graph_automorphism,
+    is_isomorphism,
     orbit_partition,
 )
 
@@ -74,20 +75,13 @@ def _target_cell(cells: list[tuple[int, ...]]) -> Optional[int]:
 
 
 class _AutSearch:
-    """One automorphism search over a fixed adjacency and initial partition."""
+    """One automorphism search over a fixed graph and initial partition."""
 
-    def __init__(self, adjacency: Sequence[int], vertex_count: int,
-                 initial_cells: list[tuple[int, ...]]):
-        self.adjacency = adjacency
-        self.n = vertex_count
+    def __init__(self, graph: Graph, initial_cells: list[tuple[int, ...]]):
+        self.adjacency = graph.adjacency
+        self.n = graph.vertex_count
         self.initial_cells = initial_cells
-        self.edges = []
-        for u in range(vertex_count):
-            rest = adjacency[u] >> (u + 1) << (u + 1)
-            while rest:
-                low = rest & -rest
-                self.edges.append((u, low.bit_length() - 1))
-                rest ^= low
+        self.edges = graph.edges()
         self.base_leaf: Optional[tuple[int, ...]] = None
         self.generators: list[tuple[int, ...]] = []
 
@@ -167,7 +161,7 @@ def automorphism_group(
     work = graph
     if n > 2 and graph.edge_count * 2 > n * (n - 1) // 2:
         work = graph.complement_graph()
-    search = _AutSearch(work.adjacency, n, [tuple(range(n))])
+    search = _AutSearch(work, [tuple(range(n))])
     gen_images = search.run()
     for images in gen_images:
         if not is_graph_automorphism(graph, images):
@@ -201,20 +195,10 @@ def are_isomorphic(
 
     m = g1.vertex_count
     a1, a2 = 2 * m, 2 * m + 1
-    adjacency = [0] * (2 * m + 2)
-    for u, v in g1.edges():
-        adjacency[u] |= 1 << v
-        adjacency[v] |= 1 << u
-    for u, v in g2.edges():
-        adjacency[u + m] |= 1 << (v + m)
-        adjacency[v + m] |= 1 << (u + m)
-    for v in range(m):
-        adjacency[a1] |= 1 << v
-        adjacency[v] |= 1 << a1
-        adjacency[a2] |= 1 << (v + m)
-        adjacency[v + m] |= 1 << a2
-
-    search = _AutSearch(adjacency, 2 * m + 2, [tuple(range(2 * m)), (a1, a2)])
+    edges = g1.edges() + [(u + m, v + m) for u, v in g2.edges()]
+    edges += [(v, a1) for v in range(m)] + [(v + m, a2) for v in range(m)]
+    union = Graph.from_edges(2 * m + 2, edges)
+    search = _AutSearch(union, [tuple(range(2 * m)), (a1, a2)])
     gens = search.run()
 
     # Orbit of the first apex, with a witness permutation per reached vertex.
@@ -234,15 +218,6 @@ def are_isomorphic(
 
     swap = witness[a2]
     mapping = tuple(swap[v] - m for v in range(m))
-    if sorted(mapping) != list(range(m)):
-        raise IsomorphismError("apex witness did not restrict to a bijection")
-    for u, v in g1.edges():
-        if not g2.has_edge(mapping[u], mapping[v]):
-            raise IsomorphismError("forward edge check failed on the witness map")
-    back = [0] * m
-    for v, w in enumerate(mapping):
-        back[w] = v
-    for u, v in g2.edges():
-        if not g1.has_edge(back[u], back[v]):
-            raise IsomorphismError("backward edge check failed on the witness map")
+    if not is_isomorphism(g1, g2, mapping):
+        raise IsomorphismError("the apex witness does not restrict to an isomorphism")
     return mapping

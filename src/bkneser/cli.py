@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .autgroup import automorphism_group
@@ -50,8 +51,7 @@ def _order_cap() -> int:
     return cap
 
 
-def _emit(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, separators=(",", ":")) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -59,15 +59,14 @@ def _emit(payload: dict, out: Optional[str]) -> None:
             handle.write(text)
 
 
+def _emit(payload: dict, out: Optional[str]) -> None:
+    _write(json.dumps(payload, separators=(",", ":")) + "\n", out)
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     kg = build_bipartite_kneser(args.n, args.k, allow_null=args.allow_null)
     if args.format == "dot":
-        text = kg.graph.to_dot()
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+        _write(kg.graph.to_dot(), args.out)
     else:
         _emit(kg.graph.to_json_dict(), args.out)
     return 0
@@ -95,27 +94,21 @@ def _known_group(kg) -> PermutationGroup:
 def cmd_aut(args: argparse.Namespace) -> int:
     cap = _order_cap()
     kg = build_bipartite_kneser(args.n, args.k)
-    payload: dict = {}
-    if args.method in ("engine", "both"):
-        engine_group = automorphism_group(kg.graph, order_cap=cap)
-    if args.method in ("generators", "both"):
-        generator_group = group_closure(known_generators(kg), order_cap=cap)
-
-    if args.method == "engine":
-        payload["order"] = engine_group.order
-        payload["generators"] = [format_cycles(g) for g in engine_group.generators]
-    elif args.method == "generators":
-        payload["order"] = generator_group.order
-        payload["generators"] = [format_cycles(g) for g in generator_group.generators]
-    else:
-        if engine_group.elements != generator_group.elements:
+    groups = []  # the engine's group first, so "both" reports its generators
+    if args.method != "generators":
+        groups.append(automorphism_group(kg.graph, order_cap=cap))
+    if args.method != "engine":
+        groups.append(group_closure(known_generators(kg), order_cap=cap))
+    group = groups[0]
+    payload: dict = {"order": group.order}
+    if len(groups) == 2:
+        if group.elements != groups[1].elements:
             raise VerificationError(
-                f"engine group (order {engine_group.order}) differs from the "
-                f"closure of the known generators (order {generator_group.order})"
+                f"engine group (order {group.order}) differs from the "
+                f"closure of the known generators (order {groups[1].order})"
             )
-        payload["order"] = engine_group.order
         payload["agree"] = True
-        payload["generators"] = [format_cycles(g) for g in engine_group.generators]
+    payload["generators"] = [format_cycles(g) for g in group.generators]
     _emit(payload, None)
     return 0
 
@@ -188,7 +181,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             payload = {
                 "question": 2,
                 "nmax": nmax,
-                "rows": [r.as_dict() for r in rows],
+                "rows": [asdict(r) for r in rows],
                 "note": "evidence only: equality on these instances proves nothing "
                         "about unlisted (n, k)",
             }
@@ -200,7 +193,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "question": 1,
             "nmax": nmax,
             "generator_bound": 2,
-            "rows": [r.as_dict() for r in rows],
+            "rows": [asdict(r) for r in rows],
             "caveat": f"only {SEARCH_SCOPE} were searched; "
                       "a miss is not a proof of non-Cayley-ness",
         }

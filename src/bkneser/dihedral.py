@@ -14,7 +14,7 @@ from typing import Iterable
 from .errors import ConnectionSetError, DomainError, IsomorphismError
 from .graphs import Graph
 from .kneser import KneserGraph, build_bipartite_kneser
-from .perms import PermutationGroup, is_graph_automorphism
+from .perms import PermutationGroup, inverse, is_graph_automorphism, is_isomorphism
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,6 @@ class ConnectionSet:
             if dihedral_inverse(x, self.n) not in self.elements:
                 raise ConnectionSetError(f"connection set not closed under inverse of {x}")
 
-    def sorted_elements(self) -> list[DihedralElement]:
-        return sorted(self.elements, key=lambda x: (x.ref, x.rot))
-
 
 def connection_set(n: int, elements: Iterable[DihedralElement]) -> ConnectionSet:
     return ConnectionSet(n, frozenset(elements))
@@ -129,7 +126,7 @@ class CayleyIsomorphism:
 
 
 def explicit_iso_Hn1(n: int) -> CayleyIsomorphism:
-    """The map {i} -> a^i, [n]-{j} -> a^j b, checked edge by edge both ways."""
+    """The map {i} -> a^i, [n]-{j} -> a^j b, checked with ``perms.is_isomorphism``."""
     if n < 3:
         raise DomainError(f"H(n,1) Cayley isomorphism needs n >= 3, got {n}")
     kg = build_bipartite_kneser(n, 1)
@@ -141,20 +138,8 @@ def explicit_iso_Hn1(n: int) -> CayleyIsomorphism:
         vertex_map[i - 1] = i % n
         vertex_map[n + i - 1] = n + (i % n)
     mapping = tuple(vertex_map)
-
-    if sorted(mapping) != list(range(2 * n)):
-        raise IsomorphismError("H(n,1) -> D_2n map is not a bijection")
-    if kg.graph.edge_count != cay.edge_count:
-        raise IsomorphismError("edge counts of H(n,1) and Cay(D_2n, omega) differ")
-    for u, v in kg.graph.edges():
-        if not cay.has_edge(mapping[u], mapping[v]):
-            raise IsomorphismError(f"H(n,1) edge ({u},{v}) not preserved")
-    back = [0] * (2 * n)
-    for v, w in enumerate(mapping):
-        back[w] = v
-    for u, v in cay.edges():
-        if not kg.graph.has_edge(back[u], back[v]):
-            raise IsomorphismError(f"Cayley edge ({u},{v}) has no preimage edge")
+    if not is_isomorphism(kg.graph, cay, mapping):
+        raise IsomorphismError("the H(n,1) -> Cay(D_2n, omega) map is not an isomorphism")
     return CayleyIsomorphism(n=n, kneser=kg, cayley=cay, vertex_map=mapping)
 
 
@@ -165,9 +150,7 @@ def left_regular_subgroup(n: int, iso: CayleyIsomorphism) -> PermutationGroup:
     the vertex set: the constructive witness that H(n,1) is a Cayley graph.
     """
     forward = iso.vertex_map
-    back = [0] * len(forward)
-    for v, w in enumerate(forward):
-        back[w] = v
+    back = inverse(forward)
     elements = dihedral_elements(n)
 
     perms = []

@@ -69,9 +69,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adjacency[u] >> v & 1)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.adjacency[v]))
-
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
 
@@ -131,26 +128,21 @@ class Graph:
         return max(sum(1 for _ in self._layers(v)) - 1 for v in range(self.vertex_count))
 
     def bipartition(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Two-coloring as (class of vertex 0, other class), or None on an odd cycle."""
-        color = [-1] * self.vertex_count
+        """Two-coloring as (side 0, side 1), or None on an odd cycle.
+
+        Each component's least vertex goes on side 0 and every other vertex
+        on the side of its BFS distance's parity; that coloring is proper
+        exactly when the graph is bipartite.
+        """
+        sides = [0, 0]
         for root in range(self.vertex_count):
-            if color[root] != -1:
-                continue
-            color[root] = 0
-            queue = [root]
-            while queue:
-                nxt = []
-                for v in queue:
-                    for u in _bits(self.adjacency[v]):
-                        if color[u] == -1:
-                            color[u] = color[v] ^ 1
-                            nxt.append(u)
-                        elif color[u] == color[v]:
-                            return None
-                queue = nxt
-        side0 = tuple(v for v in range(self.vertex_count) if color[v] == 0)
-        side1 = tuple(v for v in range(self.vertex_count) if color[v] == 1)
-        return side0, side1
+            if not (sides[0] | sides[1]) >> root & 1:
+                for d, layer in enumerate(self._layers(root)):
+                    sides[d & 1] |= layer
+        for v, mask in enumerate(self.adjacency):
+            if mask & sides[sides[1] >> v & 1]:  # a neighbor on v's own side
+                return None
+        return tuple(_bits(sides[0])), tuple(_bits(sides[1]))
 
     def complement_graph(self) -> "Graph":
         full = (1 << self.vertex_count) - 1

@@ -4,9 +4,12 @@ Every map is its image tuple: ``images[v]`` is the image of point v.  A
 permutation theta of [n] is a tuple over 0..n-1 in which position i stands
 for element i+1, that is, for bit i of a subset mask; a vertex map is a tuple
 over 0..V-1.  Maps enter through ``PermutationGroup`` (its generators),
-``induced_automorphism`` (theta) or ``is_graph_automorphism``, which reject
-tuples that are not permutations; products and inverses of checked maps are
-not checked again.
+``induced_automorphism`` (theta) or ``is_isomorphism``, which reject tuples
+that are not permutations; products and inverses of checked maps are not
+checked again.  ``is_isomorphism`` is the one check that a vertex map carries
+one graph onto another: ``is_graph_automorphism`` is its case g1 = g2, and
+the H(n,1) Cayley map and the engine's isomorphism witnesses go through it
+too.
 
 Groups are handled the blunt way: breadth-first closure under composition,
 with a configurable order cap.  Every group this package cares about has
@@ -52,18 +55,24 @@ def format_cycles(images: Sequence[int]) -> str:
     return "".join(parts) if parts else "()"
 
 
-def is_graph_automorphism(graph: Graph, images: Sequence[int]) -> bool:
-    """True iff the vertex map is a bijection that preserves adjacency.
+def is_isomorphism(g1: Graph, g2: Graph, images: Sequence[int]) -> bool:
+    """True iff the vertex map is a bijection V(g1) -> V(g2) carrying edges onto edges.
 
-    A bijection of a finite graph that maps edges to edges also maps
-    non-edges to non-edges, so one direction suffices.
+    A bijection maps distinct edges of g1 to distinct pairs, so when every
+    edge of g1 lands on an edge of g2 and the edge counts are equal, the
+    image is all of E(g2): the inverse map preserves edges too, and one
+    direction suffices.
     """
-    if sorted(images) != list(range(graph.vertex_count)):
+    if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
         return False
-    for u, v in graph.edges():
-        if not graph.has_edge(images[u], images[v]):
-            return False
-    return True
+    if sorted(images) != list(range(g1.vertex_count)):
+        return False
+    return all(g2.has_edge(images[u], images[v]) for u, v in g1.edges())
+
+
+def is_graph_automorphism(graph: Graph, images: Sequence[int]) -> bool:
+    """True iff the vertex map is a bijection that preserves adjacency."""
+    return is_isomorphism(graph, graph, images)
 
 
 def induced_automorphism(kg: KneserGraph, theta: Sequence[int]) -> tuple[int, ...]:
@@ -200,12 +209,17 @@ def group_closure(
     order_cap: int = DEFAULT_ORDER_CAP,
     degree: Optional[int] = None,
 ) -> PermutationGroup:
-    """Fully enumerate the group generated by the given vertex permutations."""
+    """Fully enumerate the group generated by the given vertex permutations.
+
+    ``degree`` defaults to the first generator's length and is required for
+    an empty list; a generator that is not a permutation of 0..degree-1
+    raises ``DomainError``.
+    """
     gens = tuple(generators)
-    if gens:
+    if degree is None:
+        if not gens:
+            raise DomainError("empty generator list needs an explicit degree")
         degree = len(gens[0])
-    elif degree is None:
-        raise DomainError("empty generator list needs an explicit degree")
     group = PermutationGroup(generators=gens, degree=degree)  # checks the generators
     elements = closure_images(gens, degree, order_cap)
     return replace(group, elements=tuple(sorted(elements)))

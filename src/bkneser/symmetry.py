@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .autgroup import DEFAULT_SIZE_LIMIT, automorphism_group
 from .errors import (
@@ -232,37 +232,34 @@ class RegularSubgroupSearch:
 def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> RegularSubgroupSearch:
     """Look for a subgroup acting regularly on the vertices.
 
-    Scans the cyclic subgroups of the (fully enumerated) input group, then
-    those generated by 2 elements; a hit certifies that the graph is a Cayley
-    graph, a miss is only evidence.  Element orders must divide the target
-    order, which prunes most pairs before any closure runs.
+    Scans the subgroups <g, h> for the pairs g <= h of elements of the
+    (fully enumerated) input group, row by row in sorted order; a hit
+    certifies that the graph is a Cayley graph, a miss is only evidence.
+    The identity sorts first, so the first row, <identity, h> = <h>, visits
+    every cyclic subgroup, the trivial one included, in element order before
+    any other pair.  Element
+    orders must divide the target order, which prunes most pairs before any
+    orbit is computed.  A pair is then tested for transitivity, one orbit
+    BFS, before its closure runs: a transitive group has at least
+    ``vertex_count`` elements, so a closure capped there that completes is
+    the regular subgroup.
     """
     if not group.is_enumerated:
         raise DomainError("regular-subgroup search needs a fully enumerated group")
 
     degree = group.degree
-    orders = ((g, element_order(g)) for g in group.elements)
-    candidates = [(g, order) for g, order in orders if vertex_count % order == 0]
+    candidates = [g for g in group.elements if vertex_count % element_order(g) == 0]
     checked = 0
-
-    def transitive(gens: list[tuple[int, ...]]) -> bool:
-        return len(orbit_partition([0], gens, degree)[0]) == vertex_count
-
-    for g, order in candidates:
-        checked += 1
-        if order == vertex_count and transitive([g]):
-            elements = closure_images([g], degree, order_cap=vertex_count)
-            subgroup = PermutationGroup((g,), degree, tuple(sorted(elements)))
-            return RegularSubgroupSearch(subgroup, checked)
-    images = [g for g, _ in candidates]
-    for i, g in enumerate(images):
-        for h in images[i + 1:]:
+    for i, g in enumerate(candidates):
+        for h in candidates[i:]:
             checked += 1
+            if len(orbit_partition([0], [g, h], degree)[0]) != vertex_count:
+                continue
             try:
                 elements = closure_images([g, h], degree, order_cap=vertex_count)
             except OrderCapExceeded:
                 continue
-            if len(elements) == vertex_count and transitive([g, h]):
+            if len(elements) == vertex_count:
                 subgroup = PermutationGroup((g, h), degree, tuple(sorted(elements)))
                 return RegularSubgroupSearch(subgroup, checked)
     return RegularSubgroupSearch(None, checked)
@@ -274,20 +271,9 @@ class Question2Row:
     k: int
     vertices: int
     aut_order: Optional[int]
-    doubled_factorial: int
+    two_n_factorial: int
     comparison: str  # "equal" | "not equal" | "skipped"
     skip_reason: Optional[str] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "vertices": self.vertices,
-            "aut_order": self.aut_order,
-            "two_n_factorial": self.doubled_factorial,
-            "comparison": self.comparison,
-            "skip_reason": self.skip_reason,
-        }
 
 
 def feasible_parameters(n_max: int, k_max: Optional[int] = None) -> list[tuple[int, int]]:
@@ -299,6 +285,23 @@ def feasible_parameters(n_max: int, k_max: Optional[int] = None) -> list[tuple[i
                 break
             out.append((n, k))
     return out
+
+
+def _automorphism_groups(
+    n_max: int,
+    k_max: Optional[int],
+    size_limit: int,
+    order_cap: int,
+) -> Iterator[tuple[KneserGraph, Optional[PermutationGroup], Optional[str]]]:
+    """(H(n,k), Aut, None) for every feasible (n, k), or (H(n,k), None, skip reason)."""
+    for n, k in feasible_parameters(n_max, k_max):
+        kg = build_bipartite_kneser(n, k)
+        try:
+            aut = automorphism_group(kg.graph, size_limit=size_limit, order_cap=order_cap)
+        except (SizeLimitError, OrderCapExceeded) as exc:
+            yield kg, None, str(exc)
+        else:
+            yield kg, aut, None
 
 
 def explore_question2(
@@ -313,18 +316,13 @@ def explore_question2(
     says nothing about unlisted ones.
     """
     rows = []
-    for n, k in feasible_parameters(n_max, k_max):
-        kg = build_bipartite_kneser(n, k)
-        target = 2 * math.factorial(n)
-        try:
-            aut = automorphism_group(kg.graph, size_limit=size_limit, order_cap=order_cap)
-        except (SizeLimitError, OrderCapExceeded) as exc:
-            rows.append(
-                Question2Row(n, k, kg.vertex_count, None, target, "skipped", str(exc))
-            )
-            continue
-        comparison = "equal" if aut.order == target else "not equal"
-        rows.append(Question2Row(n, k, kg.vertex_count, aut.order, target, comparison))
+    for kg, aut, skip in _automorphism_groups(n_max, k_max, size_limit, order_cap):
+        target = 2 * math.factorial(kg.n)
+        if aut is None:
+            rows.append(Question2Row(kg.n, kg.k, kg.vertex_count, None, target, "skipped", skip))
+        else:
+            comparison = "equal" if aut.order == target else "not equal"
+            rows.append(Question2Row(kg.n, kg.k, kg.vertex_count, aut.order, target, comparison))
     return rows
 
 
@@ -335,7 +333,7 @@ def question2_table(rows: list[Question2Row]) -> str:
         order = "-" if row.aut_order is None else str(row.aut_order)
         lines.append(
             f"{row.n:>3} {row.k:>3} {row.vertices:>9} {order:>10} "
-            f"{row.doubled_factorial:>10}  {row.comparison}"
+            f"{row.two_n_factorial:>10}  {row.comparison}"
         )
     lines.append("evidence only: rows beyond this table remain open")
     return "\n".join(lines) + "\n"
@@ -351,17 +349,6 @@ class Question1Row:
     verdict: str
     skip_reason: Optional[str] = None
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "vertices": self.vertices,
-            "aut_order": self.aut_order,
-            "regular_subgroup_order": self.regular_subgroup_order,
-            "verdict": self.verdict,
-            "skip_reason": self.skip_reason,
-        }
-
 
 def explore_question1(
     n_max: int,
@@ -371,14 +358,9 @@ def explore_question1(
 ) -> list[Question1Row]:
     """Bounded Cayley-ness evidence: search Aut(H(n,k)) for a regular subgroup."""
     rows = []
-    for n, k in feasible_parameters(n_max, k_max):
-        kg = build_bipartite_kneser(n, k)
-        try:
-            aut = automorphism_group(kg.graph, size_limit=size_limit, order_cap=order_cap)
-        except (SizeLimitError, OrderCapExceeded) as exc:
-            rows.append(
-                Question1Row(n, k, kg.vertex_count, None, None, "skipped", str(exc))
-            )
+    for kg, aut, skip in _automorphism_groups(n_max, k_max, size_limit, order_cap):
+        if aut is None:
+            rows.append(Question1Row(kg.n, kg.k, kg.vertex_count, None, None, "skipped", skip))
             continue
         search = find_regular_subgroup(aut, kg.vertex_count)
         if search.subgroup is not None:
@@ -390,5 +372,5 @@ def explore_question1(
                 "non-Cayley graph, not a proof (search not exhaustive)"
             )
             order = None
-        rows.append(Question1Row(n, k, kg.vertex_count, aut.order, order, verdict))
+        rows.append(Question1Row(kg.n, kg.k, kg.vertex_count, aut.order, order, verdict))
     return rows

@@ -1,15 +1,19 @@
 """Independent oracles for cross-checking the package's main code paths.
 
-Nothing here shares logic with the implementation under test: distances come
-from a dictionary BFS, connectivity from exhaustive cut enumeration,
-isomorphism from a direct scan over all bijections, and automorphism counts
-from a scan over all vertex permutations.
+Distances come from a dictionary BFS, connectivity from exhaustive cut
+enumeration, isomorphism from a direct scan over all bijections, and
+automorphism counts from a scan over all vertex permutations; none of these
+shares logic with the implementation under test.  The regular-subgroup scan
+is the exception: it is the earlier two-phase search (cyclic subgroups
+first, then pairs), kept to pin the order in which the single pair scan
+finds its subgroup.
 """
 
 from collections import deque
 from itertools import combinations, permutations
 
-from bkneser.errors import SizeLimitError
+from bkneser.errors import OrderCapExceeded, SizeLimitError
+from bkneser.perms import closure_images, element_order, orbit_partition
 
 
 def edge_dict(graph):
@@ -103,3 +107,30 @@ def brute_force_automorphism_order(graph, limit=8):
         else:
             count += 1
     return count
+
+
+def two_phase_regular_subgroup(group, vertex_count):
+    """Sorted elements of the first regular subgroup found, or None.
+
+    Phase 1 tries each cyclic subgroup <g> of order ``vertex_count``; phase 2
+    each <g, h> over the pairs of distinct elements, both in sorted element
+    order and only over elements whose order divides ``vertex_count``.
+    """
+    degree = group.degree
+    candidates = [g for g in group.elements if vertex_count % element_order(g) == 0]
+
+    def transitive(gens):
+        return len(orbit_partition([0], gens, degree)[0]) == vertex_count
+
+    for g in candidates:
+        if element_order(g) == vertex_count and transitive([g]):
+            return tuple(sorted(closure_images([g], degree, order_cap=vertex_count)))
+    for i, g in enumerate(candidates):
+        for h in candidates[i + 1:]:
+            try:
+                elements = closure_images([g, h], degree, order_cap=vertex_count)
+            except OrderCapExceeded:
+                continue
+            if len(elements) == vertex_count and transitive([g, h]):
+                return tuple(sorted(elements))
+    return None

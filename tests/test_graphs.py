@@ -83,8 +83,17 @@ def test_bipartition_examples():
     assert parts is not None
     assert sorted(len(p) for p in parts) == [10, 10]
     assert cycle_graph(3).bipartition() is None
+    assert cycle_graph(5).bipartition() is None
     c6_parts = cycle_graph(6).bipartition()
     assert sorted(len(p) for p in c6_parts) == [3, 3]
+
+
+def test_bipartition_of_disconnected_graphs():
+    k2_and_k3 = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
+    assert k2_and_k3.bipartition() is None
+    # K2 on {1, 3} and the path 0-4-2: each component's least vertex on side 0
+    k2_and_p3 = Graph.from_edges(5, [(1, 3), (0, 4), (4, 2)])
+    assert k2_and_p3.bipartition() == ((0, 1, 2), (3, 4))
 
 
 def test_degree_sequence_examples():

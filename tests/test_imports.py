@@ -1,0 +1,41 @@
+"""Every name a ``bkneser`` module imports is used in that module.
+
+A merge that leaves an import behind, or an import kept alive only so that
+something outside the module finds the name there, shows up as a name that
+the module's own code never reads.  ``__init__`` counts the names it lists in
+``__all__`` as used, since re-exporting them is its job.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).parent.parent / "src" / "bkneser"
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = sorted(set(imported_names(tree)) - used_names(tree))
+    assert not unused, f"{path.name} imports {unused} but never uses them"

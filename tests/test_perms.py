@@ -4,6 +4,7 @@ from itertools import permutations as iter_permutations
 import pytest
 
 from bkneser import (
+    Graph,
     PermutationGroup,
     Subset,
     build_bipartite_kneser,
@@ -24,8 +25,8 @@ from bkneser import (
     sym_generators,
 )
 from bkneser.errors import DomainError, NeedEnumerationError, OrderCapExceeded
-from bkneser.perms import format_cycles, is_graph_automorphism
-from conftest import cycle_graph, path_graph
+from bkneser.perms import format_cycles, is_graph_automorphism, is_isomorphism
+from conftest import complete_graph, cycle_graph, path_graph
 
 
 def random_permutation(rng, n):
@@ -141,6 +142,22 @@ def test_group_closure_needs_degree_when_empty():
 def test_group_closure_rejects_a_non_bijective_generator():
     with pytest.raises(DomainError):
         group_closure([(0, 0, 1)])
+
+
+def test_group_closure_rejects_a_degree_mismatch():
+    with pytest.raises(DomainError):
+        group_closure([(1, 0)], degree=3)
+    assert group_closure([(1, 0, 2)], degree=3).order == 2
+
+
+def test_is_isomorphism_needs_a_bijection_and_equal_counts():
+    p3 = path_graph(3)
+    assert is_isomorphism(p3, Graph.from_edges(3, [(0, 2), (2, 1)]), (0, 2, 1))
+    # every edge of P3 lands on an edge of K3, but K3 has a third edge
+    assert not is_isomorphism(p3, complete_graph(3), (0, 1, 2))
+    assert not is_isomorphism(p3, p3, (0, 1, 0))  # a fold, not a bijection
+    p3_and_a_point = Graph.from_edges(4, [(0, 1), (1, 2)])
+    assert not is_isomorphism(p3, p3_and_a_point, (0, 1, 2))
 
 
 def test_is_graph_automorphism_rejects_a_fold():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from bkneser import (
+    Graph,
     PermutationGroup,
     automorphism_group,
     build_bipartite_kneser,
@@ -29,6 +30,7 @@ from bkneser import (
 from bkneser.errors import DisconnectedError, DomainError, StructureError
 from bkneser.symmetry import feasible_parameters, question2_table
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from oracles import two_phase_regular_subgroup
 
 
 def known_group(kg):
@@ -207,6 +209,19 @@ def test_find_regular_subgroup_k2():
     aut = automorphism_group(k2)
     result = find_regular_subgroup(aut, 2)
     assert result.subgroup is not None and result.subgroup.order == 2
+
+
+def test_find_regular_subgroup_matches_the_two_phase_scan():
+    # the identity row of the pair scan replaces the cyclic pass, in the same order
+    rotation = tuple((i + 1) % 6 for i in range(6))
+    cases = [(group_closure([rotation]), 6), (automorphism_group(Graph(1, [0])), 1)]
+    for n, k in feasible_parameters(5) + [(6, 1), (7, 1)]:
+        kg = build_bipartite_kneser(n, k)
+        cases.append((automorphism_group(kg.graph), kg.vertex_count))
+    for group, vertex_count in cases:
+        subgroup = find_regular_subgroup(group, vertex_count).subgroup
+        found = None if subgroup is None else subgroup.elements
+        assert found == two_phase_regular_subgroup(group, vertex_count), vertex_count
 
 
 def test_find_regular_subgroup_preconditions():
