@@ -166,7 +166,7 @@ def automorphism_group(
     for images in gen_images:
         if not is_graph_automorphism(graph, images):
             raise StructureError("engine emitted a non-automorphism; this is a bug")
-    elements = tuple(sorted(closure_images(gen_images, n, order_cap)))
+    elements = closure_images(gen_images, n, order_cap)
     return PermutationGroup(generators=tuple(gen_images), degree=n, elements=elements)
 
 

@@ -11,10 +11,15 @@ one graph onto another: ``is_graph_automorphism`` is its case g1 = g2, and
 the H(n,1) Cayley map and the engine's isomorphism witnesses go through it
 too.
 
-Groups are handled the blunt way: breadth-first closure under composition,
-with a configurable order cap.  Every group this package cares about has
-order at most a few times 7!, where exhaustive enumeration is both fast and
-independently trustworthy.
+Groups are enumerated in full by a breadth-first closure under composition,
+with an order cap.  When the degree is at most 256, which covers every
+graph the engine accepts, the closure runs on ``bytes`` image strings: the
+product g∘p is ``p.translate(t_g)``, one C call per product, with ``t_g`` the
+image string of g padded to the 256-byte table ``translate`` takes.  Larger
+degrees compose image tuples in Python.  Either way the closure returns its
+elements as sorted image tuples.  Image strings of one length compare byte
+by byte, as the tuples of their bytes do, so sorting the strings sorts the
+tuples.
 
 Orbits come from one primitive, ``orbit_partition``: a BFS over generator
 image tables on integer points.  Vertex, ordered-pair and unordered-pair
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, NeedEnumerationError, OrderCapExceeded
@@ -149,6 +154,12 @@ def commutes(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
     return all(p[q[x]] == q[p[x]] for x in range(len(p)))
 
 
+def _check_permutations(maps: Iterable[Sequence[int]], degree: int) -> None:
+    points = list(range(degree))
+    if any(sorted(g) != points for g in maps):
+        raise DomainError(f"a generator is not a permutation of 0..{degree - 1}")
+
+
 @dataclass(frozen=True)
 class PermutationGroup:
     """Generators plus (optionally) the full element set of a vertex group.
@@ -164,9 +175,7 @@ class PermutationGroup:
     elements: Optional[tuple[tuple[int, ...], ...]] = None
 
     def __post_init__(self) -> None:
-        points = list(range(self.degree))
-        if any(sorted(g) != points for g in self.generators):
-            raise DomainError(f"a generator is not a permutation of 0..{self.degree - 1}")
+        _check_permutations(self.generators, self.degree)
 
     @property
     def order(self) -> int:
@@ -180,19 +189,37 @@ class PermutationGroup:
 
 
 def closure_images(
-    generator_images: Sequence[tuple[int, ...]],
+    generator_images: Sequence[Sequence[int]],
     degree: int,
     order_cap: int = DEFAULT_ORDER_CAP,
-) -> set[tuple[int, ...]]:
-    """BFS closure of image tuples under composition; raises past order_cap."""
-    ident = tuple(range(degree))
+) -> tuple[tuple[int, ...], ...]:
+    """The group generated by the given image tuples, as a sorted tuple of image tuples.
+
+    A BFS from the identity that multiplies each new element p on the left
+    by each generator g, in generator order.  Before an element is added
+    beyond ``order_cap`` elements, ``OrderCapExceeded`` is raised.  A
+    generator that is not a permutation of 0..degree-1 raises
+    ``DomainError``.  Inside the BFS the elements are ``bytes`` image
+    strings while the degree is at most 256 and tuples above it; either way
+    they are returned as tuples.
+    """
+    _check_permutations(generator_images, degree)
+    if degree <= 256:
+        pad = bytes(256 - degree)
+        tables = [bytes(g) + pad for g in generator_images]
+        product = bytes.translate
+        ident = bytes(range(degree))
+    else:
+        tables = generator_images
+        product = lambda p, g: compose(g, p)
+        ident = tuple(range(degree))
     elements = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for p in frontier:
-            for g in generator_images:
-                q = tuple(g[x] for x in p)
+            for t in tables:
+                q = product(p, t)
                 if q not in elements:
                     if len(elements) >= order_cap:
                         raise OrderCapExceeded(
@@ -201,7 +228,8 @@ def closure_images(
                     elements.add(q)
                     nxt.append(q)
         frontier = nxt
-    return elements
+    elements = sorted(elements)  # drops the set before the tuples are built
+    return tuple(map(tuple, elements))
 
 
 def group_closure(
@@ -220,9 +248,7 @@ def group_closure(
         if not gens:
             raise DomainError("empty generator list needs an explicit degree")
         degree = len(gens[0])
-    group = PermutationGroup(generators=gens, degree=degree)  # checks the generators
-    elements = closure_images(gens, degree, order_cap)
-    return replace(group, elements=tuple(sorted(elements)))
+    return PermutationGroup(gens, degree, closure_images(gens, degree, order_cap))
 
 
 def orbit_partition(

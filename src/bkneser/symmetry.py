@@ -260,7 +260,7 @@ def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> Regular
             except OrderCapExceeded:
                 continue
             if len(elements) == vertex_count:
-                subgroup = PermutationGroup((g, h), degree, tuple(sorted(elements)))
+                subgroup = PermutationGroup((g, h), degree, elements)
                 return RegularSubgroupSearch(subgroup, checked)
     return RegularSubgroupSearch(None, checked)
 

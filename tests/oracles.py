@@ -1,8 +1,9 @@
 """Independent oracles for cross-checking the package's main code paths.
 
 Distances come from a dictionary BFS, connectivity from exhaustive cut
-enumeration, isomorphism from a direct scan over all bijections, and
-automorphism counts from a scan over all vertex permutations; none of these
+enumeration, isomorphism from a direct scan over all bijections,
+automorphism counts from a scan over all vertex permutations, and group
+elements from a dictionary BFS by right multiplication; none of these
 shares logic with the implementation under test.  The regular-subgroup scan
 is the exception: it is the earlier two-phase search (cyclic subgroups
 first, then pairs), kept to pin the order in which the single pair scan
@@ -109,6 +110,25 @@ def brute_force_automorphism_order(graph, limit=8):
     return count
 
 
+def dict_closure(generators, degree):
+    """Sorted elements of the group generated by ``generators``.
+
+    A dictionary BFS over image tuples that multiplies on the right,
+    p -> p∘g, index by index; the package's closure multiplies on the left.
+    """
+    identity = tuple(range(degree))
+    seen = {identity: None}
+    queue = deque([identity])
+    while queue:
+        p = queue.popleft()
+        for g in generators:
+            q = tuple(p[g[i]] for i in range(degree))
+            if q not in seen:
+                seen[q] = None
+                queue.append(q)
+    return tuple(sorted(seen))
+
+
 def two_phase_regular_subgroup(group, vertex_count):
     """Sorted elements of the first regular subgroup found, or None.
 
@@ -124,7 +144,7 @@ def two_phase_regular_subgroup(group, vertex_count):
 
     for g in candidates:
         if element_order(g) == vertex_count and transitive([g]):
-            return tuple(sorted(closure_images([g], degree, order_cap=vertex_count)))
+            return closure_images([g], degree, order_cap=vertex_count)
     for i, g in enumerate(candidates):
         for h in candidates[i + 1:]:
             try:
@@ -132,5 +152,5 @@ def two_phase_regular_subgroup(group, vertex_count):
             except OrderCapExceeded:
                 continue
             if len(elements) == vertex_count and transitive([g, h]):
-                return tuple(sorted(elements))
+                return elements
     return None

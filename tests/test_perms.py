@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations as iter_permutations
 
@@ -24,9 +25,11 @@ from bkneser import (
     stabilizer,
     sym_generators,
 )
+from bkneser.autgroup import automorphism_group
 from bkneser.errors import DomainError, NeedEnumerationError, OrderCapExceeded
-from bkneser.perms import format_cycles, is_graph_automorphism, is_isomorphism
+from bkneser.perms import closure_images, format_cycles, is_graph_automorphism, is_isomorphism
 from conftest import complete_graph, cycle_graph, path_graph
+from oracles import dict_closure
 
 
 def random_permutation(rng, n):
@@ -148,6 +151,47 @@ def test_group_closure_rejects_a_degree_mismatch():
     with pytest.raises(DomainError):
         group_closure([(1, 0)], degree=3)
     assert group_closure([(1, 0, 2)], degree=3).order == 2
+
+
+def test_closure_images_rejects_a_bad_generator_on_both_paths():
+    # degree 2 takes the bytes path, degree 300 the tuple path
+    for gens, degree in [([(1, 2, 0)], 2), ([(1, 0)], 3), ([(0, 300)], 2),
+                         ([tuple(range(257))], 300), ([tuple(range(301))], 300)]:
+        with pytest.raises(DomainError):
+            closure_images(gens, degree)
+
+
+def dihedral_generators(degree):
+    """A rotation and a reflection of the degree-gon."""
+    rotation = (*range(1, degree), 0)
+    reflection = tuple((-x) % degree for x in range(degree))
+    return [rotation, reflection]
+
+
+def test_closure_images_matches_a_dict_closure():
+    cases = [([], 0, 1), ([], 1, 1), ([(1, 0)], 2, 2)]
+    # 255 and 256 fill the 256-byte translate table; 257 and 300 compose tuples
+    cases += [(dihedral_generators(d), d, 2 * d) for d in (255, 256, 257, 300)]
+    h52 = build_bipartite_kneser(5, 2).graph
+    cases.append((automorphism_group(h52).generators, 20, 2 * math.factorial(5)))
+    h73 = build_bipartite_kneser(7, 3)
+    cases.append((known_generators(h73), 70, 2 * math.factorial(7)))
+    for gens, degree, order in cases:
+        elements = closure_images(gens, degree)
+        assert type(elements) is tuple and len(elements) == order
+        assert all(type(p) is tuple and all(type(x) is int for x in p) for p in elements)
+        assert list(elements) == sorted(elements)
+        assert elements == dict_closure(gens, degree), degree
+
+
+def test_closure_images_cap_is_the_largest_order_that_completes():
+    # one group per path: Aut(H(5,2)) on bytes, the dihedral group D_257 on tuples
+    h52 = build_bipartite_kneser(5, 2).graph
+    for gens, degree, order in [(automorphism_group(h52).generators, 20, 240),
+                                (dihedral_generators(257), 257, 514)]:
+        assert len(closure_images(gens, degree, order_cap=order)) == order
+        with pytest.raises(OrderCapExceeded):
+            closure_images(gens, degree, order_cap=order - 1)
 
 
 def test_is_isomorphism_needs_a_bijection_and_equal_counts():
