@@ -37,6 +37,7 @@ from .perms import (
     orbits_on_unordered_pairs,
     orbits_on_vertices,
     stabilizer,
+    stabilizer_generators,
     sym_generators,
 )
 from .subsets import Subset, binomial, rank_subset, unrank_subset
@@ -96,6 +97,7 @@ __all__ = [
     "rank_subset",
     "reflection_connection_set",
     "stabilizer",
+    "stabilizer_generators",
     "sym_generators",
     "transitivity_report",
     "unrank_subset",

@@ -27,6 +27,7 @@ from .perms import (
     group_closure,
     is_regular_action,
     known_generators,
+    stabilizer_generators,
 )
 from .subsets import binomial
 from .symmetry import (
@@ -136,7 +137,7 @@ def cmd_transitivity(args: argparse.Namespace) -> int:
 
 def cmd_connectivity(args: argparse.Namespace) -> int:
     kg = build_bipartite_kneser(args.n, args.k)
-    kappa = vertex_connectivity(kg.graph)
+    kappa = vertex_connectivity(kg.graph, stabilizer_generators(kg))
     expected = binomial(args.n - args.k, args.k)
     payload: dict = {"kappa": kappa, "expected": expected, "match": kappa == expected}
     if args.certificate:

@@ -5,18 +5,21 @@ Internally disjoint u-v paths are unit flows once every vertex w is split
 into w_in = 2w and w_out = 2w + 1, joined by a unit-capacity arc, and every
 edge xy becomes the uncapacitated arcs x_out -> y_in and y_out -> x_in
 (Even & Tarjan, SIAM J. Comput. 1975).  The split graph is never built: the
-search reads the adjacency bitsets directly.  Global connectivity minimizes
-over every non-adjacent pair; at the few-hundred-vertex sizes this package
-targets that is cheap and unconditionally correct.  Every solve reads a
-minimum cut off its last, failed search and checks it against the flow value.
+search reads the adjacency bitsets directly.  Global connectivity solves the
+flows of the Esfahanian-Hakimi pair selection (Networks 14, 1984) around one
+vertex of minimum degree, one flow per orbit of a verified group of
+automorphisms that fixes it.  Every solve reads a minimum cut off its last,
+failed search and checks it against the flow value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import AdjacencyError, DomainError, VerificationError
 from .graphs import Graph, _bits
+from .perms import is_graph_automorphism, orbit_partition
 
 
 @dataclass
@@ -113,26 +116,54 @@ def local_vertex_connectivity(graph: Graph, u: int, v: int) -> int:
     return value
 
 
-def vertex_connectivity(graph: Graph) -> int:
-    """kappa(G): 0 when disconnected, m-1 for K_m, else the min over all
-    non-adjacent pairs of the local connectivity."""
+def vertex_connectivity(graph: Graph, stabilizer: Sequence[Sequence[int]] = ()) -> int:
+    """kappa(G): 0 when disconnected, m-1 for K_m, else the least number of
+    vertices whose removal disconnects the graph.
+
+    Fix v, the least vertex of minimum degree, and take a minimum separator
+    S of a graph that is not complete.  If v is not in S, some non-neighbour
+    w of v lies in another component of G - S, so kappa = kappa(v, w).  If v
+    is in S, it has a neighbour in each component (else S - v would
+    separate), so kappa = kappa(x, y) for two non-adjacent neighbours x, y.
+    kappa is therefore the least of kappa(v, w) over the non-neighbours w and
+    kappa(x, y) over the non-adjacent pairs of N(v).  A disconnected graph
+    is the case S = {} and needs no test of its own.
+
+    ``stabilizer`` lists vertex maps; each must be an automorphism that fixes
+    v, or ``DomainError`` is raised.  The group they generate permutes both
+    sets of pairs and preserves local connectivity, so one pair per orbit
+    suffices: the least non-neighbour of each orbit, and the least pair of
+    each orbit on the unordered non-adjacent pairs of N(v), which are encoded
+    over N(v) alone as i*d + j with d = deg(v).  With no maps every pair is
+    its own orbit.
+    """
     n = graph.vertex_count
-    if n < 2:
-        return 0
-    if not graph.is_connected():
-        return 0
-    best: int | None = None
-    for u in range(n):
-        for v in range(u + 1, n):
-            if graph.has_edge(u, v):
-                continue
-            value = local_vertex_connectivity(graph, u, v)
-            if best is None or value < best:
-                best = value
-                if best == 0:
-                    return 0
-    if best is None:
-        return n - 1  # complete graph convention
+    adjacency = graph.adjacency
+    degree = min(mask.bit_count() for mask in adjacency)
+    v = next(u for u in range(n) if adjacency[u].bit_count() == degree)
+    for i, g in enumerate(stabilizer):
+        if not is_graph_automorphism(graph, g):
+            raise DomainError(f"stabilizer map {i} is not an automorphism of the graph")
+        if g[v] != v:
+            raise DomainError(f"stabilizer map {i} moves vertex {v} to {g[v]}")
+    if degree == n - 1:
+        return n - 1  # complete graph convention, 0 for K_1
+    others = ((1 << n) - 1) ^ adjacency[v] ^ (1 << v)
+    best = n - 1
+    for orb in orbit_partition(_bits(others), stabilizer, n):
+        best = min(best, max_flow(graph, v, orb[0]).value)
+        if best == 0:
+            return 0
+    around = list(_bits(adjacency[v]))
+    index = {x: i for i, x in enumerate(around)}
+    local = [[index[g[x]] for x in around] for g in stabilizer]
+    tables = [[a * degree + b for a in g for b in g] for g in local]
+    tables.append([b * degree + a for a in range(degree) for b in range(degree)])
+    pairs = [i * degree + j for i, x in enumerate(around) for j in range(i + 1, degree)
+             if not adjacency[x] >> around[j] & 1]
+    for orb in orbit_partition(pairs, tables, degree * degree):
+        i, j = divmod(orb[0], degree)
+        best = min(best, max_flow(graph, around[i], around[j]).value)
     return best
 
 

@@ -375,3 +375,19 @@ def known_generators(kg: KneserGraph) -> tuple[tuple[int, ...], ...]:
     """The standard generator set: f_(1 2), f_(1 2 ... n), and complementation."""
     f_swap, f_cycle = sym_generators(kg)
     return (f_swap, f_cycle, complement_automorphism(kg))
+
+
+def stabilizer_generators(kg: KneserGraph) -> tuple[tuple[int, ...], ...]:
+    """Generators of the stabilizer of vertex 0 = {1..k} in Sym([n])'s image.
+
+    f over a transposition and a full cycle on {1..k} and on {k+1..n}, each
+    checked by ``induced_automorphism``; a part of one point adds nothing and
+    a part of two adds its transposition once.
+    """
+    n, k = kg.n, kg.k
+    thetas = {}
+    for lo, hi in ((0, k), (k, n)):
+        if hi - lo > 1:
+            thetas[(*range(lo), lo + 1, lo, *range(lo + 2, n))] = None
+            thetas[(*range(lo), *range(lo + 1, hi), lo, *range(hi, n))] = None
+    return tuple(induced_automorphism(kg, theta) for theta in thetas)

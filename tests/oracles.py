@@ -4,15 +4,18 @@ Distances come from a dictionary BFS, connectivity from exhaustive cut
 enumeration, isomorphism from a direct scan over all bijections,
 automorphism counts from a scan over all vertex permutations, and group
 elements from a dictionary BFS by right multiplication; none of these
-shares logic with the implementation under test.  The regular-subgroup scan
-is the exception: it is the earlier two-phase search (cyclic subgroups
-first, then pairs), kept to pin the order in which the single pair scan
-finds its subgroup.
+shares logic with the implementation under test.  Two oracles are earlier
+versions of the code, kept to check what replaced them.  The all-pairs
+connectivity loop solves a flow for every non-adjacent pair and checks the
+pair selection, not the flow.  The regular-subgroup scan is the two-phase
+search (cyclic subgroups first, then pairs), kept to pin the order in which
+the single pair scan finds its subgroup.
 """
 
 from collections import deque
 from itertools import combinations, permutations
 
+from bkneser.connectivity import local_vertex_connectivity
 from bkneser.errors import OrderCapExceeded, SizeLimitError
 from bkneser.perms import closure_images, element_order, orbit_partition
 
@@ -74,6 +77,29 @@ def brute_vertex_connectivity(graph):
             if not _connected_after_removal(adj, set(cut), n):
                 return size
     return n - 1
+
+
+def all_pairs_vertex_connectivity(graph):
+    """kappa(G): 0 when disconnected, m-1 for K_m, else the min over all
+    non-adjacent pairs of the local connectivity."""
+    n = graph.vertex_count
+    if n < 2:
+        return 0
+    if not graph.is_connected():
+        return 0
+    best = None
+    for u in range(n):
+        for v in range(u + 1, n):
+            if graph.has_edge(u, v):
+                continue
+            value = local_vertex_connectivity(graph, u, v)
+            if best is None or value < best:
+                best = value
+                if best == 0:
+                    return 0
+    if best is None:
+        return n - 1  # complete graph convention
+    return best
 
 
 def brute_isomorphism(g1, g2):

@@ -29,6 +29,7 @@ from bkneser import (
     orbit,
     orbits_on_ordered_pairs,
     stabilizer,
+    stabilizer_generators,
     verify_direct_product,
     verify_family_counts,
     vertex_connectivity,
@@ -117,11 +118,15 @@ def test_criterion_3_distance_transitivity_h_n_1():
 
 def test_criterion_4_connectivity():
     start = time.monotonic()
-    expected = {(3, 1): 2, (4, 1): 3, (5, 1): 4, (5, 2): 3, (6, 2): 6, (7, 3): 4}
+    expected = {(3, 1): 2, (4, 1): 3, (5, 1): 4, (5, 2): 3, (6, 2): 6, (7, 3): 4,
+                (8, 3): 10, (9, 4): 5, (10, 4): 15}
+    # the cases past n = 7 fix vertex 0 by the verified stabilizer, as the CLI does
+    symmetric = {(8, 3), (9, 4), (10, 4)}
     problems = []
     for (n, k), target in expected.items():
         kg = build_bipartite_kneser(n, k)
-        kappa = vertex_connectivity(kg.graph)
+        maps = stabilizer_generators(kg) if (n, k) in symmetric else ()
+        kappa = vertex_connectivity(kg.graph, maps)
         if kappa != target or target != binomial(n - k, k):
             problems.append((n, k, kappa))
         # sampled pair: vertex 0 and its complement partner, never adjacent

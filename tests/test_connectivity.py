@@ -4,15 +4,31 @@ import pytest
 
 from bkneser import (
     Graph,
+    automorphism_group,
     build_bipartite_kneser,
+    cli,
     local_vertex_connectivity,
     max_flow,
     menger_certificate,
+    stabilizer,
+    stabilizer_generators,
     vertex_connectivity,
 )
 from bkneser.errors import AdjacencyError, DomainError
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
-from oracles import brute_vertex_connectivity, edge_dict
+from oracles import all_pairs_vertex_connectivity, brute_vertex_connectivity, edge_dict
+
+
+def engine_stabilizer(graph):
+    """Every automorphism fixing the least vertex of minimum degree."""
+    degrees = graph.degree_sequence()
+    return stabilizer(automorphism_group(graph), degrees.index(min(degrees))).generators
+
+
+def random_graph(rng, n, p):
+    return Graph.from_edges(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    )
 
 
 def test_max_flow_parallel_paths():
@@ -103,6 +119,91 @@ def test_vertex_connectivity_matches_brute_force(corpus):
         assert vertex_connectivity(graph) == brute_vertex_connectivity(graph), name
 
 
+def test_vertex_connectivity_matches_all_pairs_oracle(corpus):
+    for name, graph in corpus.items():
+        expected = all_pairs_vertex_connectivity(graph)
+        assert vertex_connectivity(graph) == expected, name
+        assert vertex_connectivity(graph, engine_stabilizer(graph)) == expected, name
+
+
+def test_vertex_connectivity_matches_all_pairs_oracle_on_kneser_graphs():
+    for n in range(3, 9):
+        for k in range(1, (n - 1) // 2 + 1):
+            kg = build_bipartite_kneser(n, k)
+            expected = all_pairs_vertex_connectivity(kg.graph)
+            assert vertex_connectivity(kg.graph) == expected, (n, k)
+            assert vertex_connectivity(kg.graph, stabilizer_generators(kg)) == expected, (n, k)
+
+
+def two_k6_through_one_vertex():
+    """K6 on 0..5 and on 6..11; vertex 12 is adjacent to 0, 1, 6 and 7 only."""
+    cliques = [(i, j) for base in (0, 6) for i in range(base, base + 6)
+               for j in range(i + 1, base + 6)]
+    return Graph.from_edges(13, cliques + [(12, 0), (12, 1), (12, 6), (12, 7)])
+
+
+def test_neighbour_pairs_find_a_cut_through_the_least_degree_vertex():
+    # 12 has the least degree and is itself the cut vertex: every other
+    # vertex is 2-connected to it, so only a pair of its neighbours, one in
+    # each K6, shows kappa = 1.
+    g = two_k6_through_one_vertex()
+    non_neighbours = [w for w in range(12) if not g.has_edge(12, w)]
+    assert min(local_vertex_connectivity(g, 12, w) for w in non_neighbours) == 2
+    assert vertex_connectivity(g) == 1
+    maps = [(1, 0, *range(2, 13)),
+            (*range(6), 7, 6, *range(8, 13)),
+            (*range(6, 12), *range(6), 12)]  # the two K6 swap places
+    assert vertex_connectivity(g, maps) == 1
+    assert vertex_connectivity(g, engine_stabilizer(g)) == 1
+
+
+def test_vertex_connectivity_matches_networkx_on_random_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1984)
+    irregular = 0
+    for _ in range(80):
+        n = rng.randint(2, 12)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.9))
+        irregular += len(set(g.degree_sequence())) > 1
+        ng = nx.Graph()
+        ng.add_nodes_from(range(n))
+        ng.add_edges_from(g.edges())
+        expected = nx.node_connectivity(ng)
+        assert vertex_connectivity(g) == expected, g.edges()
+        assert vertex_connectivity(g, engine_stabilizer(g)) == expected, g.edges()
+    assert irregular >= 60
+
+
+@pytest.mark.parametrize("images, message", [
+    ((0, 0, 2, 3, 4, 5), "not an automorphism"),
+    ((0, 1, 2, 3, 4), "not an automorphism"),
+    ((0, 2, 1, 3, 4, 5), "not an automorphism"),  # fixes 0; 0-1 goes to the non-edge 0-2
+    ((1, 2, 3, 4, 5, 0), "moves vertex 0 to 1"),  # a rotation
+], ids=["not-a-permutation", "wrong-length", "not-an-automorphism", "moves-v"])
+def test_vertex_connectivity_rejects_a_bad_stabilizer_map(images, message):
+    c6 = cycle_graph(6)
+    reflection = (0, 5, 4, 3, 2, 1)
+    assert vertex_connectivity(c6, [reflection]) == 2
+    with pytest.raises(DomainError, match=f"^stabilizer map 1 .*{message}"):
+        vertex_connectivity(c6, [reflection, images])
+
+
+def test_cli_reports_a_bad_stabilizer_map_as_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "stabilizer_generators", lambda kg: [(1, 0, *range(2, 20))])
+    assert cli.run(["connectivity", "--n", "5", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: stabilizer map 0 ")
+
+
+def test_h12_5_connectivity_with_a_verified_certificate():
+    kg = build_bipartite_kneser(12, 5)
+    assert vertex_connectivity(kg.graph, stabilizer_generators(kg)) == 21  # C(7, 5)
+    paths = menger_certificate(kg.graph, 0, kg.side_size)  # re-verifies every path
+    assert len(paths) == 21
+    assert {(p[0], p[-1]) for p in paths} == {(0, kg.side_size)}
+
+
 def test_menger_certificate_cycle():
     paths = menger_certificate(cycle_graph(6), 0, 3)
     assert len(paths) == 2
@@ -171,10 +272,7 @@ def test_connectivity_matches_networkx():
     rng = random.Random(1975)
     for _ in range(60):
         n = rng.randint(2, 12)
-        p = rng.uniform(0.15, 0.85)
-        g = Graph.from_edges(
-            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-        )
+        g = random_graph(rng, n, rng.uniform(0.15, 0.85))
         ng = nx.Graph()
         ng.add_nodes_from(range(n))
         ng.add_edges_from(g.edges())
