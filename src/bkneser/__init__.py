@@ -10,10 +10,9 @@ from .connectivity import (
     vertex_connectivity,
 )
 from .dihedral import (
-    ConnectionSet,
-    DihedralElement,
     build_cayley_graph,
     dihedral_inverse,
+    dihedral_label,
     dihedral_multiply,
     explicit_iso_Hn1,
     left_regular_subgroup,
@@ -40,7 +39,7 @@ from .perms import (
     stabilizer_generators,
     sym_generators,
 )
-from .subsets import Subset, binomial, rank_subset, unrank_subset
+from .subsets import binomial, format_subset, rank_subset, unrank_subset
 from .symmetry import (
     explore_question1,
     explore_question2,
@@ -56,12 +55,9 @@ from .symmetry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConnectionSet",
-    "DihedralElement",
     "Graph",
     "KneserGraph",
     "PermutationGroup",
-    "Subset",
     "are_isomorphic",
     "automorphism_group",
     "binomial",
@@ -71,12 +67,14 @@ __all__ = [
     "complement_automorphism",
     "compose",
     "dihedral_inverse",
+    "dihedral_label",
     "dihedral_multiply",
     "element_order",
     "explicit_iso_Hn1",
     "explore_question1",
     "explore_question2",
     "find_regular_subgroup",
+    "format_subset",
     "group_closure",
     "induced_automorphism",
     "inverse",

@@ -31,7 +31,8 @@ from .perms import (
 )
 from .subsets import binomial
 from .symmetry import (
-    SEARCH_SCOPE,
+    GENERATOR_BOUND,
+    SEARCH_CAVEAT,
     explore_question1,
     explore_question2,
     question2_table,
@@ -155,7 +156,7 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
 
 def cmd_cayley_check(args: argparse.Namespace) -> int:
     iso = explicit_iso_Hn1(args.n)
-    subgroup = left_regular_subgroup(args.n, iso)
+    subgroup = left_regular_subgroup(iso)
     regular = is_regular_action(subgroup, iso.kneser.vertex_count)
     if not regular:
         raise VerificationError("transported left-regular action is not regular")
@@ -193,10 +194,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
         payload = {
             "question": 1,
             "nmax": nmax,
-            "generator_bound": 2,
+            "generator_bound": GENERATOR_BOUND,
             "rows": [asdict(r) for r in rows],
-            "caveat": f"only {SEARCH_SCOPE} were searched; "
-                      "a miss is not a proof of non-Cayley-ness",
+            "caveat": SEARCH_CAVEAT,
         }
         if args.format == "text":
             for row in rows:

@@ -1,9 +1,11 @@
 """Dihedral group arithmetic, Cayley graphs, and the H(n,1) isomorphism.
 
-Elements of D_2n are kept in the normal form a^i b^s with 0 <= i < n and
-s in {0, 1}; multiplication resolves through the relation b a = a^{-1} b.
-Cayley graph vertices are ordered a^0 .. a^{n-1}, a^0 b .. a^{n-1} b, which
-turns the explicit isomorphism with H(n, 1) into index arithmetic.
+An element a^i b^s of D_2n (0 <= i < n, s in {0, 1}) is the int i + n*s,
+which is also its vertex in every Cayley graph built here: a^0 .. a^{n-1},
+then a^0 b .. a^{n-1} b.  Multiplication resolves through the relation
+b a = a^{-1} b.  Each function checks n >= 3 and 0 <= x < 2n where its
+arguments enter.  With this order the explicit isomorphism with H(n, 1) is
+index arithmetic.
 """
 
 from __future__ import annotations
@@ -17,102 +19,68 @@ from .kneser import KneserGraph, build_bipartite_kneser
 from .perms import PermutationGroup, inverse, is_graph_automorphism, is_isomorphism
 
 
-@dataclass(frozen=True)
-class DihedralElement:
-    """a^rot b^ref with the exponent reduced mod n by the constructors."""
-
-    rot: int
-    ref: int
-
-    def __post_init__(self) -> None:
-        if self.ref not in (0, 1):
-            raise DomainError(f"reflection bit must be 0 or 1, got {self.ref}")
-        if self.rot < 0:
-            raise DomainError("rotation exponent must be reduced to 0..n-1")
-
-    def __str__(self) -> str:
-        if self.rot == 0 and self.ref == 0:
-            return "e"
-        parts = []
-        if self.rot == 1:
-            parts.append("a")
-        elif self.rot > 1:
-            parts.append(f"a^{self.rot}")
-        if self.ref:
-            parts.append("b")
-        return " ".join(parts)
-
-
-DIHEDRAL_IDENTITY = DihedralElement(0, 0)
-
-
-def dihedral_multiply(x: DihedralElement, y: DihedralElement, n: int) -> DihedralElement:
-    """(a^i b^s)(a^j b^t) = a^(i + (-1)^s j) b^(s + t)."""
+def _check(n: int, *elements: int) -> None:
     if n < 3:
         raise DomainError(f"dihedral group needs n >= 3, got {n}")
-    rot = (x.rot + (y.rot if x.ref == 0 else -y.rot)) % n
-    return DihedralElement(rot, x.ref ^ y.ref)
-
-
-def dihedral_inverse(x: DihedralElement, n: int) -> DihedralElement:
-    if n < 3:
-        raise DomainError(f"dihedral group needs n >= 3, got {n}")
-    if x.ref:
-        return DihedralElement(x.rot % n, 1)  # reflections are involutions
-    return DihedralElement(-x.rot % n, 0)
-
-
-def dihedral_elements(n: int) -> list[DihedralElement]:
-    """All of D_2n in vertex order: a^0..a^{n-1}, then a^0 b..a^{n-1} b."""
-    return [DihedralElement(i, s) for s in (0, 1) for i in range(n)]
-
-
-def dihedral_index(x: DihedralElement, n: int) -> int:
-    return x.rot % n + n * x.ref
-
-
-@dataclass(frozen=True)
-class ConnectionSet:
-    """An identity-free, inverse-closed subset of D_2n."""
-
-    n: int
-    elements: frozenset[DihedralElement]
-
-    def __post_init__(self) -> None:
-        for x in self.elements:
-            if not 0 <= x.rot < self.n:
-                raise ConnectionSetError(f"element {x} not reduced mod {self.n}")
-            if x == DIHEDRAL_IDENTITY:
-                raise ConnectionSetError("connection set contains the identity")
-        for x in self.elements:
-            if dihedral_inverse(x, self.n) not in self.elements:
-                raise ConnectionSetError(f"connection set not closed under inverse of {x}")
-
-
-def connection_set(n: int, elements: Iterable[DihedralElement]) -> ConnectionSet:
-    return ConnectionSet(n, frozenset(elements))
-
-
-def reflection_connection_set(n: int) -> ConnectionSet:
-    """{ab, a^2 b, ..., a^{n-1} b}: every reflection except b itself."""
-    return connection_set(n, (DihedralElement(i, 1) for i in range(1, n)))
-
-
-def build_cayley_graph(n: int, omega: ConnectionSet) -> Graph:
-    """Cay(D_2n, omega): x ~ y iff x^{-1} y in omega; |omega|-regular on 2n vertices."""
-    if n < 3:
-        raise DomainError(f"dihedral Cayley graph needs n >= 3, got {n}")
-    if omega.n != n:
-        raise DomainError("connection set built for a different group order")
-    elements = dihedral_elements(n)
-    adjacency = [0] * (2 * n)
     for x in elements:
-        xi = dihedral_index(x, n)
-        for w in omega.elements:
-            yi = dihedral_index(dihedral_multiply(x, w, n), n)
-            adjacency[xi] |= 1 << yi
-            adjacency[yi] |= 1 << xi
-    return Graph(2 * n, adjacency, labels=[str(x) for x in elements])
+        if x not in range(2 * n):
+            raise DomainError(f"{x!r} is not an element 0..{2 * n - 1} of D_{2 * n}")
+
+
+def dihedral_multiply(x: int, y: int, n: int) -> int:
+    """(a^i b^s)(a^j b^t) = a^(i + (-1)^s j) b^(s + t)."""
+    _check(n, x, y)
+    s, t = x // n, y // n
+    rot = (x + (y if s == 0 else -y)) % n
+    return rot + n * (s ^ t)
+
+
+def dihedral_inverse(x: int, n: int) -> int:
+    _check(n, x)
+    return x if x >= n else -x % n  # reflections are involutions
+
+
+def dihedral_label(x: int, n: int) -> str:
+    """The vertex label of x in a Cayley graph: e, a, a^2, ..., b, a b, a^2 b, ..."""
+    _check(n, x)
+    rot, ref = x % n, x // n
+    parts = []
+    if rot == 1:
+        parts.append("a")
+    elif rot > 1:
+        parts.append(f"a^{rot}")
+    if ref:
+        parts.append("b")
+    return " ".join(parts) or "e"
+
+
+def reflection_connection_set(n: int) -> tuple[int, ...]:
+    """{ab, a^2 b, ..., a^{n-1} b}: every reflection except b itself."""
+    _check(n)
+    return tuple(range(n + 1, 2 * n))
+
+
+def build_cayley_graph(n: int, omega: Iterable[int]) -> Graph:
+    """Cay(D_2n, omega): x ~ y iff x^{-1} y in omega; |omega|-regular on 2n vertices.
+
+    omega must be a connection set: identity-free and inverse-closed.
+    """
+    omega = set(omega)
+    _check(n, *omega)
+    if 0 in omega:
+        raise ConnectionSetError("connection set contains the identity")
+    for w in omega:
+        if dihedral_inverse(w, n) not in omega:
+            raise ConnectionSetError(
+                f"connection set not closed under inverse of {dihedral_label(w, n)}"
+            )
+    adjacency = [0] * (2 * n)
+    for x in range(2 * n):
+        for w in omega:
+            y = dihedral_multiply(x, w, n)
+            adjacency[x] |= 1 << y
+            adjacency[y] |= 1 << x
+    return Graph(2 * n, adjacency, labels=[dihedral_label(x, n) for x in range(2 * n)])
 
 
 @dataclass(frozen=True)
@@ -143,30 +111,27 @@ def explicit_iso_Hn1(n: int) -> CayleyIsomorphism:
     return CayleyIsomorphism(n=n, kneser=kg, cayley=cay, vertex_map=mapping)
 
 
-def left_regular_subgroup(n: int, iso: CayleyIsomorphism) -> PermutationGroup:
+def left_regular_subgroup(iso: CayleyIsomorphism) -> PermutationGroup:
     """Left translations x -> g x transported through the isomorphism.
 
     Yields 2n automorphisms of H(n,1) forming a group that acts regularly on
     the vertex set: the constructive witness that H(n,1) is a Cayley graph.
     """
+    n = iso.n
     forward = iso.vertex_map
     back = inverse(forward)
-    elements = dihedral_elements(n)
 
     perms = []
-    for g in elements:
-        translation = [0] * (2 * n)
-        for x in elements:
-            translation[dihedral_index(x, n)] = dihedral_index(dihedral_multiply(g, x, n), n)
-        images = tuple(back[translation[forward[v]]] for v in range(2 * n))
+    for g in range(2 * n):
+        images = tuple(back[dihedral_multiply(g, forward[v], n)] for v in range(2 * n))
         if not is_graph_automorphism(iso.kneser.graph, images):
-            raise IsomorphismError(f"transported translation by {g} broke an edge")
+            raise IsomorphismError(
+                f"transported translation by {dihedral_label(g, n)} broke an edge"
+            )
         perms.append(images)
 
-    gen_a = perms[dihedral_index(DihedralElement(1, 0), n)]
-    gen_b = perms[dihedral_index(DihedralElement(0, 1), n)]
     return PermutationGroup(
-        generators=(gen_a, gen_b),
+        generators=(perms[1], perms[n]),  # a and b
         degree=2 * n,
         elements=tuple(sorted(perms)),
     )

@@ -3,7 +3,8 @@
 Vertices 0 .. C(n,k)-1 are the k-subsets in lexicographic order; vertex
 C(n,k)+r is the (n-k)-subset whose complement has lex rank r.  This pairing
 makes complementation the fixed index shift i <-> i + C(n,k), which the
-symmetry modules rely on.
+symmetry modules rely on.  ``KneserGraph.masks`` holds the subset of each
+vertex as an int mask (see ``subsets``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import combinations
 
 from .errors import CardinalityError, DomainError, FamilyInvariantError, NullGraphError
 from .graphs import Graph
-from .subsets import Subset, binomial, rank_subset, unrank_subset
+from .subsets import binomial, format_subset, rank_subset, unrank_subset
 
 
 @dataclass(frozen=True)
@@ -22,20 +23,23 @@ class KneserGraph:
     k: int
     graph: Graph
     side_size: int  # C(n, k); vertices i and i + side_size hold complementary subsets
-    _labels: tuple[Subset, ...] = field(repr=False)
+    masks: tuple[int, ...] = field(repr=False)  # the subset mask of each vertex
 
-    def subset_of_vertex(self, index: int) -> Subset:
-        return self._labels[index]
+    def subset_of_vertex(self, index: int) -> int:
+        """The subset mask of vertex ``index``, 0 <= index < V."""
+        if not 0 <= index < len(self.masks):
+            raise DomainError(
+                f"vertex {index} outside 0..{len(self.masks) - 1} of H({self.n},{self.k})"
+            )
+        return self.masks[index]
 
-    def vertex_of_subset(self, s: Subset) -> int:
-        """Index of the vertex labeled by s (k-side preferred when n = 2k)."""
-        if s.n != self.n:
-            raise DomainError(f"subset over [{s.n}] does not belong to H({self.n},{self.k})")
-        size = s.cardinality
+    def vertex_of_subset(self, mask: int) -> int:
+        """Index of the vertex labeled by the subset mask (k-side preferred when n = 2k)."""
+        size = mask.bit_count()
         if size == self.k:
-            return rank_subset(s, self.k)
+            return rank_subset(mask, self.n, self.k)
         if size == self.n - self.k:
-            return self.side_size + rank_subset(s.complement(), self.k)
+            return self.side_size + rank_subset(mask ^ ((1 << self.n) - 1), self.n, self.k)
         raise CardinalityError(
             f"subset of size {size} is not a vertex of H({self.n},{self.k})"
         )
@@ -55,25 +59,25 @@ def build_bipartite_kneser(n: int, k: int, allow_null: bool = False) -> KneserGr
         raise NullGraphError(f"H({n},{k}) has no edges; pass allow_null to build it anyway")
 
     side = binomial(n, k)
-    labels = [unrank_subset(r, n, k) for r in range(side)]
-    labels += [labels[r].complement() for r in range(side)]
+    full = (1 << n) - 1
+    masks = [unrank_subset(r, n, k) for r in range(side)]
+    masks += [full ^ masks[r] for r in range(side)]
 
     adjacency = [0] * (2 * side)
     if n > 2 * k:
         # Neighbors of a k-subset A are the (n-k)-supersets A ∪ T, T from [n]∖A;
         # A ∪ T sits at side + the rank of its complement, a k-subset.
-        full = (1 << n) - 1
-        rank = {labels[r].bits: r for r in range(side)}
+        rank = {masks[r]: r for r in range(side)}
         for i in range(side):
-            a = labels[i].bits
+            a = masks[i]
             outside = [1 << x for x in range(n) if not a >> x & 1]
             for extra in combinations(outside, n - 2 * k):
                 j = side + rank[full ^ (a | sum(extra))]
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
 
-    graph = Graph(2 * side, adjacency, labels=[str(s) for s in labels])
-    return KneserGraph(n=n, k=k, graph=graph, side_size=side, _labels=tuple(labels))
+    graph = Graph(2 * side, adjacency, labels=[format_subset(m) for m in masks])
+    return KneserGraph(n=n, k=k, graph=graph, side_size=side, masks=tuple(masks))
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def induced_automorphism(kg: KneserGraph, theta: Sequence[int]) -> tuple[int, ..
     if sorted(theta) != list(range(n)):
         raise DomainError(f"{tuple(theta)} is not a permutation of 0..{n - 1}; "
                           f"it cannot act on H({n},{kg.k})")
-    masks = [kg.subset_of_vertex(i).bits for i in range(side)]
+    masks = kg.masks[:side]
     rank = {mask: i for i, mask in enumerate(masks)}
     half = []
     for mask in masks:

@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 from .autgroup import DEFAULT_SIZE_LIMIT, automorphism_group
 from .errors import (
     DisconnectedError,
-    DomainError,
+    NeedEnumerationError,
     OrderCapExceeded,
     SizeLimitError,
     StructureError,
@@ -216,7 +216,13 @@ def verify_direct_product(
     )
 
 
-SEARCH_SCOPE = "subgroups generated by at most 2 elements"
+# find_regular_subgroup scans the subgroups <g, h>, so a miss says nothing
+# about subgroups that need more than two generators.
+GENERATOR_BOUND = 2
+SEARCH_SCOPE = f"subgroups generated by at most {GENERATOR_BOUND} elements"
+SEARCH_CAVEAT = (
+    f"only {SEARCH_SCOPE} were searched; a miss is not a proof of non-Cayley-ness"
+)
 
 
 @dataclass(frozen=True)
@@ -226,7 +232,7 @@ class RegularSubgroupSearch:
 
     @property
     def caveat(self) -> str:
-        return f"only {SEARCH_SCOPE} were searched; absence here is not a proof"
+        return SEARCH_CAVEAT
 
 
 def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> RegularSubgroupSearch:
@@ -245,7 +251,7 @@ def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> Regular
     the regular subgroup.
     """
     if not group.is_enumerated:
-        raise DomainError("regular-subgroup search needs a fully enumerated group")
+        raise NeedEnumerationError("regular-subgroup search needs a fully enumerated group")
 
     degree = group.degree
     candidates = [g for g in group.elements if vertex_count % element_order(g) == 0]

@@ -10,6 +10,11 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 from bkneser import Graph, build_bipartite_kneser
 
 
+def mask(*elements):
+    """The subset {elements} of [n] as a mask: bit i-1 holds element i."""
+    return sum(1 << (x - 1) for x in set(elements))
+
+
 def cycle_graph(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 

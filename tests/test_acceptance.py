@@ -145,7 +145,7 @@ def test_criterion_5_cayley_isomorphism():
     problems = []
     for n in range(3, 11):
         iso = explicit_iso_Hn1(n)  # raises IsomorphismError on any failure
-        subgroup = left_regular_subgroup(n, iso)
+        subgroup = left_regular_subgroup(iso)
         if not is_regular_action(subgroup, 2 * n):
             problems.append((n, "not regular"))
     elapsed = time.monotonic() - start

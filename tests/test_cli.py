@@ -59,6 +59,42 @@ def test_build_json_and_dot(capsys, tmp_path):
     assert text.startswith("graph G {") and "0 -- " in text
 
 
+H41_JSON = (
+    '{"vertex_count":8,"edges":[[0,5],[0,6],[0,7],[1,4],[1,6],[1,7],[2,4],[2,5],[2,7],'
+    '[3,4],[3,5],[3,6]],"labels":["{1}","{2}","{3}","{4}","{2,3,4}","{1,3,4}","{1,2,4}",'
+    '"{1,2,3}"]}\n'
+)
+
+H41_DOT = """graph G {
+  0 [label="{1}"];
+  1 [label="{2}"];
+  2 [label="{3}"];
+  3 [label="{4}"];
+  4 [label="{2,3,4}"];
+  5 [label="{1,3,4}"];
+  6 [label="{1,2,4}"];
+  7 [label="{1,2,3}"];
+  0 -- 5;
+  0 -- 6;
+  0 -- 7;
+  1 -- 4;
+  1 -- 6;
+  1 -- 7;
+  2 -- 4;
+  2 -- 5;
+  2 -- 7;
+  3 -- 4;
+  3 -- 5;
+  3 -- 6;
+}
+"""
+
+
+def test_build_h41_golden_stdout(capsys):
+    assert run_cli(capsys, "build", "--n", "4", "--k", "1") == (0, H41_JSON, "")
+    assert run_cli(capsys, "build", "--n", "4", "--k", "1", "--format", "dot") == (0, H41_DOT, "")
+
+
 def test_build_allow_null(capsys):
     code, out, _ = run_cli(capsys, "build", "--n", "4", "--k", "2", "--allow-null")
     assert code == 0
@@ -114,7 +150,9 @@ def test_explore_question1_caveat(capsys):
     code, out, _ = run_cli(capsys, "explore", "--question", "1", "--nmax", "5")
     assert code == 0
     data = json.loads(out)
-    assert "at most 2 elements" in data["caveat"]
+    assert data["generator_bound"] == 2
+    assert data["caveat"] == ("only subgroups generated by at most 2 elements were searched; "
+                              "a miss is not a proof of non-Cayley-ness")
     row52 = next(r for r in data["rows"] if (r["n"], r["k"]) == (5, 2))
     assert row52["regular_subgroup_order"] is None
 
@@ -145,8 +183,7 @@ def test_corrupted_graph_exits_1(capsys, monkeypatch):
         adjacency[v] ^= 1 << u
         broken_graph = type(kg.graph)(kg.graph.vertex_count, adjacency)
         return type(kg)(n=n, k=k, graph=broken_graph, side_size=kg.side_size,
-                        _labels=tuple(kg.subset_of_vertex(i)
-                                      for i in range(kg.vertex_count)))
+                        masks=kg.masks)
 
     monkeypatch.setattr(cli, "build_bipartite_kneser", corrupted)
     code, _, err = run_cli(capsys, "props", "--n", "4", "--k", "1")

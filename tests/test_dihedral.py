@@ -6,52 +6,47 @@ from bkneser import (
     are_isomorphic,
     build_cayley_graph,
     dihedral_inverse,
+    dihedral_label,
     dihedral_multiply,
     explicit_iso_Hn1,
     is_regular_action,
     left_regular_subgroup,
     reflection_connection_set,
 )
-from bkneser.dihedral import (
-    DIHEDRAL_IDENTITY,
-    DihedralElement,
-    connection_set,
-    dihedral_elements,
-    dihedral_index,
-)
 from bkneser.errors import ConnectionSetError, DomainError
 from bkneser.perms import is_graph_automorphism
+from conftest import mask
+
+# a^i b^s is the int i + n*s
+IDENTITY = 0
 
 
 def test_reflection_squares_to_identity():
     for n in (3, 5, 8):
-        x = DihedralElement(1, 1)
-        assert dihedral_multiply(x, x, n) == DIHEDRAL_IDENTITY
+        x = 1 + n  # a b
+        assert dihedral_multiply(x, x, n) == IDENTITY
 
 
 def test_defining_relation_b_a():
     for n in (3, 4, 7):
-        b = DihedralElement(0, 1)
-        a = DihedralElement(1, 0)
-        assert dihedral_multiply(b, a, n) == DihedralElement(n - 1, 1)
+        b, a = n, 1
+        assert dihedral_multiply(b, a, n) == (n - 1) + n  # a^{n-1} b
 
 
 def test_rotation_inverse():
     for n in (3, 6):
-        a = DihedralElement(1, 0)
-        a_last = DihedralElement(n - 1, 0)
-        assert dihedral_multiply(a, a_last, n) == DIHEDRAL_IDENTITY
+        a, a_last = 1, n - 1
+        assert dihedral_multiply(a, a_last, n) == IDENTITY
         assert dihedral_inverse(a, n) == a_last
 
 
 def test_group_axioms_exhaustive():
     for n in range(3, 7):
-        elements = dihedral_elements(n)
-        identity = DIHEDRAL_IDENTITY
+        elements = range(2 * n)
         for x in elements:
-            assert dihedral_multiply(x, identity, n) == x
-            assert dihedral_multiply(identity, x, n) == x
-            assert dihedral_multiply(x, dihedral_inverse(x, n), n) == identity
+            assert dihedral_multiply(x, IDENTITY, n) == x
+            assert dihedral_multiply(IDENTITY, x, n) == x
+            assert dihedral_multiply(x, dihedral_inverse(x, n), n) == IDENTITY
         for x, y, z in product(elements, repeat=3):
             left = dihedral_multiply(dihedral_multiply(x, y, n), z, n)
             right = dihedral_multiply(x, dihedral_multiply(y, z, n), n)
@@ -59,39 +54,61 @@ def test_group_axioms_exhaustive():
 
 
 def test_element_rendering():
-    assert str(DIHEDRAL_IDENTITY) == "e"
-    assert str(DihedralElement(1, 0)) == "a"
-    assert str(DihedralElement(3, 0)) == "a^3"
-    assert str(DihedralElement(2, 1)) == "a^2 b"
-    assert str(DihedralElement(0, 1)) == "b"
+    n = 5
+    assert dihedral_label(IDENTITY, n) == "e"
+    assert dihedral_label(1, n) == "a"
+    assert dihedral_label(3, n) == "a^3"
+    assert dihedral_label(2 + n, n) == "a^2 b"
+    assert dihedral_label(n, n) == "b"
+    assert dihedral_label(1 + n, n) == "a b"
+
+
+def test_d6_cayley_labels():
+    g = build_cayley_graph(3, reflection_connection_set(3))
+    assert g.labels == ("e", "a", "a^2", "b", "a b", "a^2 b")
 
 
 def test_element_validation():
-    with pytest.raises(DomainError):
-        DihedralElement(1, 2)
-    with pytest.raises(DomainError):
-        DihedralElement(-1, 0)
+    for bad in (-1, 8, 2.5):
+        with pytest.raises(DomainError):
+            dihedral_label(bad, 4)
+        with pytest.raises(DomainError):
+            dihedral_inverse(bad, 4)
+        with pytest.raises(DomainError):
+            dihedral_multiply(bad, 1, 4)
+        with pytest.raises(DomainError):
+            dihedral_multiply(1, bad, 4)
+    for small in (0, 1, 2):
+        with pytest.raises(DomainError):
+            dihedral_multiply(0, 0, small)
+        with pytest.raises(DomainError):
+            dihedral_inverse(0, small)
+        with pytest.raises(DomainError):
+            dihedral_label(0, small)
 
 
 def test_connection_set_validation():
     with pytest.raises(ConnectionSetError):
-        connection_set(4, [DIHEDRAL_IDENTITY])
+        build_cayley_graph(4, [IDENTITY])
     with pytest.raises(ConnectionSetError):
-        connection_set(4, [DihedralElement(1, 0)])  # inverse a^3 missing
-    omega = connection_set(4, [DihedralElement(1, 0), DihedralElement(3, 0)])
-    assert len(omega.elements) == 2
+        build_cayley_graph(4, [1])  # inverse a^3 missing
+    with pytest.raises(DomainError):
+        build_cayley_graph(4, [1, 3, 8])  # 8 is not an element of D_8
+    g = build_cayley_graph(4, [1, 3])
+    assert set(g.degree_sequence()) == {2}  # two 4-cycles: <a> and <a> b
+    assert g.edge_count == 8
 
 
 def test_reflection_connection_set_size_matches_degree():
     for n in range(3, 9):
         omega = reflection_connection_set(n)
-        assert len(omega.elements) == n - 1
-        assert DihedralElement(0, 1) not in omega.elements  # b itself excluded
+        assert len(omega) == n - 1
+        assert all(x >= n for x in omega)  # reflections only
+        assert n not in omega  # b itself excluded
 
 
 def test_build_cayley_small():
-    omega = connection_set(3, [DihedralElement(1, 1), DihedralElement(2, 1)])
-    g = build_cayley_graph(3, omega)
+    g = build_cayley_graph(3, [1 + 3, 2 + 3])
     assert g.vertex_count == 6
     assert set(g.degree_sequence()) == {2}
 
@@ -103,22 +120,23 @@ def test_build_cayley_small():
 def test_build_cayley_rejects_mismatched_n():
     with pytest.raises(DomainError):
         build_cayley_graph(4, reflection_connection_set(5))
+    with pytest.raises(DomainError):
+        build_cayley_graph(2, [3])
 
 
 def test_explicit_iso_examples_n3():
     iso = explicit_iso_Hn1(3)
     # f({1}) = a (cayley index 1), f({2,3}) = f([3]-{1}) = a b (index 3+1)
-    assert iso.vertex_map[0] == dihedral_index(DihedralElement(1, 0), 3)
-    assert iso.vertex_map[3] == dihedral_index(DihedralElement(1, 1), 3)
+    assert iso.vertex_map[0] == 1
+    assert iso.vertex_map[3] == 1 + 3
     # {1} and [3]-{1} are not adjacent: b is outside the connection set
     assert not iso.kneser.graph.has_edge(0, 3)
     assert not iso.cayley.has_edge(iso.vertex_map[0], iso.vertex_map[3])
     # {1} ~ [3]-{2} maps to a ~ a^2 b because a^{-1} a^2 b = a b lies in omega
-    v_13 = iso.kneser.vertex_of_subset(
-        iso.kneser.subset_of_vertex(0).complement().__class__.from_elements(3, [1, 3])
-    )
+    v_13 = iso.kneser.vertex_of_subset(mask(1, 3))
     assert iso.kneser.graph.has_edge(0, v_13)
     assert iso.cayley.has_edge(iso.vertex_map[0], iso.vertex_map[v_13])
+    assert iso.cayley.labels[iso.vertex_map[v_13]] == "a^2 b"
 
 
 def test_explicit_iso_edge_counts():
@@ -143,7 +161,7 @@ def test_engine_confirms_cayley_isomorphism():
 def test_left_regular_subgroup_properties():
     for n in range(3, 9):
         iso = explicit_iso_Hn1(n)
-        subgroup = left_regular_subgroup(n, iso)
+        subgroup = left_regular_subgroup(iso)
         assert subgroup.order == 2 * n
         assert is_regular_action(subgroup, 2 * n)
         for perm in subgroup.elements:
@@ -152,6 +170,6 @@ def test_left_regular_subgroup_properties():
 
 def test_identity_translation_is_identity_permutation():
     iso = explicit_iso_Hn1(4)
-    subgroup = left_regular_subgroup(4, iso)
+    subgroup = left_regular_subgroup(iso)
     identity = tuple(range(8))
     assert identity in subgroup.elements

@@ -1,4 +1,5 @@
-"""Every name a ``bkneser`` module imports is used in that module.
+"""Every name a ``bkneser`` module imports is used in that module, and every
+module it imports from outside the package is in the standard library.
 
 A merge that leaves an import behind, or an import kept alive only so that
 something outside the module finds the name there, shows up as a name that
@@ -7,6 +8,7 @@ the module's own code never reads.  ``__init__`` counts the names it lists in
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,17 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set(imported_names(tree)) - used_names(tree))
     assert not unused, f"{path.name} imports {unused} but never uses them"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_absolute_import_is_stdlib(path):
+    # the package has no runtime dependencies; relative imports stay inside it
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    outside = sorted(roots - sys.stdlib_module_names)
+    assert not outside, f"{path.name} imports {outside}, which are not in the standard library"

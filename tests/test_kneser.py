@@ -2,7 +2,6 @@ import pytest
 
 from bkneser import (
     KneserGraph,
-    Subset,
     are_isomorphic,
     binomial,
     build_bipartite_kneser,
@@ -14,7 +13,7 @@ from bkneser.errors import (
     FamilyInvariantError,
     NullGraphError,
 )
-from conftest import cycle_graph
+from conftest import cycle_graph, mask
 
 
 def test_build_small_examples():
@@ -44,22 +43,24 @@ def test_domain_errors():
         build_bipartite_kneser(2, 2)  # n <= k
     with pytest.raises(DomainError):
         build_bipartite_kneser(4, 0)
+    with pytest.raises(DomainError):
+        build_bipartite_kneser(31, 1)  # beyond the ground set cap of subsets
 
 
 def test_adjacency_is_containment():
     kg = build_bipartite_kneser(5, 2)
     for u, v in kg.graph.edges():
         a, b = kg.subset_of_vertex(u), kg.subset_of_vertex(v)
-        small, big = (a, b) if a.cardinality < b.cardinality else (b, a)
-        assert small.bits & ~big.bits == 0
+        small, big = (a, b) if a.bit_count() < b.bit_count() else (b, a)
+        assert small & ~big == 0
     # non-edges within a part never satisfy containment
     assert not kg.graph.has_edge(0, 1)
 
 
 def test_vertex_of_subset_examples():
     kg = build_bipartite_kneser(3, 1)
-    assert kg.vertex_of_subset(Subset.from_elements(3, [1])) == 0
-    assert kg.vertex_of_subset(Subset.from_elements(3, [2, 3])) == 3
+    assert kg.vertex_of_subset(mask(1)) == 0
+    assert kg.vertex_of_subset(mask(2, 3)) == 3
 
 
 def test_vertex_of_subset_round_trip():
@@ -71,18 +72,32 @@ def test_vertex_of_subset_round_trip():
 def test_vertex_of_subset_wrong_cardinality():
     kg = build_bipartite_kneser(5, 2)
     with pytest.raises(CardinalityError):
-        kg.vertex_of_subset(Subset.from_elements(5, [1]))
+        kg.vertex_of_subset(mask(1))
     with pytest.raises(DomainError):
-        kg.vertex_of_subset(Subset.from_elements(6, [1, 2]))
+        kg.vertex_of_subset(mask(1, 6))  # 6 is outside [5]
+    with pytest.raises(DomainError):
+        kg.vertex_of_subset(mask(1, 2, 6))  # on the (n-k)-side too
+    with pytest.raises(DomainError):
+        kg.vertex_of_subset(-4)
+
+
+def test_subset_of_vertex_checks_the_index():
+    kg = build_bipartite_kneser(4, 1)
+    assert kg.subset_of_vertex(0) == mask(1)
+    assert kg.subset_of_vertex(7) == mask(1, 2, 3)
+    for index in (-1, -8, 8, 100):
+        with pytest.raises(DomainError):
+            kg.subset_of_vertex(index)
 
 
 def test_complement_pairing():
     for n, k in [(5, 2), (6, 1), (7, 3)]:
         kg = build_bipartite_kneser(n, k)
         side = kg.side_size
+        full = (1 << n) - 1
         for i in range(kg.vertex_count):
             partner = (i + side) % (2 * side)
-            assert kg.subset_of_vertex(i).complement() == kg.subset_of_vertex(partner)
+            assert kg.subset_of_vertex(i) ^ full == kg.subset_of_vertex(partner)
 
 
 def test_verify_family_counts_examples():
@@ -117,7 +132,7 @@ def test_verify_family_counts_rejects_corruption():
         k=1,
         graph=type(kg.graph)(kg.vertex_count, adjacency),
         side_size=kg.side_size,
-        _labels=tuple(kg.subset_of_vertex(i) for i in range(kg.vertex_count)),
+        masks=kg.masks,
     )
     with pytest.raises(FamilyInvariantError):
         verify_family_counts(broken)

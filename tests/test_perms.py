@@ -7,7 +7,6 @@ import pytest
 from bkneser import (
     Graph,
     PermutationGroup,
-    Subset,
     build_bipartite_kneser,
     commutes,
     complement_automorphism,
@@ -28,7 +27,7 @@ from bkneser import (
 from bkneser.autgroup import automorphism_group
 from bkneser.errors import DomainError, NeedEnumerationError, OrderCapExceeded
 from bkneser.perms import closure_images, format_cycles, is_graph_automorphism, is_isomorphism
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, mask, path_graph
 from oracles import dict_closure
 
 
@@ -56,13 +55,12 @@ def test_induced_transposition_on_h31():
     kg = build_bipartite_kneser(3, 1)
     f = induced_automorphism(kg, (1, 0, 2))
     v = kg.vertex_of_subset
-    s = lambda *xs: Subset.from_elements(3, xs)
-    assert f[v(s(1))] == v(s(2))
-    assert f[v(s(2))] == v(s(1))
-    assert f[v(s(2, 3))] == v(s(1, 3))
-    assert f[v(s(1, 3))] == v(s(2, 3))
-    assert f[v(s(3))] == v(s(3))
-    assert f[v(s(1, 2))] == v(s(1, 2))
+    assert f[v(mask(1))] == v(mask(2))
+    assert f[v(mask(2))] == v(mask(1))
+    assert f[v(mask(2, 3))] == v(mask(1, 3))
+    assert f[v(mask(1, 3))] == v(mask(2, 3))
+    assert f[v(mask(3))] == v(mask(3))
+    assert f[v(mask(1, 2))] == v(mask(1, 2))
 
 
 def test_induced_size_mismatch():
@@ -80,7 +78,7 @@ def test_induced_automorphism_on_the_middle_level():
     assert sorted(f) == list(range(2 * side))
     assert all(f[i + side] == f[i] + side for i in range(side))
     v = kg.vertex_of_subset
-    assert f[v(Subset.from_elements(4, [1, 3]))] == v(Subset.from_elements(4, [2, 3]))
+    assert f[v(mask(1, 3))] == v(mask(2, 3))
 
 
 def test_containment_preserved_under_random_permutations():
@@ -92,16 +90,16 @@ def test_containment_preserved_under_random_permutations():
         a_elems = rng.sample(range(1, n + 1), k)
         rest = [x for x in range(1, n + 1) if x not in a_elems]
         b_elems = a_elems + rng.sample(rest, n - 2 * k)
-        a = Subset.from_elements(n, (theta[x - 1] + 1 for x in a_elems))
-        b = Subset.from_elements(n, (theta[x - 1] + 1 for x in b_elems))
-        assert a.bits & ~b.bits == 0
+        a = mask(*(theta[x - 1] + 1 for x in a_elems))
+        b = mask(*(theta[x - 1] + 1 for x in b_elems))
+        assert a & ~b == 0
 
 
 def test_complement_automorphism_examples():
     kg = build_bipartite_kneser(4, 1)
     alpha = complement_automorphism(kg)
     v = kg.vertex_of_subset
-    assert alpha[v(Subset.from_elements(4, [1]))] == v(Subset.from_elements(4, [2, 3, 4]))
+    assert alpha[v(mask(1))] == v(mask(2, 3, 4))
     assert compose(alpha, alpha) == tuple(range(8))
     assert element_order(alpha) == 2
 
@@ -239,8 +237,8 @@ def test_orbit_under_cyclic_subgroup():
     f_rho = induced_automorphism(kg, (0, 2, 3, 4, 1))
     group = PermutationGroup(generators=(f_rho,), degree=10)
     v = kg.vertex_of_subset
-    expected = {v(Subset.from_elements(5, [i])) for i in (2, 3, 4, 5)}
-    assert set(orbit(group, v(Subset.from_elements(5, [2])))) == expected
+    expected = {v(mask(i)) for i in (2, 3, 4, 5)}
+    assert set(orbit(group, v(mask(2)))) == expected
 
 
 def test_full_generators_act_transitively():
@@ -305,9 +303,9 @@ def test_known_non_commuting_pair():
     f12 = induced_automorphism(kg, (1, 0, 2, 3))
     f23 = induced_automorphism(kg, (0, 2, 1, 3))
     v = kg.vertex_of_subset
-    one = v(Subset.from_elements(4, [1]))
-    assert compose(f23, f12)[one] == v(Subset.from_elements(4, [3]))
-    assert compose(f12, f23)[one] == v(Subset.from_elements(4, [2]))
+    one = v(mask(1))
+    assert compose(f23, f12)[one] == v(mask(3))
+    assert compose(f12, f23)[one] == v(mask(2))
     assert not commutes(f12, f23)
 
 

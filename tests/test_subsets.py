@@ -3,8 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from bkneser import Subset, binomial, rank_subset, unrank_subset
+from bkneser import binomial, build_bipartite_kneser, format_subset, rank_subset, unrank_subset
 from bkneser.errors import CardinalityError, DomainError, RankError
+from conftest import mask
+
+
+def elements(m):
+    return tuple(i + 1 for i in range(m.bit_length()) if m >> i & 1)
 
 
 def test_binomial_examples():
@@ -31,46 +36,53 @@ def test_binomial_pascal_rule_and_comb():
 
 
 def test_subset_basics():
-    s = Subset.from_elements(5, [2, 3, 5])
-    assert s.elements() == (2, 3, 5)
-    assert s.cardinality == 3
-    assert str(s) == "{2,3,5}"
-    assert 3 in s and 4 not in s
-    assert list(s) == [2, 3, 5]
+    s = mask(2, 3, 5)
+    assert s == 0b10110
+    assert s.bit_count() == 3
+    assert format_subset(s) == "{2,3,5}"
+    assert format_subset(0) == "{}"
 
 
 def test_subset_validation():
     with pytest.raises(DomainError):
-        Subset(0b1, 31)  # ground set cap
+        rank_subset(0b1, 31, 1)  # ground set cap
     with pytest.raises(DomainError):
-        Subset(0b1000, 3)  # bit outside [n]
+        rank_subset(0b1, 0, 1)
     with pytest.raises(DomainError):
-        Subset.from_elements(3, [4])
+        rank_subset(0b1000, 3, 1)  # bit outside [n]
+    with pytest.raises(DomainError):
+        rank_subset(-1, 3, 1)  # negative masks hold no subset
+    with pytest.raises(DomainError):
+        format_subset(-1)
 
 
 def test_rank_examples():
-    assert rank_subset(Subset.from_elements(3, [1]), 1) == 0
-    assert rank_subset(Subset.from_elements(3, [3]), 1) == 2
-    assert rank_subset(Subset.from_elements(4, [1, 2]), 2) == 0
+    assert rank_subset(mask(1), 3, 1) == 0
+    assert rank_subset(mask(3), 3, 1) == 2
+    assert rank_subset(mask(1, 2), 4, 2) == 0
+    assert rank_subset(mask(3, 4), 4, 2) == 5
 
 
 def test_rank_wrong_cardinality():
     with pytest.raises(CardinalityError):
-        rank_subset(Subset.from_elements(4, [1, 2]), 3)
+        rank_subset(mask(1, 2), 4, 3)
 
 
 def test_unrank_examples():
-    assert unrank_subset(0, 3, 1).elements() == (1,)
-    assert unrank_subset(2, 3, 1).elements() == (3,)
+    assert unrank_subset(0, 3, 1) == mask(1)
+    assert unrank_subset(2, 3, 1) == mask(3)
     with pytest.raises(RankError):
         unrank_subset(3, 3, 1)
     with pytest.raises(RankError):
         unrank_subset(-1, 3, 1)
+    for n in (0, 31):  # the ground set cap binds the build too
+        with pytest.raises(DomainError):
+            unrank_subset(0, n, 0)
 
 
 def test_rank_unrank_round_trip_6_2():
     for r in range(binomial(6, 2)):
-        assert rank_subset(unrank_subset(r, 6, 2), 2) == r
+        assert rank_subset(unrank_subset(r, 6, 2), 6, 2) == r
 
 
 def test_rank_matches_lexicographic_enumeration():
@@ -79,21 +91,31 @@ def test_rank_matches_lexicographic_enumeration():
     for n in range(1, 9):
         for k in range(0, n + 1):
             for expected_rank, elems in enumerate(combinations(range(1, n + 1), k)):
-                s = Subset.from_elements(n, elems)
-                assert rank_subset(s, k) == expected_rank
-                assert unrank_subset(expected_rank, n, k).elements() == elems
+                assert rank_subset(mask(*elems), n, k) == expected_rank
+                assert elements(unrank_subset(expected_rank, n, k)) == elems
 
 
 def test_complement_examples():
-    assert Subset.from_elements(4, [1]).complement().elements() == (2, 3, 4)
-    assert Subset(0, 3).complement().elements() == (1, 2, 3)
-    assert Subset.from_elements(5, [2, 3]).complement().elements() == (1, 4, 5)
+    # the (n-k)-side of H(n,k) holds the complements, mask ^ ((1 << n) - 1)
+    kg = build_bipartite_kneser(4, 1)
+    assert kg.subset_of_vertex(kg.side_size) == mask(2, 3, 4)
+    assert format_subset(kg.subset_of_vertex(kg.side_size)) == "{2,3,4}"
+    kg = build_bipartite_kneser(5, 2)
+    partner = kg.side_size + rank_subset(mask(2, 3), 5, 2)
+    assert elements(kg.subset_of_vertex(partner)) == (1, 4, 5)
+    kg = build_bipartite_kneser(3, 1)
+    assert [format_subset(kg.subset_of_vertex(i)) for i in range(3, 6)] == [
+        "{2,3}", "{1,3}", "{1,2}"
+    ]
 
 
 def test_complement_involution_and_size():
     for n in range(1, 8):
+        full = (1 << n) - 1
         for k in range(0, n + 1):
             for elems in combinations(range(1, n + 1), k):
-                s = Subset.from_elements(n, elems)
-                assert s.complement().cardinality == n - k
-                assert s.complement().complement() == s
+                s = mask(*elems)
+                rest = [x for x in range(1, n + 1) if x not in elems]
+                assert s ^ full == mask(*rest)
+                assert (s ^ full).bit_count() == n - k
+                assert (s ^ full) ^ full == s

@@ -27,7 +27,7 @@ from bkneser import (
     transitivity_report,
     verify_direct_product,
 )
-from bkneser.errors import DisconnectedError, DomainError, StructureError
+from bkneser.errors import DisconnectedError, DomainError, NeedEnumerationError, StructureError
 from bkneser.symmetry import feasible_parameters, question2_table
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 from oracles import two_phase_regular_subgroup
@@ -226,7 +226,7 @@ def test_find_regular_subgroup_matches_the_two_phase_scan():
 
 def test_find_regular_subgroup_preconditions():
     kg = build_bipartite_kneser(3, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(NeedEnumerationError):
         find_regular_subgroup(known_group(kg), 6)  # not enumerated
 
 
