@@ -30,7 +30,11 @@ from .perms import (
     orbit_partition,
 )
 
-DEFAULT_SIZE_LIMIT = 128
+# ``_node`` recurses once per individualized vertex, so its depth can reach
+# the vertex count (the empty graph individualizes every vertex).  This fixed
+# limit keeps that depth far below Python's recursion limit; raise it only
+# once the search is iterative.
+SIZE_LIMIT = 128
 
 
 def _refine(adjacency: Sequence[int], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -145,23 +149,16 @@ class _AutSearch:
         return any(u in orb for orb in orbit_partition(processed, gens, self.n))
 
 
-def automorphism_group(
-    graph: Graph,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> PermutationGroup:
+def automorphism_group(graph: Graph, order_cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
     """Generators and exact order of Aut(G), fully enumerated.
 
-    Dense inputs are searched through their complement (same group); every
-    emitted generator is re-verified against the original adjacency.
+    Graphs above ``SIZE_LIMIT`` vertices are refused; every emitted generator
+    is re-verified against the adjacency.
     """
     n = graph.vertex_count
-    if n > size_limit:
-        raise SizeLimitError(f"{n} vertices exceeds the engine limit of {size_limit}")
-    work = graph
-    if n > 2 and graph.edge_count * 2 > n * (n - 1) // 2:
-        work = graph.complement_graph()
-    search = _AutSearch(work, [tuple(range(n))])
+    if n > SIZE_LIMIT:
+        raise SizeLimitError(f"{n} vertices exceeds the engine limit of {SIZE_LIMIT}")
+    search = _AutSearch(graph, [tuple(range(n))])
     gen_images = search.run()
     for images in gen_images:
         if not is_graph_automorphism(graph, images):
@@ -170,11 +167,7 @@ def automorphism_group(
     return PermutationGroup(generators=tuple(gen_images), degree=n, elements=elements)
 
 
-def are_isomorphic(
-    g1: Graph,
-    g2: Graph,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
-) -> Optional[tuple[int, ...]]:
+def are_isomorphic(g1: Graph, g2: Graph) -> Optional[tuple[int, ...]]:
     """An adjacency-preserving bijection V(G1) -> V(G2), or None.
 
     Runs the automorphism search on the disjoint union extended by two apex
@@ -184,8 +177,8 @@ def are_isomorphic(
     the bijection.  The apexes keep the reduction valid for disconnected
     inputs as well.
     """
-    if g1.vertex_count > size_limit or g2.vertex_count > size_limit:
-        raise SizeLimitError(f"inputs exceed the engine limit of {size_limit}")
+    if g1.vertex_count > SIZE_LIMIT or g2.vertex_count > SIZE_LIMIT:
+        raise SizeLimitError(f"inputs exceed the engine limit of {SIZE_LIMIT}")
     if g1.vertex_count != g2.vertex_count:
         return None
     if g1.edge_count != g2.edge_count:

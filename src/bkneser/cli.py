@@ -88,11 +88,6 @@ def cmd_props(args: argparse.Namespace) -> int:
     return 0
 
 
-def _known_group(kg) -> PermutationGroup:
-    gens = known_generators(kg)
-    return PermutationGroup(generators=gens, degree=kg.vertex_count)
-
-
 def cmd_aut(args: argparse.Namespace) -> int:
     cap = _order_cap()
     kg = build_bipartite_kneser(args.n, args.k)
@@ -117,7 +112,8 @@ def cmd_aut(args: argparse.Namespace) -> int:
 
 def cmd_transitivity(args: argparse.Namespace) -> int:
     kg = build_bipartite_kneser(args.n, args.k)
-    report = transitivity_report(kg.graph, _known_group(kg))
+    group = PermutationGroup(generators=known_generators(kg), degree=kg.vertex_count)
+    report = transitivity_report(kg.graph, group)
     full = report.as_dict()
     if args.level == "all":
         payload = full

@@ -152,8 +152,6 @@ def vertex_connectivity(graph: Graph, stabilizer: Sequence[Sequence[int]] = ()) 
     best = n - 1
     for orb in orbit_partition(_bits(others), stabilizer, n):
         best = min(best, max_flow(graph, v, orb[0]).value)
-        if best == 0:
-            return 0
     around = list(_bits(adjacency[v]))
     index = {x: i for i, x in enumerate(around)}
     local = [[index[g[x]] for x in around] for g in stabilizer]

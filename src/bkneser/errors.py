@@ -12,7 +12,12 @@ Two families matter to callers:
 The CLI also maps ``OSError`` (an unwritable ``--out`` path, say) to exit
 code 2.  Any other exception escaping a command is a bug: the CLI reports it
 as an internal error, prints the traceback to stderr and exits with code 3.
+
+``as_int`` checks an integer argument where it enters, so that a float or a
+string raises ``DomainError`` instead of a raw ``TypeError`` further in.
 """
+
+import operator
 
 
 class BKneserError(Exception):
@@ -48,7 +53,7 @@ class ConnectionSetError(DomainError):
 
 
 class SizeLimitError(DomainError):
-    """The graph exceeds the configured size limit of the search engine."""
+    """The graph exceeds the search engine's fixed 128-vertex limit, ``autgroup.SIZE_LIMIT``."""
 
 
 class OrderCapExceeded(BKneserError):
@@ -73,3 +78,11 @@ class StructureError(VerificationError):
 
 class IsomorphismError(VerificationError):
     """A constructed bijection failed its edge-preservation check."""
+
+
+def as_int(value, what: str) -> int:
+    """``operator.index(value)``, or ``DomainError`` for a value it rejects."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an int, got {value!r}") from None

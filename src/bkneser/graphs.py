@@ -8,11 +8,10 @@ query is pure.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Iterable, Optional, Sequence
 
-from .errors import DisconnectedError, DomainError
+from .errors import DisconnectedError, DomainError, as_int
 
 
 class Graph:
@@ -69,9 +68,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adjacency[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
-
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(mask.bit_count() for mask in self.adjacency)
 
@@ -109,8 +105,9 @@ class Graph:
 
     def bfs_distances(self, start: int) -> list[int | float]:
         """Distances from ``start``; math.inf marks unreachable vertices."""
+        start = as_int(start, "start vertex")
         if not 0 <= start < self.vertex_count:
-            raise IndexError(f"vertex {start} outside range 0..{self.vertex_count - 1}")
+            raise DomainError(f"vertex {start} outside range 0..{self.vertex_count - 1}")
         dist: list[int | float] = [math.inf] * self.vertex_count
         for d, layer in enumerate(self._layers(start)):
             for v in _bits(layer):
@@ -144,11 +141,6 @@ class Graph:
                 return None
         return tuple(_bits(sides[0])), tuple(_bits(sides[1]))
 
-    def complement_graph(self) -> "Graph":
-        full = (1 << self.vertex_count) - 1
-        adjacency = [full ^ mask ^ (1 << v) for v, mask in enumerate(self.adjacency)]
-        return Graph(self.vertex_count, adjacency, self.labels)
-
     def to_json_dict(self) -> dict:
         data: dict = {
             "vertex_count": self.vertex_count,
@@ -157,9 +149,6 @@ class Graph:
         if self.labels is not None:
             data["labels"] = list(self.labels)
         return data
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     def to_dot(self) -> str:
         lines = ["graph G {"]

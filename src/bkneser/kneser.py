@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import CardinalityError, DomainError, FamilyInvariantError, NullGraphError
+from .errors import CardinalityError, DomainError, FamilyInvariantError, NullGraphError, as_int
 from .graphs import Graph
 from .subsets import binomial, format_subset, rank_subset, unrank_subset
 
@@ -27,6 +27,7 @@ class KneserGraph:
 
     def subset_of_vertex(self, index: int) -> int:
         """The subset mask of vertex ``index``, 0 <= index < V."""
+        index = as_int(index, "vertex index")
         if not 0 <= index < len(self.masks):
             raise DomainError(
                 f"vertex {index} outside 0..{len(self.masks) - 1} of H({self.n},{self.k})"
@@ -35,6 +36,7 @@ class KneserGraph:
 
     def vertex_of_subset(self, mask: int) -> int:
         """Index of the vertex labeled by the subset mask (k-side preferred when n = 2k)."""
+        mask = as_int(mask, "subset mask")
         size = mask.bit_count()
         if size == self.k:
             return rank_subset(mask, self.n, self.k)

@@ -113,7 +113,7 @@ def complement_automorphism(kg: KneserGraph) -> tuple[int, ...]:
     """The complementation involution: the index shift i <-> i + C(n, k)."""
     side = kg.side_size
     images = tuple((i + side) % (2 * side) for i in range(2 * side))
-    if kg.n != 2 * kg.k and not is_graph_automorphism(kg.graph, images):
+    if not is_graph_automorphism(kg.graph, images):
         raise DomainError("complementation failed the adjacency check")
     return images
 
@@ -182,10 +182,6 @@ class PermutationGroup:
         if self.elements is None:
             raise NeedEnumerationError("group has not been enumerated; use group_closure")
         return len(self.elements)
-
-    @property
-    def is_enumerated(self) -> bool:
-        return self.elements is not None
 
 
 def closure_images(
@@ -348,7 +344,7 @@ def orbits_on_unordered_pairs(
 
 def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
     """The subgroup of elements fixing ``point``; needs full enumeration."""
-    if not group.is_enumerated:
+    if group.elements is None:
         raise NeedEnumerationError("stabilizer needs a fully enumerated group")
     fixed = tuple(g for g in group.elements if g[point] == point)
     return PermutationGroup(generators=fixed, degree=group.degree, elements=fixed)
@@ -356,7 +352,7 @@ def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
 
 def is_regular_action(group: PermutationGroup, vertex_count: int) -> bool:
     """Transitive with |group| = number of points (trivial point stabilizers)."""
-    if not group.is_enumerated:
+    if group.elements is None:
         raise NeedEnumerationError("regularity check needs a fully enumerated group")
     if group.order != vertex_count:
         return False

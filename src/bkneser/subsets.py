@@ -6,44 +6,45 @@ a mask is ``mask ^ ((1 << n) - 1)``.  Lexicographic order on sorted element
 lists is the canonical order; every vertex index in the rest of the package
 is derived from the ranks computed here.  Both ``rank_subset`` and
 ``unrank_subset`` check n; ``rank_subset`` also checks the mask where it
-enters, and ``unrank_subset`` builds only valid masks.
+enters, and ``unrank_subset`` checks the rank and builds only valid masks.
+A value that is not an int raises ``DomainError`` (see ``errors.as_int``).
 """
 
 from __future__ import annotations
 
-from .errors import CardinalityError, DomainError, RankError
+import math
+
+from .errors import CardinalityError, DomainError, RankError, as_int
 
 MAX_GROUND_SET = 30
 
 
 def binomial(n: int, k: int) -> int:
-    """Exact C(n, k); zero when k > n, errors on negative arguments."""
-    if n < 0 or k < 0:
-        raise DomainError(f"binomial requires n, k >= 0, got ({n}, {k})")
-    if k > n:
-        return 0
-    k = min(k, n - k)
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (n - k + i) // i
-    return result
+    """Exact C(n, k); zero when k > n, errors on negative or non-int arguments."""
+    try:
+        return math.comb(n, k)
+    except (TypeError, ValueError):
+        raise DomainError(f"binomial requires ints n, k >= 0, got ({n!r}, {k!r})") from None
 
 
 def format_subset(mask: int) -> str:
     """The label of a subset mask: bits 0 and 2 give "{1,3}", the empty mask "{}"."""
+    mask = as_int(mask, "subset mask")
     if mask < 0:
         raise DomainError(f"subset mask must be non-negative, got {mask}")
     return "{" + ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1) + "}"
 
 
 def _check_ground_set(n: int) -> None:
-    if not 1 <= n <= MAX_GROUND_SET:
+    if not 1 <= as_int(n, "ground set size") <= MAX_GROUND_SET:
         raise DomainError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {n}")
 
 
 def rank_subset(mask: int, n: int, k: int) -> int:
     """Lexicographic rank of the k-subset ``mask`` among all k-subsets of [n]."""
     _check_ground_set(n)
+    mask = as_int(mask, "subset mask")
+    k = as_int(k, "subset size")
     if mask < 0 or mask >> n:
         raise DomainError(f"mask {mask:#x} has bits outside [{n}]")
     if mask.bit_count() != k:
@@ -65,6 +66,7 @@ def rank_subset(mask: int, n: int, k: int) -> int:
 def unrank_subset(rank: int, n: int, k: int) -> int:
     """Inverse of rank_subset: the mask of the k-subset of [n] at the given lex rank."""
     _check_ground_set(n)
+    rank = as_int(rank, "subset rank")
     total = binomial(n, k)
     if not 0 <= rank < total:
         raise RankError(f"rank {rank} outside [0, {total}) for (n, k) = ({n}, {k})")

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .autgroup import DEFAULT_SIZE_LIMIT, automorphism_group
+from .autgroup import automorphism_group
 from .errors import (
     DisconnectedError,
     NeedEnumerationError,
@@ -171,11 +171,7 @@ class DirectProductReport:
     aut_order: int
 
 
-def verify_direct_product(
-    kg: KneserGraph,
-    aut_order: int,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> DirectProductReport:
+def verify_direct_product(kg: KneserGraph, aut_order: int) -> DirectProductReport:
     """Check the four steps behind Aut = Sym([n]) x Z_2 on a concrete graph.
 
     (a) the induced Sym generators close to a group of order n!;
@@ -187,7 +183,7 @@ def verify_direct_product(
     f_swap, f_cycle = sym_generators(kg)
     alpha = complement_automorphism(kg)
 
-    sym_group = group_closure([f_swap, f_cycle], order_cap=order_cap)
+    sym_group = group_closure([f_swap, f_cycle])
     n_factorial = math.factorial(n)
     if sym_group.order != n_factorial:
         raise StructureError(
@@ -198,7 +194,7 @@ def verify_direct_product(
         raise StructureError("step (b): complementation lies inside the Sym image")
     if not (commutes(alpha, f_swap) and commutes(alpha, f_cycle)):
         raise StructureError("step (c): complementation fails to commute with a generator")
-    product = group_closure([f_swap, f_cycle, alpha], order_cap=order_cap)
+    product = group_closure([f_swap, f_cycle, alpha])
     if product.order != 2 * n_factorial:
         raise StructureError(
             f"step (d): product closure has order {product.order}, expected {2 * n_factorial}"
@@ -230,10 +226,6 @@ class RegularSubgroupSearch:
     subgroup: Optional[PermutationGroup]
     candidates_checked: int
 
-    @property
-    def caveat(self) -> str:
-        return SEARCH_CAVEAT
-
 
 def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> RegularSubgroupSearch:
     """Look for a subgroup acting regularly on the vertices.
@@ -250,7 +242,7 @@ def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> Regular
     ``vertex_count`` elements, so a closure capped there that completes is
     the regular subgroup.
     """
-    if not group.is_enumerated:
+    if group.elements is None:
         raise NeedEnumerationError("regular-subgroup search needs a fully enumerated group")
 
     degree = group.degree
@@ -296,14 +288,13 @@ def feasible_parameters(n_max: int, k_max: Optional[int] = None) -> list[tuple[i
 def _automorphism_groups(
     n_max: int,
     k_max: Optional[int],
-    size_limit: int,
     order_cap: int,
 ) -> Iterator[tuple[KneserGraph, Optional[PermutationGroup], Optional[str]]]:
     """(H(n,k), Aut, None) for every feasible (n, k), or (H(n,k), None, skip reason)."""
     for n, k in feasible_parameters(n_max, k_max):
         kg = build_bipartite_kneser(n, k)
         try:
-            aut = automorphism_group(kg.graph, size_limit=size_limit, order_cap=order_cap)
+            aut = automorphism_group(kg.graph, order_cap=order_cap)
         except (SizeLimitError, OrderCapExceeded) as exc:
             yield kg, None, str(exc)
         else:
@@ -313,7 +304,6 @@ def _automorphism_groups(
 def explore_question2(
     n_max: int,
     k_max: Optional[int] = None,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> list[Question2Row]:
     """Tabulate |Aut(H(n,k))| against 2 n! for every feasible (n, k).
@@ -322,7 +312,7 @@ def explore_question2(
     says nothing about unlisted ones.
     """
     rows = []
-    for kg, aut, skip in _automorphism_groups(n_max, k_max, size_limit, order_cap):
+    for kg, aut, skip in _automorphism_groups(n_max, k_max, order_cap):
         target = 2 * math.factorial(kg.n)
         if aut is None:
             rows.append(Question2Row(kg.n, kg.k, kg.vertex_count, None, target, "skipped", skip))
@@ -359,12 +349,11 @@ class Question1Row:
 def explore_question1(
     n_max: int,
     k_max: Optional[int] = None,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> list[Question1Row]:
     """Bounded Cayley-ness evidence: search Aut(H(n,k)) for a regular subgroup."""
     rows = []
-    for kg, aut, skip in _automorphism_groups(n_max, k_max, size_limit, order_cap):
+    for kg, aut, skip in _automorphism_groups(n_max, k_max, order_cap):
         if aut is None:
             rows.append(Question1Row(kg.n, kg.k, kg.vertex_count, None, None, "skipped", skip))
             continue

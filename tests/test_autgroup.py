@@ -11,7 +11,7 @@ from bkneser import (
     group_closure,
     known_generators,
 )
-from bkneser.autgroup import _refine
+from bkneser.autgroup import SIZE_LIMIT, _refine
 from bkneser.errors import SizeLimitError
 from bkneser.perms import is_graph_automorphism
 from conftest import complete_graph, cycle_graph, star_graph
@@ -67,7 +67,7 @@ def test_automorphism_group_petersen():
 
 def test_size_limit():
     with pytest.raises(SizeLimitError):
-        automorphism_group(cycle_graph(6), size_limit=5)
+        automorphism_group(cycle_graph(SIZE_LIMIT + 1))
     with pytest.raises(SizeLimitError):
         brute_force_automorphism_order(cycle_graph(9))
 
@@ -166,11 +166,12 @@ def test_isomorphism_handles_disconnected_graphs():
 
 def test_isomorphism_size_limit():
     with pytest.raises(SizeLimitError):
-        are_isomorphic(cycle_graph(6), cycle_graph(6), size_limit=5)
+        are_isomorphic(cycle_graph(SIZE_LIMIT + 1), cycle_graph(SIZE_LIMIT + 1))
 
 
 def test_aut_of_dense_graph_uses_complement_safely():
-    # K5 minus one edge: Aut = Sym(2) x Sym(3), order 12
+    # K5 minus one edge, a dense graph the engine searches directly:
+    # Aut = Sym(2) x Sym(3), order 12
     g = complete_graph(5)
     adjacency = list(g.adjacency)
     adjacency[0] ^= 1 << 1

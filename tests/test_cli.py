@@ -1,4 +1,8 @@
+import importlib
 import json
+from pathlib import Path
+
+import pytest
 
 from bkneser import cli
 from bkneser.kneser import build_bipartite_kneser
@@ -34,6 +38,14 @@ def test_aut_generators_method(capsys):
     code, out, _ = run_cli(capsys, "aut", "--n", "3", "--k", "1", "--method", "generators")
     assert code == 0
     assert json.loads(out)["order"] == 12
+
+
+def test_aut_above_the_engine_limit_exits_2(capsys):
+    # H(9,4) has 252 vertices; the engine refuses it before any search
+    code, out, err = run_cli(capsys, "aut", "--n", "9", "--k", "4")
+    assert code == 2
+    assert out == ""
+    assert "252 vertices exceeds the engine limit of 128" in err
 
 
 def test_build_null_graph_exits_2(capsys):
@@ -194,7 +206,7 @@ def test_corrupted_graph_exits_1(capsys, monkeypatch):
 def test_aut_disagreement_exits_1(capsys, monkeypatch):
     from bkneser.perms import PermutationGroup
 
-    def fake_engine(graph, size_limit=128, order_cap=100_000):
+    def fake_engine(graph, order_cap=100_000):
         ident = tuple(range(graph.vertex_count))
         return PermutationGroup(generators=(), degree=graph.vertex_count,
                                 elements=(ident,))
@@ -222,3 +234,16 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     assert code == 3
     assert "internal error" in err
     assert "RuntimeError: simulated bug" in err
+
+
+def test_console_scripts_resolve_to_callables():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attribute = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attribute.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name

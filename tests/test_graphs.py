@@ -26,8 +26,9 @@ def test_bfs_distances_cycle():
 def test_bfs_distances_single_vertex_and_bad_index():
     k1 = Graph(1, [0])
     assert k1.bfs_distances(0) == [0]
-    with pytest.raises(IndexError):
-        k1.bfs_distances(1)
+    for start in (1, -1, 0.0, "0"):
+        with pytest.raises(DomainError):
+            k1.bfs_distances(start)
 
 
 def test_bfs_distance_to_complement_vertex_in_h41():
@@ -109,7 +110,7 @@ def test_degree_sum_is_twice_edges(corpus):
 
 def test_json_export_shape():
     g = Graph.from_edges(3, [(1, 0), (2, 1)], labels=["a", "b", "c"])
-    data = json.loads(g.to_json())
+    data = json.loads(json.dumps(g.to_json_dict()))
     assert data == {
         "vertex_count": 3,
         "edges": [[0, 1], [1, 2]],
@@ -128,10 +129,3 @@ def test_edges_sorted():
     g = Graph.from_edges(4, [(3, 2), (1, 0), (0, 3)])
     assert g.edges() == [(0, 1), (0, 3), (2, 3)]
     assert g.arcs() == [(0, 1), (1, 0), (0, 3), (3, 0), (2, 3), (3, 2)]
-
-
-def test_complement_graph():
-    c4 = cycle_graph(4)
-    comp = c4.complement_graph()
-    assert comp.edges() == [(0, 2), (1, 3)]
-    assert comp.complement_graph().edges() == c4.edges()

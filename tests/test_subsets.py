@@ -27,6 +27,26 @@ def test_binomial_rejects_negative():
         binomial(4, -2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda kg: rank_subset(3.0, 5, 2),
+    lambda kg: rank_subset(3, 5.0, 2),
+    lambda kg: rank_subset(3, 5, 2.0),
+    lambda kg: unrank_subset(1.0, 5, 2),
+    lambda kg: unrank_subset(1, 5, 2.0),
+    lambda kg: format_subset("3"),
+    lambda kg: binomial(5.0, 2),
+    lambda kg: binomial(5, "2"),
+    lambda kg: kg.vertex_of_subset(3.0),
+    lambda kg: kg.subset_of_vertex(1.0),
+], ids=["rank-mask", "rank-n", "rank-k", "unrank-rank", "unrank-k", "format",
+        "binomial-n", "binomial-k", "vertex-of-subset", "subset-of-vertex"])
+def test_non_int_values_raise_domain_error(call):
+    # operator.index rejects each of these; none may escape as a raw TypeError,
+    # an AttributeError or a silently accepted float
+    with pytest.raises(DomainError):
+        call(build_bipartite_kneser(5, 2))
+
+
 def test_binomial_pascal_rule_and_comb():
     for n in range(1, 31):
         for k in range(1, n + 1):

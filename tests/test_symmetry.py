@@ -27,8 +27,9 @@ from bkneser import (
     transitivity_report,
     verify_direct_product,
 )
+from bkneser import autgroup
 from bkneser.errors import DisconnectedError, DomainError, NeedEnumerationError, StructureError
-from bkneser.symmetry import feasible_parameters, question2_table
+from bkneser.symmetry import SEARCH_CAVEAT, feasible_parameters, question2_table
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 from oracles import two_phase_regular_subgroup
 
@@ -201,7 +202,7 @@ def test_find_regular_subgroup_h52_none():
     aut = automorphism_group(kg.graph)
     result = find_regular_subgroup(aut, kg.vertex_count)
     assert result.subgroup is None
-    assert "not a proof" in result.caveat
+    assert "not a proof" in SEARCH_CAVEAT
 
 
 def test_find_regular_subgroup_k2():
@@ -239,10 +240,13 @@ def test_explore_question2_rows():
     assert set(rows) == {(3, 1), (4, 1), (5, 1), (5, 2)}
 
 
-def test_explore_question2_skips_oversized():
-    rows = explore_question2(5, size_limit=8)
+def test_explore_question2_skips_oversized(monkeypatch):
+    monkeypatch.setattr(autgroup, "SIZE_LIMIT", 8)
+    rows = explore_question2(5)
     skipped = [r for r in rows if r.comparison == "skipped"]
-    assert skipped and all(r.skip_reason for r in skipped)
+    assert skipped and all(
+        r.skip_reason == f"{r.vertices} vertices exceeds the engine limit of 8" for r in skipped
+    )
     table = question2_table(rows)
     assert "evidence only" in table
 
