@@ -1,9 +1,10 @@
 """Command-line interface: every verification as a reproducible run.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 all assertions
-passed, 1 a verified claim failed, 2 usage, domain or I/O error, 3 internal
-error (any other exception, a bug; its traceback goes to stderr).  The only
-environment knob is KNESER_ORDER_CAP, which overrides the group-closure cap.
+passed, 1 a verified claim failed, 2 usage, domain or I/O error, or out of
+memory, 3 internal error (any other exception, a bug; its traceback goes to
+stderr).  The only environment knob is KNESER_ORDER_CAP, which overrides the
+group-closure cap.
 """
 
 from __future__ import annotations
@@ -272,6 +273,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (BKneserError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # before the generic handler, whose traceback import can fail again here
+        print("error: out of memory", file=sys.stderr)
         return 2
     except Exception:
         import traceback  # only on this path: the import costs every run startup time

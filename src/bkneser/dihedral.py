@@ -16,7 +16,7 @@ from typing import Iterable
 from .errors import ConnectionSetError, DomainError, IsomorphismError
 from .graphs import Graph
 from .kneser import KneserGraph, build_bipartite_kneser
-from .perms import PermutationGroup, inverse, is_graph_automorphism, is_isomorphism
+from .perms import PermutationGroup, image_set, inverse, is_graph_automorphism, is_isomorphism
 
 
 def _check(n: int, *elements: int) -> None:
@@ -133,5 +133,5 @@ def left_regular_subgroup(iso: CayleyIsomorphism) -> PermutationGroup:
     return PermutationGroup(
         generators=(perms[1], perms[n]),  # a and b
         degree=2 * n,
-        elements=tuple(sorted(perms)),
+        elements=image_set(perms, 2 * n),
     )

@@ -9,9 +9,11 @@ Two families matter to callers:
   failed (a count mismatch, a broken isomorphism, a structure assertion).
   The CLI maps these to exit code 1.
 
-The CLI also maps ``OSError`` (an unwritable ``--out`` path, say) to exit
-code 2.  Any other exception escaping a command is a bug: the CLI reports it
-as an internal error, prints the traceback to stderr and exits with code 3.
+The CLI also maps ``OSError`` (an unwritable ``--out`` path, say) and
+``MemoryError`` (an instance too large for the machine, reported as "out of
+memory" without a traceback) to exit code 2.  Any other exception escaping a
+command is a bug: the CLI reports it as an internal error, prints the
+traceback to stderr and exits with code 3.
 
 ``as_int`` checks an integer argument where it enters, so that a float or a
 string raises ``DomainError`` instead of a raw ``TypeError`` further in.
@@ -53,7 +55,12 @@ class ConnectionSetError(DomainError):
 
 
 class SizeLimitError(DomainError):
-    """The graph exceeds the search engine's fixed 128-vertex limit, ``autgroup.SIZE_LIMIT``."""
+    """An input exceeds one of two fixed limits.
+
+    The search engine takes graphs of at most 128 vertices
+    (``autgroup.SIZE_LIMIT``), and an enumerated group acts on at most 256
+    points, one byte per image in its image strings (``perms``).
+    """
 
 
 class OrderCapExceeded(BKneserError):

@@ -12,14 +12,15 @@ the H(n,1) Cayley map and the engine's isomorphism witnesses go through it
 too.
 
 Groups are enumerated in full by a breadth-first closure under composition,
-with an order cap.  When the degree is at most 256, which covers every
-graph the engine accepts, the closure runs on ``bytes`` image strings: the
-product g∘p is ``p.translate(t_g)``, one C call per product, with ``t_g`` the
-image string of g padded to the 256-byte table ``translate`` takes.  Larger
-degrees compose image tuples in Python.  Either way the closure returns its
-elements as sorted image tuples.  Image strings of one length compare byte
-by byte, as the tuples of their bytes do, so sorting the strings sorts the
-tuples.
+with an order cap.  An enumerated group is a ``frozenset`` of ``bytes`` image
+strings, ``bytes(images)``, from the closure to its consumers: the product
+g∘p is ``p.translate(t_g)``, one C call per product, with ``t_g`` the image
+string of g padded to the 256-byte table ``translate`` takes.  So an
+enumerated group has at most 256 points, which covers every graph the engine
+accepts; a larger degree raises ``SizeLimitError`` before any work.  Hashing
+of ``bytes`` differs from process to process, so a loop over an element set
+sorts it first.  Image strings of one length sort as the tuples of their
+bytes do, so the identity comes first.
 
 Orbits come from one primitive, ``orbit_partition``: a BFS over generator
 image tables on integer points.  Vertex, ordered-pair and unordered-pair
@@ -33,7 +34,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, NeedEnumerationError, OrderCapExceeded
+from .errors import DomainError, NeedEnumerationError, OrderCapExceeded, SizeLimitError, as_int
 from .graphs import Graph
 from .kneser import KneserGraph
 
@@ -154,68 +155,100 @@ def commutes(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
     return all(p[q[x]] == q[p[x]] for x in range(len(p)))
 
 
+def _check_degree(degree: int) -> int:
+    """The degree as a non-negative int, or ``DomainError``."""
+    degree = as_int(degree, "degree")
+    if degree < 0:
+        raise DomainError(f"degree must be non-negative, got {degree}")
+    return degree
+
+
+def _check_string_degree(degree: int) -> int:
+    """A checked degree that an image string holds: one byte per point, so at most 256."""
+    degree = _check_degree(degree)
+    if degree > 256:
+        raise SizeLimitError(
+            f"degree {degree} exceeds the limit of 256 points for an enumerated group"
+        )
+    return degree
+
+
 def _check_permutations(maps: Iterable[Sequence[int]], degree: int) -> None:
     points = list(range(degree))
     if any(sorted(g) != points for g in maps):
         raise DomainError(f"a generator is not a permutation of 0..{degree - 1}")
 
 
+def image_set(maps: Sequence[Sequence[int]], degree: int) -> frozenset[bytes]:
+    """The element set of an enumerated group holding exactly the given permutations."""
+    degree = _check_string_degree(degree)
+    _check_permutations(maps, degree)
+    return frozenset(map(bytes, maps))
+
+
 @dataclass(frozen=True)
 class PermutationGroup:
     """Generators plus (optionally) the full element set of a vertex group.
 
-    Every element is an image tuple of length ``degree``; the generators are
-    checked to be permutations of 0..degree-1 here, once, so the orbit
-    functions see a group.  ``elements``, when present, is sorted, so membership and
-    equality of enumerated groups compare plain tuples.
+    Each generator is an image tuple of length ``degree``, checked here, once,
+    to be a permutation of 0..degree-1, so the orbit functions see a group.
+    ``elements``, when present, is the ``frozenset`` of every element's image
+    string, ``bytes(images)``; ``images in group`` asks whether a map is an
+    element, and equal enumerated groups have equal ``elements``.
     """
 
     generators: tuple[tuple[int, ...], ...]
     degree: int
-    elements: Optional[tuple[tuple[int, ...], ...]] = None
+    elements: Optional[frozenset[bytes]] = None
 
     def __post_init__(self) -> None:
-        _check_permutations(self.generators, self.degree)
+        _check_permutations(self.generators, _check_degree(self.degree))
+
+    def _enumerated(self) -> frozenset[bytes]:
+        if self.elements is None:
+            raise NeedEnumerationError("group has not been enumerated; use group_closure")
+        return self.elements
 
     @property
     def order(self) -> int:
-        if self.elements is None:
-            raise NeedEnumerationError("group has not been enumerated; use group_closure")
-        return len(self.elements)
+        return len(self._enumerated())
+
+    def __contains__(self, images: Sequence[int]) -> bool:
+        """True iff the map is an element; a map that is no image string is not one."""
+        elements = self._enumerated()
+        try:
+            key = bytes(tuple(images))  # tuple() first: bytes(5) is five zero bytes
+        except (TypeError, ValueError):
+            return False
+        return key in elements
 
 
 def closure_images(
     generator_images: Sequence[Sequence[int]],
     degree: int,
     order_cap: int = DEFAULT_ORDER_CAP,
-) -> tuple[tuple[int, ...], ...]:
-    """The group generated by the given image tuples, as a sorted tuple of image tuples.
+) -> frozenset[bytes]:
+    """The group generated by the given image tuples, as a frozenset of image strings.
 
     A BFS from the identity that multiplies each new element p on the left
     by each generator g, in generator order.  Before an element is added
-    beyond ``order_cap`` elements, ``OrderCapExceeded`` is raised.  A
+    beyond ``order_cap`` elements, ``OrderCapExceeded`` is raised.  A degree
+    above 256 raises ``SizeLimitError`` before the BFS starts, and a
     generator that is not a permutation of 0..degree-1 raises
-    ``DomainError``.  Inside the BFS the elements are ``bytes`` image
-    strings while the degree is at most 256 and tuples above it; either way
-    they are returned as tuples.
+    ``DomainError``.
     """
+    degree = _check_string_degree(degree)
     _check_permutations(generator_images, degree)
-    if degree <= 256:
-        pad = bytes(256 - degree)
-        tables = [bytes(g) + pad for g in generator_images]
-        product = bytes.translate
-        ident = bytes(range(degree))
-    else:
-        tables = generator_images
-        product = lambda p, g: compose(g, p)
-        ident = tuple(range(degree))
+    pad = bytes(256 - degree)
+    tables = [bytes(g) + pad for g in generator_images]
+    ident = bytes(range(degree))
     elements = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for p in frontier:
             for t in tables:
-                q = product(p, t)
+                q = p.translate(t)
                 if q not in elements:
                     if len(elements) >= order_cap:
                         raise OrderCapExceeded(
@@ -224,8 +257,7 @@ def closure_images(
                     elements.add(q)
                     nxt.append(q)
         frontier = nxt
-    elements = sorted(elements)  # drops the set before the tuples are built
-    return tuple(map(tuple, elements))
+    return frozenset(elements)
 
 
 def group_closure(
@@ -346,8 +378,9 @@ def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
     """The subgroup of elements fixing ``point``; needs full enumeration."""
     if group.elements is None:
         raise NeedEnumerationError("stabilizer needs a fully enumerated group")
-    fixed = tuple(g for g in group.elements if g[point] == point)
-    return PermutationGroup(generators=fixed, degree=group.degree, elements=fixed)
+    fixed = sorted(g for g in group.elements if g[point] == point)
+    return PermutationGroup(generators=tuple(tuple(g) for g in fixed),
+                            degree=group.degree, elements=frozenset(fixed))
 
 
 def is_regular_action(group: PermutationGroup, vertex_count: int) -> bool:

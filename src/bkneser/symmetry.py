@@ -190,7 +190,7 @@ def verify_direct_product(kg: KneserGraph, aut_order: int) -> DirectProductRepor
             f"step (a): induced Sym closure has order {sym_group.order}, "
             f"expected {n_factorial}"
         )
-    if alpha in sym_group.elements:
+    if alpha in sym_group:
         raise StructureError("step (b): complementation lies inside the Sym image")
     if not (commutes(alpha, f_swap) and commutes(alpha, f_cycle)):
         raise StructureError("step (c): complementation fails to commute with a generator")
@@ -231,8 +231,9 @@ def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> Regular
     """Look for a subgroup acting regularly on the vertices.
 
     Scans the subgroups <g, h> for the pairs g <= h of elements of the
-    (fully enumerated) input group, row by row in sorted order; a hit
-    certifies that the graph is a Cayley graph, a miss is only evidence.
+    (fully enumerated) input group, row by row in sorted order (a set's own
+    order changes with the hash seed); a hit certifies that the graph is a
+    Cayley graph, a miss is only evidence.
     The identity sorts first, so the first row, <identity, h> = <h>, visits
     every cyclic subgroup, the trivial one included, in element order before
     any other pair.  Element
@@ -246,7 +247,7 @@ def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> Regular
         raise NeedEnumerationError("regular-subgroup search needs a fully enumerated group")
 
     degree = group.degree
-    candidates = [g for g in group.elements if vertex_count % element_order(g) == 0]
+    candidates = [g for g in sorted(group.elements) if vertex_count % element_order(g) == 0]
     checked = 0
     for i, g in enumerate(candidates):
         for h in candidates[i:]:
@@ -258,7 +259,7 @@ def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> Regular
             except OrderCapExceeded:
                 continue
             if len(elements) == vertex_count:
-                subgroup = PermutationGroup((g, h), degree, elements)
+                subgroup = PermutationGroup((tuple(g), tuple(h)), degree, elements)
                 return RegularSubgroupSearch(subgroup, checked)
     return RegularSubgroupSearch(None, checked)
 

@@ -156,14 +156,14 @@ def dict_closure(generators, degree):
 
 
 def two_phase_regular_subgroup(group, vertex_count):
-    """Sorted elements of the first regular subgroup found, or None.
+    """The element set of the first regular subgroup found, or None.
 
     Phase 1 tries each cyclic subgroup <g> of order ``vertex_count``; phase 2
     each <g, h> over the pairs of distinct elements, both in sorted element
     order and only over elements whose order divides ``vertex_count``.
     """
     degree = group.degree
-    candidates = [g for g in group.elements if vertex_count % element_order(g) == 0]
+    candidates = [g for g in sorted(group.elements) if vertex_count % element_order(g) == 0]
 
     def transitive(gens):
         return len(orbit_partition([0], gens, degree)[0]) == vertex_count

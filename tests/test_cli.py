@@ -48,6 +48,14 @@ def test_aut_above_the_engine_limit_exits_2(capsys):
     assert "252 vertices exceeds the engine limit of 128" in err
 
 
+def test_aut_generators_above_the_closure_limit_exits_2(capsys):
+    # H(10,4) has 420 vertices; the closure refuses it before its BFS
+    code, out, err = run_cli(capsys, "aut", "--method", "generators", "--n", "10", "--k", "4")
+    assert code == 2
+    assert out == ""
+    assert "degree 420 exceeds the limit of 256 points" in err
+
+
 def test_build_null_graph_exits_2(capsys):
     code, out, err = run_cli(capsys, "build", "--n", "4", "--k", "2")
     assert code == 2
@@ -234,6 +242,17 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     assert code == 3
     assert "internal error" in err
     assert "RuntimeError: simulated bug" in err
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_props", exhausted)
+    code, out, err = run_cli(capsys, "props", "--n", "5", "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_console_scripts_resolve_to_callables():

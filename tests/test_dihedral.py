@@ -172,4 +172,4 @@ def test_identity_translation_is_identity_permutation():
     iso = explicit_iso_Hn1(4)
     subgroup = left_regular_subgroup(iso)
     identity = tuple(range(8))
-    assert identity in subgroup.elements
+    assert identity in subgroup

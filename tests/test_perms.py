@@ -25,8 +25,19 @@ from bkneser import (
     sym_generators,
 )
 from bkneser.autgroup import automorphism_group
-from bkneser.errors import DomainError, NeedEnumerationError, OrderCapExceeded
-from bkneser.perms import closure_images, format_cycles, is_graph_automorphism, is_isomorphism
+from bkneser.errors import (
+    DomainError,
+    NeedEnumerationError,
+    OrderCapExceeded,
+    SizeLimitError,
+)
+from bkneser.perms import (
+    closure_images,
+    format_cycles,
+    image_set,
+    is_graph_automorphism,
+    is_isomorphism,
+)
 from conftest import complete_graph, cycle_graph, mask, path_graph
 from oracles import dict_closure
 
@@ -132,7 +143,8 @@ def test_element_order_of_induced_cycle():
 def test_group_closure_trivial():
     g = group_closure([], degree=5)
     assert g.order == 1
-    assert g.elements[0] == tuple(range(5))
+    assert g.elements == {bytes(range(5))}
+    assert tuple(range(5)) in g
 
 
 def test_group_closure_needs_degree_when_empty():
@@ -152,7 +164,7 @@ def test_group_closure_rejects_a_degree_mismatch():
 
 
 def test_closure_images_rejects_a_bad_generator_on_both_paths():
-    # degree 2 takes the bytes path, degree 300 the tuple path
+    # degree 300 is refused by the degree check, which raises a DomainError too
     for gens, degree in [([(1, 2, 0)], 2), ([(1, 0)], 3), ([(0, 300)], 2),
                          ([tuple(range(257))], 300), ([tuple(range(301))], 300)]:
         with pytest.raises(DomainError):
@@ -168,25 +180,28 @@ def dihedral_generators(degree):
 
 def test_closure_images_matches_a_dict_closure():
     cases = [([], 0, 1), ([], 1, 1), ([(1, 0)], 2, 2)]
-    # 255 and 256 fill the 256-byte translate table; 257 and 300 compose tuples
-    cases += [(dihedral_generators(d), d, 2 * d) for d in (255, 256, 257, 300)]
+    # 255 and 256 fill the 256-byte translate table
+    cases += [(dihedral_generators(d), d, 2 * d) for d in (255, 256)]
     h52 = build_bipartite_kneser(5, 2).graph
     cases.append((automorphism_group(h52).generators, 20, 2 * math.factorial(5)))
     h73 = build_bipartite_kneser(7, 3)
     cases.append((known_generators(h73), 70, 2 * math.factorial(7)))
     for gens, degree, order in cases:
         elements = closure_images(gens, degree)
-        assert type(elements) is tuple and len(elements) == order
-        assert all(type(p) is tuple and all(type(x) is int for x in p) for p in elements)
-        assert list(elements) == sorted(elements)
-        assert elements == dict_closure(gens, degree), degree
+        assert type(elements) is frozenset and len(elements) == order
+        assert all(type(p) is bytes and len(p) == degree for p in elements)
+        assert elements == set(map(bytes, dict_closure(gens, degree))), degree
+    # an image string holds at most 256 points: larger degrees are refused
+    for degree in (257, 300):
+        with pytest.raises(SizeLimitError, match=f"degree {degree} exceeds"):
+            closure_images(dihedral_generators(degree), degree)
 
 
 def test_closure_images_cap_is_the_largest_order_that_completes():
-    # one group per path: Aut(H(5,2)) on bytes, the dihedral group D_257 on tuples
+    # Aut(H(5,2)), and the dihedral group D_256 at the largest degree
     h52 = build_bipartite_kneser(5, 2).graph
     for gens, degree, order in [(automorphism_group(h52).generators, 20, 240),
-                                (dihedral_generators(257), 257, 514)]:
+                                (dihedral_generators(256), 256, 512)]:
         assert len(closure_images(gens, degree, order_cap=order)) == order
         with pytest.raises(OrderCapExceeded):
             closure_images(gens, degree, order_cap=order - 1)
@@ -278,6 +293,41 @@ def test_stabilizer_needs_enumeration():
         stabilizer(group, 0)
     with pytest.raises(NeedEnumerationError):
         group.order
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PermutationGroup((), -3),
+    lambda: group_closure([], degree=-1),
+    lambda: closure_images([], 2.5),
+    lambda: group_closure([], degree="3"),
+], ids=["negative group degree", "negative closure degree", "float degree", "str degree"])
+def test_degree_is_checked_where_it_enters(make):
+    with pytest.raises(DomainError, match="degree"):
+        make()
+
+
+def test_membership_of_an_enumerated_group():
+    kg = build_bipartite_kneser(4, 1)
+    f_swap, f_cycle = sym_generators(kg)
+    sym_image = group_closure([f_swap, f_cycle])
+    assert f_swap in sym_image and compose(f_cycle, f_swap) in sym_image
+    assert tuple(range(8)) in sym_image
+    assert complement_automorphism(kg) not in sym_image  # a permutation, not a member
+    assert (0, 0, 2, 3, 4, 5, 6, 7) not in sym_image  # not a permutation
+    assert tuple(range(7)) not in sym_image and tuple(range(9)) not in sym_image
+    assert (300, 1, 2, 3, 4, 5, 6, 7) not in sym_image  # no image string holds 300
+    assert (-1, 1, 2, 3, 4, 5, 6, 7) not in sym_image
+    assert 8 not in sym_image  # bytes(8) would be eight zero bytes
+    with pytest.raises(NeedEnumerationError):
+        f_swap in PermutationGroup(generators=(f_swap, f_cycle), degree=8)
+
+
+def test_image_set_checks_its_maps_and_degree():
+    assert image_set([(1, 0), (0, 1), (1, 0)], 2) == {b"\x01\x00", b"\x00\x01"}
+    with pytest.raises(DomainError):
+        image_set([(0, 0)], 2)
+    with pytest.raises(SizeLimitError):
+        image_set([tuple(range(257))], 257)
 
 
 def test_stabilizer_of_trivial_group():

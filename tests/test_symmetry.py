@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,7 +189,7 @@ def test_alpha_conjugation_fixes_sym_elements():
     sym_image = group_closure(list(sym_generators(kg)))
     rng = random.Random(4100)
     for _ in range(100):
-        kappa = rng.choice(sym_image.elements)
+        kappa = tuple(rng.choice(sorted(sym_image.elements)))
         assert compose(compose(alpha, kappa), inverse(alpha)) == kappa
 
 
@@ -284,3 +288,27 @@ def test_transitivity_report_counts_match_direct_orbits(corpus):
         assert report.pair_orbits == len(pair_orbs)
         assert report.distance_values == distinct
         assert report.distance_transitive == (len(pair_orbs) == distinct)
+
+
+HASH_SEED_PROBE = """
+from bkneser import automorphism_group, build_bipartite_kneser, find_regular_subgroup, stabilizer
+aut = automorphism_group(build_bipartite_kneser(5, 1).graph)
+search = find_regular_subgroup(aut, 10)
+print(search.candidates_checked, search.subgroup.generators)
+print(stabilizer(aut, 0).generators)
+"""
+
+
+def test_results_do_not_depend_on_the_hash_seed():
+    # element sets hash bytes, whose hashes change with PYTHONHASHSEED; every
+    # loop over one must sort it first
+    src = str(Path(__file__).parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 2
