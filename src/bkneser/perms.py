@@ -310,8 +310,17 @@ def orbit_partition(
     return out
 
 
+def _check_point(point: int, degree: int) -> int:
+    """The point as an int in 0..degree-1, or ``DomainError``."""
+    point = as_int(point, "point")
+    if not 0 <= point < degree:
+        raise DomainError(f"point must be in 0..{degree - 1}, got {point}")
+    return point
+
+
 def orbit(group: PermutationGroup, point: int) -> tuple[int, ...]:
     """Orbit of a vertex under the generated group."""
+    point = _check_point(point, group.degree)
     return orbit_partition([point], group.generators, group.degree)[0]
 
 
@@ -376,6 +385,7 @@ def orbits_on_unordered_pairs(
 
 def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
     """The subgroup of elements fixing ``point``; needs full enumeration."""
+    point = _check_point(point, group.degree)
     if group.elements is None:
         raise NeedEnumerationError("stabilizer needs a fully enumerated group")
     fixed = sorted(g for g in group.elements if g[point] == point)

@@ -1,9 +1,9 @@
 """Exact combinatorics of k-subsets of [n] = {1, ..., n}.
 
-A subset of [n] is a plain int mask: bit i-1 holds element i, so the ground
-set fits in a single machine word (n is capped at 30), and the complement of
-a mask is ``mask ^ ((1 << n) - 1)``.  Lexicographic order on sorted element
-lists is the canonical order; every vertex index in the rest of the package
+A subset of [n] is a plain int mask: bit i-1 holds element i, and the
+complement of a mask is ``mask ^ ((1 << n) - 1)``; a Python int has no
+width, so n has no upper cap.  Lexicographic order on sorted element lists
+is the canonical order; every vertex index in the rest of the package
 is derived from the ranks computed here.  Both ``rank_subset`` and
 ``unrank_subset`` check n; ``rank_subset`` also checks the mask where it
 enters, and ``unrank_subset`` checks the rank and builds only valid masks.
@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 
 from .errors import CardinalityError, DomainError, RankError, as_int
-
-MAX_GROUND_SET = 30
 
 
 def binomial(n: int, k: int) -> int:
@@ -36,8 +34,8 @@ def format_subset(mask: int) -> str:
 
 
 def _check_ground_set(n: int) -> None:
-    if not 1 <= as_int(n, "ground set size") <= MAX_GROUND_SET:
-        raise DomainError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {n}")
+    if as_int(n, "ground set size") < 1:
+        raise DomainError(f"ground set size must be at least 1, got {n}")
 
 
 def rank_subset(mask: int, n: int, k: int) -> int:

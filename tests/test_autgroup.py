@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -63,6 +64,45 @@ def test_automorphism_group_petersen():
         (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
         (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
     ])).order == 120
+
+
+def cycle_union(*lengths):
+    edges = []
+    offset = 0
+    for length in lengths:
+        edges += [(offset + i, offset + (i + 1) % length) for i in range(length)]
+        offset += length
+    return Graph.from_edges(offset, edges)
+
+
+@pytest.mark.parametrize("lengths, order", [
+    ((3, 4), 6 * 8),
+    ((3, 5), 6 * 10),
+    ((4, 5), 8 * 10),
+    ((6, 3, 3), 12 * 6 * 6 * 2),
+    ((4, 4, 3), 8 * 8 * 2 * 6),
+], ids=["C3+C4", "C3+C5", "C4+C5", "C6+C3+C3", "C4+C4+C3"])
+def test_order_of_unequal_cycle_unions(lengths, order):
+    # refinement cannot tell cycles of different lengths apart, so the
+    # search must reject whole sibling subtrees before it finds each generator
+    assert automorphism_group(cycle_union(*lengths)).order == order
+
+
+def test_search_does_not_use_the_call_stack():
+    # the empty graph individualizes every vertex, so a recursive search
+    # would need one frame per vertex of the 42-vertex apex union
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 15)
+    try:
+        mapping = are_isomorphic(Graph(20, [0] * 20), Graph(20, [0] * 20))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert mapping is not None
 
 
 def test_size_limit():

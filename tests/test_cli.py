@@ -115,6 +115,21 @@ def test_build_h41_golden_stdout(capsys):
     assert run_cli(capsys, "build", "--n", "4", "--k", "1", "--format", "dot") == (0, H41_DOT, "")
 
 
+AUT_52_JSON = (
+    '{"order":240,"agree":true,"generators":['
+    '"(2 3)(5 6)(7 8)(12 13)(15 16)(17 18)",'
+    '"(1 2)(4 5)(8 9)(11 12)(14 15)(18 19)",'
+    '"(1 4)(2 5)(3 6)(11 14)(12 15)(13 16)",'
+    '"(0 1)(5 7)(6 8)(10 11)(15 17)(16 18)",'
+    '"(0 10)(1 11)(2 12)(3 13)(4 14)(5 15)(6 16)(7 17)(8 18)(9 19)"]}\n'
+)
+
+
+def test_aut_golden_stdout(capsys):
+    # the engine's generators, in the order it finds them
+    assert run_cli(capsys, "aut", "--n", "5", "--k", "2") == (0, AUT_52_JSON, "")
+
+
 def test_build_allow_null(capsys):
     code, out, _ = run_cli(capsys, "build", "--n", "4", "--k", "2", "--allow-null")
     assert code == 0
@@ -153,6 +168,12 @@ def test_cayley_check(capsys):
     assert data["isomorphic"] is True
     assert data["left_regular_order"] == 10
     assert data["regular_action"] is True
+
+
+def test_cayley_check_n31(capsys):
+    code, out, _ = run_cli(capsys, "cayley-check", "--n", "31")
+    assert code == 0
+    assert json.loads(out)["left_regular_order"] == 62
 
 
 def test_explore_question2_json(capsys):

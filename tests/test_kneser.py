@@ -27,6 +27,11 @@ def test_build_small_examples():
     assert kg.graph.edge_count == 30
     assert set(kg.graph.degree_sequence()) == {3}
 
+    kg = build_bipartite_kneser(31, 1)  # the ground set has no upper cap
+    assert kg.vertex_count == 62
+    assert kg.graph.edge_count == 31 * 30
+    assert set(kg.graph.degree_sequence()) == {30}
+
 
 def test_null_graph_requires_flag():
     with pytest.raises(NullGraphError):
@@ -43,8 +48,6 @@ def test_domain_errors():
         build_bipartite_kneser(2, 2)  # n <= k
     with pytest.raises(DomainError):
         build_bipartite_kneser(4, 0)
-    with pytest.raises(DomainError):
-        build_bipartite_kneser(31, 1)  # beyond the ground set cap of subsets
 
 
 def test_adjacency_is_containment():

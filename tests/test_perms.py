@@ -330,6 +330,14 @@ def test_image_set_checks_its_maps_and_degree():
         image_set([tuple(range(257))], 257)
 
 
+@pytest.mark.parametrize("point", [-1, 3, 1.0, "0"])
+@pytest.mark.parametrize("function", [orbit, stabilizer])
+def test_point_is_checked_where_it_enters(function, point):
+    group = group_closure([(1, 0, 2)])
+    with pytest.raises(DomainError, match="point"):
+        function(group, point)
+
+
 def test_stabilizer_of_trivial_group():
     group = group_closure([], degree=3)
     assert stabilizer(group, 1).order == 1

@@ -65,9 +65,7 @@ def test_subset_basics():
 
 def test_subset_validation():
     with pytest.raises(DomainError):
-        rank_subset(0b1, 31, 1)  # ground set cap
-    with pytest.raises(DomainError):
-        rank_subset(0b1, 0, 1)
+        rank_subset(0b1, 0, 1)  # empty ground set
     with pytest.raises(DomainError):
         rank_subset(0b1000, 3, 1)  # bit outside [n]
     with pytest.raises(DomainError):
@@ -95,9 +93,8 @@ def test_unrank_examples():
         unrank_subset(3, 3, 1)
     with pytest.raises(RankError):
         unrank_subset(-1, 3, 1)
-    for n in (0, 31):  # the ground set cap binds the build too
-        with pytest.raises(DomainError):
-            unrank_subset(0, n, 0)
+    with pytest.raises(DomainError):
+        unrank_subset(0, 0, 0)  # empty ground set
 
 
 def test_rank_unrank_round_trip_6_2():
