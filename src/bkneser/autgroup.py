@@ -10,7 +10,9 @@ reference labeling.  The second visits the recorded levels deepest first.  At
 each level it skips a sibling in the orbit of the siblings already processed
 (orbit pruning), and searches each remaining sibling's subtree depth-first,
 with an explicit stack, for the first leaf whose labeling preserves
-adjacency.  That one automorphism is enough: everything else the subtree
+adjacency; a node whose cell sizes differ from those of the base path's node
+at the same depth cannot lead to such a leaf, and is dropped with its
+subtree.  That one automorphism is enough: everything else the subtree
 contains is a product of it with stabilizer elements found earlier.
 
 This engine is the independent check for the group-theoretic claims the rest
@@ -102,17 +104,26 @@ def _first_automorphism(
     adjacency: Sequence[int],
     edges: list[tuple[int, int]],
     base_leaf: list[int],
+    shapes: Sequence[tuple[int, ...]],
     start: list[tuple[int, ...]],
 ) -> Optional[tuple[int, ...]]:
     """The first automorphism from the base leaf to a leaf below ``start``, depth-first.
 
     The stack holds the unvisited children of every node on the current path.
+    ``shapes[d]`` is the cell-size tuple of the base path's node at the depth
+    of ``start`` plus d; a node of another shape is dropped with its subtree.
+    Refinement commutes with automorphisms, so the leaf gamma(base leaf) is
+    reached only through the images under gamma of the base path's nodes,
+    which have the base shapes: no accepting leaf is cut, and the first one
+    found is the same.
     """
     stack: list[Iterator[list[tuple[int, ...]]]] = [iter([start])]
     while stack:
         cells = next(stack[-1], None)
         if cells is None:
             stack.pop()
+            continue
+        if tuple(map(len, cells)) != shapes[len(stack) - 1]:
             continue
         target = _target_cell(cells)
         if target is not None:
@@ -141,18 +152,20 @@ def _search(graph: Graph, initial_cells: list[tuple[int, ...]]) -> list[tuple[in
         levels.append((cells, target))
         cells = _individualize(adjacency, cells, target, cells[target][0])
     base_leaf = [cell[0] for cell in cells]
+    shapes = [tuple(map(len, level)) for level, _ in levels] + [(1,) * n]
 
     # Every generator found so far fixes the base points above the current
     # level, so all of them are valid for orbit pruning there.
     generators: list[tuple[int, ...]] = []
-    for cells, target in reversed(levels):
+    for depth in reversed(range(len(levels))):
+        cells, target = levels[depth]
         first, *siblings = cells[target]
         processed = [first]
         for u in siblings:
             if generators and any(u in orb for orb in orbit_partition(processed, generators, n)):
                 continue
             child = _individualize(adjacency, cells, target, u)
-            found = _first_automorphism(adjacency, edges, base_leaf, child)
+            found = _first_automorphism(adjacency, edges, base_leaf, shapes[depth + 1:], child)
             if found is not None:
                 generators.append(found)
             processed.append(u)

@@ -113,8 +113,10 @@ def cmd_aut(args: argparse.Namespace) -> int:
 
 def cmd_transitivity(args: argparse.Namespace) -> int:
     kg = build_bipartite_kneser(args.n, args.k)
-    group = PermutationGroup(generators=known_generators(kg), degree=kg.vertex_count)
-    report = transitivity_report(kg.graph, group)
+    # each stabilizer generator is an f_theta, so adding them keeps the group;
+    # they fix vertex 0, which lets the report certify its suborbits
+    gens = known_generators(kg) + stabilizer_generators(kg)
+    report = transitivity_report(kg.graph, PermutationGroup(gens, kg.vertex_count))
     full = report.as_dict()
     if args.level == "all":
         payload = full

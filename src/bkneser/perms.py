@@ -24,13 +24,16 @@ bytes do, so the identity comes first.
 
 Orbits come from one primitive, ``orbit_partition``: a BFS over generator
 image tables on integer points.  Vertex, ordered-pair and unordered-pair
-orbits are thin encodings over it.
+orbits are thin encodings over it.  A pair (u, v) of an n-point group is the
+point u*n+v; each generator, and the transpose (u, v) -> (v, u), acts on it
+through an indexable object that computes each image from two n-entry lists
+when it is read, and output pairs decode with ``divmod``, so no n^2 image or
+decode table is built.  Only the BFS's ``seen`` bytearray has n^2 entries.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -328,22 +331,29 @@ def orbits_on_vertices(group: PermutationGroup) -> list[tuple[int, ...]]:
     return orbit_partition(range(group.degree), group.generators, group.degree)
 
 
-def _pair_tables(group: PermutationGroup) -> list[array]:
-    """Each generator lifted to the diagonal action on pairs, (u, v) as u*V+v."""
-    n = group.degree
-    tables = []
-    for g in group.generators:
-        table = array("l")
-        for gu in g:
-            base = gu * n
-            table.extend([base + gv for gv in g])
-        tables.append(table)
-    return tables
+class _OnPairs:
+    """A map on pairs encoded as u*n+v, through two n-entry tables: x -> left[u] + right[v].
 
+    The diagonal action (u, v) -> (g[u], g[v]) takes left[u] = g[u]*n and
+    right = g; the transpose (u, v) -> (v, u) takes left[u] = u and
+    right[v] = v*n.  Each image is computed when it is read, so no n^2 table
+    is built.
+    """
 
-def _pair_decoder(n: int) -> list[tuple[int, int]]:
-    """The pair (u, v) at index u*n+v: one tuple per pair, shared by all orbits."""
-    return [(u, v) for u in range(n) for v in range(n)]
+    __slots__ = ("left", "right", "n")
+
+    def __init__(self, left: Sequence[int], right: Sequence[int]) -> None:
+        self.left, self.right, self.n = left, right, len(right)
+
+    @classmethod
+    def diagonal(cls, g: Sequence[int]) -> _OnPairs:
+        n = len(g)
+        return cls([gu * n for gu in g], g)
+
+    def __getitem__(self, x: int) -> int:
+        n = self.n
+        u = x // n
+        return self.left[u] + self.right[x - u * n]
 
 
 def orbits_on_ordered_pairs(
@@ -357,10 +367,10 @@ def orbits_on_ordered_pairs(
     """
     n = group.degree
     points = range(n * n) if pairs is None else [u * n + v for u, v in pairs]
-    decode = _pair_decoder(n)
+    actions = [_OnPairs.diagonal(g) for g in group.generators]
     return [
-        tuple(decode[x] for x in orb)
-        for orb in orbit_partition(points, _pair_tables(group), n * n)
+        tuple(divmod(x, n) for x in orb)
+        for orb in orbit_partition(points, actions, n * n)
     ]
 
 
@@ -374,12 +384,12 @@ def orbits_on_unordered_pairs(
     adjoined hold both orientations of each pair; (min, max) keeps one.
     """
     n = group.degree
-    transpose = array("l", [v * n + u for u in range(n) for v in range(n)])
+    actions = [_OnPairs.diagonal(g) for g in group.generators]
+    actions.append(_OnPairs(range(n), [v * n for v in range(n)]))
     points = [u * n + v for u, v in pairs]
-    decode = _pair_decoder(n)
     return [
-        tuple(decode[x] for x in orb if x // n <= x % n)
-        for orb in orbit_partition(points, _pair_tables(group) + [transpose], n * n)
+        tuple(divmod(x, n) for x in orb if x // n <= x % n)
+        for orb in orbit_partition(points, actions, n * n)
     ]
 
 

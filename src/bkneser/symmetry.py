@@ -2,10 +2,12 @@
 explorations.
 
 The transitivity report checks each generator as an automorphism, then reads
-all four levels off one partition of the ordered pairs into orbits, taking
-each orbit's distance from one BFS row per orbit representative; the
-single-level predicates check the generators the same way, then count orbits
-with the orbit functions of ``perms``.
+each level off its own orbit set: vertex, arc and edge orbits from the orbit
+functions of ``perms``, and the distance level from the suborbits of vertex 0
+when the group is transitive and refinement certifies them, else from the
+partition of all ordered pairs into orbits, taking each orbit's distance from
+one BFS row per orbit representative.  The single-level predicates check the
+generators the same way, then count orbits with the same functions.
 
 Every test here takes the acting group as an argument instead of recomputing
 it, so the same check can run against both the induced-map generators and the
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .autgroup import automorphism_group
+from .autgroup import _refine, automorphism_group
 from .errors import (
     DisconnectedError,
     NeedEnumerationError,
@@ -110,46 +112,79 @@ class TransitivityReport:
         }
 
 
+def _suborbit_distances(graph: Graph, group: PermutationGroup) -> Optional[list[int]]:
+    """Each suborbit's distance from vertex 0, or None when the suborbits are not certified.
+
+    The certificate is the one ``transitivity_report`` states.
+    """
+    n = graph.vertex_count
+    fixing = [g for g in group.generators if g[0] == 0]
+    suborbits = orbit_partition(range(n), fixing, n)
+    cells = _refine(graph.adjacency, [(0,), tuple(range(1, n))] if n > 1 else [(0,)])
+    if len(cells) != len(suborbits):
+        return None
+    row = graph.bfs_distances(0)
+    return [row[orb[0]] for orb in suborbits]
+
+
 def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityReport:
-    """All four levels from one partition of the ordered pairs, hierarchy asserted.
+    """All four levels, each read off its own orbit set, hierarchy asserted.
 
     Every generator must be an automorphism of the graph, or the report
-    raises.  Then the whole group acts by automorphisms, which preserve distance, so each pair
-    orbit has one distance: that of its least pair (u, v), read off the BFS
-    row of u.  Under a vertex-transitive group every orbit holds a pair
-    (0, w), so every least pair starts at vertex 0 and one BFS suffices.
-    The counts follow from the pair orbits alone:
+    raises.  Then the whole group G acts by automorphisms.  The vertex, arc
+    and edge levels count the orbits of G on the vertices, the arcs and the
+    edges.  Automorphisms preserve distance, so each orbit of G on the
+    ordered pairs has one distance, and G is distance-transitive when there
+    are as many pair orbits as distance values.
 
-    * vertex orbits are the distance-0 orbits, since (v, v) -> v is
-      equivariant;
-    * arc orbits are the distance-1 orbits;
-    * each edge orbit lifts to either one arc orbit holding both orientations
-      (self-paired: it contains (v, u) for its representative (u, v)) or to
-      two arc orbits that are each other's transpose, so
-      edge orbits = (arc orbits + self-paired arc orbits) / 2.
+    When G is transitive the pair orbits are read off the suborbits, the
+    orbits of the stabilizer G_0 of vertex 0 (Wielandt, *Finite Permutation
+    Groups*, 1964, section 16): every pair orbit holds a pair (0, w), and
+    (0, w) and (0, w') share an orbit exactly when some element of G_0 maps w
+    to w'.  So the pair orbits correspond one to one with the suborbits, and
+    each has the distance of its suborbit's least point in the BFS row of 0.
+
+    The suborbits are certified without generators of G_0.  Let H be
+    generated by the generators of G that fix 0, so H <= G_0 <= Aut_0, the
+    stabilizer of 0 in Aut(graph), and each group's orbits refine the next
+    one's.  Refinement commutes with automorphisms, so the cells of the
+    equitable refinement of [{0}, the rest] are unions of Aut_0-orbits.  Hence
+    cells <= Aut_0-orbits <= G_0-orbits <= H-orbits in number, and when the
+    two ends are equal the H-orbits are the suborbits.  The suborbits at
+    distance 1 are then the arc orbits, and a different count raises.
+
+    Otherwise (G is not transitive, or its generators fixing 0 generate too
+    little of G_0, or refinement cannot separate the suborbits) the report
+    partitions all V^2 ordered pairs and reads each orbit's distance off one
+    BFS row per representative.  That path is the oracle for the first.
     """
     if not graph.is_connected():
         raise DisconnectedError("transitivity report needs a connected graph")
     _check_generators(graph, group)
-    pair_orbs = orbits_on_ordered_pairs(group)
-    reps = [orb[0] for orb in pair_orbs]
-    rows = {u: graph.bfs_distances(u) for u in {u for u, _ in reps}}
-    orbit_distance = [rows[u][v] for u, v in reps]
-    arc_orbs = [orb for orb, d in zip(pair_orbs, orbit_distance) if d == 1]
-    self_paired = sum((orb[0][1], orb[0][0]) in orb for orb in arc_orbs)
-    vertex_orbits = orbit_distance.count(0)
-    edge_orbits = (len(arc_orbs) + self_paired) // 2
+    vertex_orbits = len(orbits_on_vertices(group))
+    arc_orbits = len(orbits_on_ordered_pairs(group, graph.arcs()))
+    edge_orbits = len(orbits_on_unordered_pairs(group, graph.edges()))
+    orbit_distance = _suborbit_distances(graph, group) if vertex_orbits == 1 else None
+    if orbit_distance is not None:
+        if orbit_distance.count(1) != arc_orbits:
+            raise StructureError(
+                f"{orbit_distance.count(1)} suborbits at distance 1, but {arc_orbits} arc orbits"
+            )
+    else:
+        reps = [orb[0] for orb in orbits_on_ordered_pairs(group)]
+        rows = {u: graph.bfs_distances(u) for u in {u for u, _ in reps}}
+        orbit_distance = [rows[u][v] for u, v in reps]
     distinct = len(set(orbit_distance))
 
     report = TransitivityReport(
         vertex_transitive=vertex_orbits == 1,
         edge_transitive=edge_orbits <= 1,
-        arc_transitive=len(arc_orbs) <= 1,
-        distance_transitive=len(pair_orbs) == distinct,
+        arc_transitive=arc_orbits <= 1,
+        distance_transitive=len(orbit_distance) == distinct,
         vertex_orbits=vertex_orbits,
         edge_orbits=edge_orbits,
-        arc_orbits=len(arc_orbs),
-        pair_orbits=len(pair_orbs),
+        arc_orbits=arc_orbits,
+        pair_orbits=len(orbit_distance),
         distance_values=distinct,
     )
     if graph.edge_count:

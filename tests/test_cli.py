@@ -6,6 +6,7 @@ import pytest
 
 from bkneser import cli
 from bkneser.kneser import build_bipartite_kneser
+from bkneser.symmetry import feasible_parameters
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +149,40 @@ def test_transitivity_level_filter(capsys):
     assert code == 0
     data = json.loads(out)
     assert data == {"arc": True, "orbits": {"arcs": 1}}
+
+
+@pytest.mark.parametrize("n, k", feasible_parameters(10))
+def test_transitivity_closed_form(capsys, n, k):
+    # H(n,k) has 2k+2 pair orbits, and it is distance-transitive exactly when
+    # k = 1 or n = 2k+1
+    code, out, _ = run_cli(capsys, "transitivity", "--n", str(n), "--k", str(k))
+    assert code == 0
+    data = json.loads(out)
+    assert data["orbits"]["ordered_pairs"] == 2 * k + 2
+    assert data["distance"] == (k == 1 or n == 2 * k + 1)
+    assert data["vertex"] and data["edge"] and data["arc"]
+
+
+TRANSITIVITY_12_5_JSON = (
+    '{"vertex":true,"edge":true,"arc":true,"distance":false,'
+    '"orbits":{"vertices":1,"edges":1,"arcs":1,"ordered_pairs":12},"distance_values":8}\n'
+)
+
+
+def test_transitivity_golden_stdout(capsys):
+    # recorded when the report partitioned all V^2 ordered pairs, which took
+    # about 416 MB at this size
+    assert run_cli(capsys, "transitivity", "--n", "12", "--k", "5") == (
+        0, TRANSITIVITY_12_5_JSON, "")
+
+
+def test_transitivity_n13_k6(capsys):
+    # 3,432 vertices, so 11.8 million ordered pairs; the report reads the 14
+    # suborbits of vertex 0 instead
+    code, out, _ = run_cli(capsys, "transitivity", "--n", "13", "--k", "6")
+    assert code == 0
+    assert '"ordered_pairs":14' in out
+    assert '"distance":true' in out
 
 
 def test_connectivity_with_certificate(capsys):

@@ -27,11 +27,12 @@ from bkneser import (
     orbits_on_ordered_pairs,
     orbits_on_unordered_pairs,
     orbits_on_vertices,
+    stabilizer_generators,
     sym_generators,
     transitivity_report,
     verify_direct_product,
 )
-from bkneser import autgroup
+from bkneser import autgroup, symmetry
 from bkneser.errors import DisconnectedError, DomainError, NeedEnumerationError, StructureError
 from bkneser.symmetry import SEARCH_CAVEAT, feasible_parameters, question2_table
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
@@ -288,6 +289,86 @@ def test_transitivity_report_counts_match_direct_orbits(corpus):
         assert report.pair_orbits == len(pair_orbs)
         assert report.distance_values == distinct
         assert report.distance_transitive == (len(pair_orbs) == distinct)
+
+
+def spy_on_the_pair_path(monkeypatch):
+    """A list that gets one entry each time a report partitions all ordered pairs."""
+    calls = []
+    original = symmetry.orbits_on_ordered_pairs
+
+    def spy(group, pairs=None):
+        if pairs is None:
+            calls.append(group.degree)
+        return original(group, pairs)
+
+    monkeypatch.setattr(symmetry, "orbits_on_ordered_pairs", spy)
+    return calls
+
+
+def test_certified_suborbits_match_the_pair_path(monkeypatch):
+    # with the stabilizer generators the report reads the certified suborbits;
+    # the known generators alone fix vertex 0 with too few of them, so that
+    # report partitions all ordered pairs, which is the oracle
+    calls = spy_on_the_pair_path(monkeypatch)
+    for n, k in feasible_parameters(7):
+        kg = build_bipartite_kneser(n, k)
+        full = PermutationGroup(known_generators(kg) + stabilizer_generators(kg), kg.vertex_count)
+        fast = transitivity_report(kg.graph, full)
+        assert calls == [], (n, k)
+        assert fast == transitivity_report(kg.graph, known_group(kg)), (n, k)
+        assert calls == [kg.vertex_count], (n, k)
+        calls.clear()
+
+
+def test_partial_stabilizer_falls_back_to_the_pair_path(monkeypatch):
+    # the first stabilizer generator alone generates less than the stabilizer
+    # of vertex 0, so the suborbits are not certified
+    calls = spy_on_the_pair_path(monkeypatch)
+    for n, k in feasible_parameters(7):
+        if n < 4:
+            continue  # in H(3,1) the first stabilizer generator is the whole stabilizer
+        kg = build_bipartite_kneser(n, k)
+        gens = known_generators(kg) + stabilizer_generators(kg)[:1]
+        report = transitivity_report(kg.graph, PermutationGroup(gens, kg.vertex_count))
+        assert calls == [kg.vertex_count], (n, k)
+        assert report == transitivity_report(kg.graph, known_group(kg)), (n, k)
+        calls.clear()
+
+
+def shrikhande_graph():
+    points = [(a, b) for a in range(4) for b in range(4)]
+    steps = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
+    edges = {tuple(sorted((4 * a + b, 4 * ((a + s) % 4) + (b + t) % 4)))
+             for a, b in points for s, t in steps}
+    return Graph.from_edges(16, sorted(edges))
+
+
+def test_coarse_refinement_falls_back_to_the_pair_path(monkeypatch):
+    # the Shrikhande graph is strongly regular, so refinement from a vertex
+    # stops at 3 cells, but its stabilizer has 4 orbits: the full group's
+    # generators fixing 0 are not certified, and the pair path runs
+    calls = spy_on_the_pair_path(monkeypatch)
+    graph = shrikhande_graph()
+    aut = automorphism_group(graph)
+    assert aut.order == 192
+    report = transitivity_report(graph, aut)
+    assert calls == [16]
+    assert report.arc_transitive and not report.distance_transitive
+    assert (report.pair_orbits, report.distance_values) == (4, 3)
+
+
+def test_suborbit_and_arc_counts_must_agree(monkeypatch):
+    # a second arc orbit, injected, contradicts the one suborbit at distance 1
+    original = symmetry.orbits_on_ordered_pairs
+
+    def one_orbit_too_many(group, pairs=None):
+        return original(group, pairs) + [((0, 0),)]
+
+    monkeypatch.setattr(symmetry, "orbits_on_ordered_pairs", one_orbit_too_many)
+    kg = build_bipartite_kneser(5, 2)
+    group = PermutationGroup(known_generators(kg) + stabilizer_generators(kg), kg.vertex_count)
+    with pytest.raises(StructureError, match="suborbits at distance 1"):
+        transitivity_report(kg.graph, group)
 
 
 HASH_SEED_PROBE = """
