@@ -4,7 +4,10 @@ Data goes to stdout, diagnostics to stderr.  Exit codes: 0 all assertions
 passed, 1 a verified claim failed, 2 usage, domain or I/O error, or out of
 memory, 3 internal error (any other exception, a bug; its traceback goes to
 stderr).  The only environment knob is KNESER_ORDER_CAP, which overrides the
-group-closure cap.
+cap on every group enumeration: the closure of the known generators, and the
+engine's group when its order certificate does not close or its elements are
+needed.  An order the engine proves is not capped, so ``aut --method engine``
+is not either.
 """
 
 from __future__ import annotations
@@ -100,10 +103,15 @@ def cmd_aut(args: argparse.Namespace) -> int:
     group = groups[0]
     payload: dict = {"order": group.order}
     if len(groups) == 2:
-        if group.elements != groups[1].elements:
+        closure = groups[1]
+        # When every engine generator lies in <known>, <engine> <= <known>,
+        # and equal orders make the two groups equal.  The known generators
+        # are verified automorphisms, so <known> <= Aut; a certified engine
+        # order is |Aut|, and then both groups are all of Aut.
+        if group.order != closure.order or not all(g in closure for g in group.generators):
             raise VerificationError(
                 f"engine group (order {group.order}) differs from the "
-                f"closure of the known generators (order {groups[1].order})"
+                f"closure of the known generators (order {closure.order})"
             )
         payload["agree"] = True
     payload["generators"] = [format_cycles(g) for g in group.generators]

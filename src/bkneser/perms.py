@@ -11,16 +11,20 @@ one graph onto another: ``is_graph_automorphism`` is its case g1 = g2, and
 the H(n,1) Cayley map and the engine's isomorphism witnesses go through it
 too.
 
-Groups are enumerated in full by a breadth-first closure under composition,
-with an order cap.  An enumerated group is a ``frozenset`` of ``bytes`` image
-strings, ``bytes(images)``, from the closure to its consumers: the product
-g∘p is ``p.translate(t_g)``, one C call per product, with ``t_g`` the image
-string of g padded to the 256-byte table ``translate`` takes.  So an
-enumerated group has at most 256 points, which covers every graph the engine
-accepts; a larger degree raises ``SizeLimitError`` before any work.  Hashing
-of ``bytes`` differs from process to process, so a loop over an element set
+A group holds its generators and, when known, its order or its elements.
+An enumerated group comes from a breadth-first closure under composition,
+with an order cap, and is a ``frozenset`` of ``bytes`` image strings,
+``bytes(images)``, from the closure to its consumers: the product g∘p is
+``p.translate(t_g)``, one C call per product, with ``t_g`` the image string
+of g padded to the 256-byte table ``translate`` takes.  So an enumerated
+group has at most 256 points, which covers every graph the engine accepts; a
+larger degree raises ``SizeLimitError`` before any work.  Hashing of
+``bytes`` differs from process to process, so a loop over an element set
 sorts it first.  Image strings of one length sort as the tuples of their
-bytes do, so the identity comes first.
+bytes do, so the identity comes first.  A group whose order was proved
+without enumeration, as ``autgroup.automorphism_group`` proves it, carries
+that order and is enumerated only when a consumer needs its elements, under
+the cap it was built with.
 
 Orbits come from one primitive, ``orbit_partition``: a BFS over generator
 image tables on integer points.  Vertex, ordered-pair and unordered-pair
@@ -34,10 +38,16 @@ decode table is built.  Only the BFS's ``seen`` bytearray has n^2 entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, NeedEnumerationError, OrderCapExceeded, SizeLimitError, as_int
+from .errors import (
+    DomainError,
+    NeedEnumerationError,
+    OrderCapExceeded,
+    SizeLimitError,
+    StructureError,
+    as_int,
+)
 from .graphs import Graph
 from .kneser import KneserGraph
 
@@ -76,7 +86,17 @@ def is_isomorphism(g1: Graph, g2: Graph, images: Sequence[int]) -> bool:
         return False
     if sorted(images) != list(range(g1.vertex_count)):
         return False
-    return all(g2.has_edge(images[u], images[v]) for u, v in g1.edges())
+    adjacency = g2.adjacency
+    for u, mask in enumerate(g1.adjacency):
+        row = adjacency[images[u]]
+        w = u + 1
+        rest = mask >> w  # the neighbours v > u, as bit v - w: each edge once
+        while rest:
+            low = rest & -rest
+            if not row >> images[w + low.bit_length() - 1] & 1:
+                return False
+            rest ^= low
+    return True
 
 
 def is_graph_automorphism(graph: Graph, images: Sequence[int]) -> bool:
@@ -189,31 +209,62 @@ def image_set(maps: Sequence[Sequence[int]], degree: int) -> frozenset[bytes]:
     return frozenset(map(bytes, maps))
 
 
-@dataclass(frozen=True)
 class PermutationGroup:
-    """Generators plus (optionally) the full element set of a vertex group.
+    """Generators of a vertex group, plus its element set or its proved order.
 
     Each generator is an image tuple of length ``degree``, checked here, once,
     to be a permutation of 0..degree-1, so the orbit functions see a group.
     ``elements``, when present, is the ``frozenset`` of every element's image
     string, ``bytes(images)``; ``images in group`` asks whether a map is an
     element, and equal enumerated groups have equal ``elements``.
+
+    A group built with ``order`` (an order proved without enumeration) is
+    enumerated by ``closure_images`` the first time its elements are read,
+    under ``order_cap``, and a closure of another size raises
+    ``StructureError``.  A group built from generators alone has no order and
+    no elements until ``group_closure`` enumerates it.
     """
 
-    generators: tuple[tuple[int, ...], ...]
-    degree: int
-    elements: Optional[frozenset[bytes]] = None
+    __slots__ = ("generators", "degree", "_elements", "_order", "_order_cap")
 
-    def __post_init__(self) -> None:
-        _check_permutations(self.generators, _check_degree(self.degree))
+    def __init__(
+        self,
+        generators: Sequence[Sequence[int]],
+        degree: int,
+        elements: Optional[frozenset[bytes]] = None,
+        order: Optional[int] = None,
+        order_cap: int = DEFAULT_ORDER_CAP,
+    ) -> None:
+        self.generators = tuple(generators)
+        self.degree = _check_degree(degree)
+        _check_permutations(self.generators, self.degree)
+        self._elements = elements
+        self._order = order
+        self._order_cap = order_cap
+
+    @property
+    def elements(self) -> Optional[frozenset[bytes]]:
+        """The element set, enumerated here on first use when the order is known; else None."""
+        if self._elements is None and self._order is not None:
+            elements = closure_images(self.generators, self.degree, self._order_cap)
+            if len(elements) != self._order:
+                raise StructureError(
+                    f"the generators close to {len(elements)} elements, "
+                    f"but the group's order is {self._order}"
+                )
+            self._elements = elements
+        return self._elements
 
     def _enumerated(self) -> frozenset[bytes]:
-        if self.elements is None:
+        elements = self.elements
+        if elements is None:
             raise NeedEnumerationError("group has not been enumerated; use group_closure")
-        return self.elements
+        return elements
 
     @property
     def order(self) -> int:
+        if self._order is not None:
+            return self._order
         return len(self._enumerated())
 
     def __contains__(self, images: Sequence[int]) -> bool:

@@ -390,10 +390,15 @@ def explore_question1(
     """Bounded Cayley-ness evidence: search Aut(H(n,k)) for a regular subgroup."""
     rows = []
     for kg, aut, skip in _automorphism_groups(n_max, k_max, order_cap):
+        if aut is not None:
+            try:
+                # the search enumerates Aut first, under the cap
+                search = find_regular_subgroup(aut, kg.vertex_count)
+            except OrderCapExceeded as exc:
+                aut, skip = None, str(exc)
         if aut is None:
             rows.append(Question1Row(kg.n, kg.k, kg.vertex_count, None, None, "skipped", skip))
             continue
-        search = find_regular_subgroup(aut, kg.vertex_count)
         if search.subgroup is not None:
             verdict = "regular subgroup found: Cayley graph (regular-action criterion)"
             order = search.subgroup.order

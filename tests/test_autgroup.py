@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 
@@ -12,9 +13,11 @@ from bkneser import (
     group_closure,
     known_generators,
 )
-from bkneser.autgroup import SIZE_LIMIT, _refine
-from bkneser.errors import SizeLimitError
-from bkneser.perms import is_graph_automorphism
+from bkneser import autgroup
+from bkneser.autgroup import SIZE_LIMIT, _lower_bound, _refine
+from bkneser.errors import OrderCapExceeded, SizeLimitError, StructureError
+from bkneser.perms import closure_images, complement_automorphism, is_graph_automorphism
+from bkneser.symmetry import feasible_parameters
 from conftest import complete_graph, cycle_graph, star_graph
 from oracles import brute_force_automorphism_order, brute_isomorphism
 
@@ -143,7 +146,7 @@ def test_engine_order_matches_known_generators():
 def test_group_orders_match_sympy():
     # an order oracle that shares nothing with closure_images
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    for n in range(3, 8):
+    for n in range(3, 9):
         for k in range(1, (n - 1) // 2 + 1):
             kg = build_bipartite_kneser(n, k)
             engine = automorphism_group(kg.graph)
@@ -152,6 +155,74 @@ def test_group_orders_match_sympy():
             ).order()
             assert engine.order == oracle, (n, k)
             assert group_closure(known_generators(kg)).order == oracle, (n, k)
+
+
+def spy_on_the_fallback(monkeypatch):
+    """A list that gets one entry each time the engine enumerates its group."""
+    calls = []
+
+    def spy(generator_images, degree, order_cap):
+        calls.append(degree)
+        return closure_images(generator_images, degree, order_cap)
+
+    monkeypatch.setattr(autgroup, "closure_images", spy)
+    return calls
+
+
+def test_certified_orders_match_the_closure(monkeypatch):
+    # the base-path bounds meet on every feasible H(n,k) with n <= 8, and the
+    # certified order is the size of the closure of the engine's generators;
+    # test_group_orders_match_sympy checks the same orders against sympy
+    calls = spy_on_the_fallback(monkeypatch)
+    for n, k in feasible_parameters(8):
+        kg = build_bipartite_kneser(n, k)
+        engine = automorphism_group(kg.graph)
+        assert engine.order == 2 * math.factorial(n), (n, k)
+        assert not calls, (n, k)
+        assert len(closure_images(engine.generators, kg.vertex_count)) == engine.order, (n, k)
+
+
+@pytest.mark.parametrize("lengths, order", [((7, 6, 5, 4), 13_440), ((3, 4), 48)],
+                         ids=["C7+C6+C5+C4", "C3+C4"])
+def test_unequal_cycle_unions_take_the_fallback(monkeypatch, lengths, order):
+    # refinement cannot tell the cycles apart, so the target cells are too
+    # large for the upper bound to meet the lower one
+    calls = spy_on_the_fallback(monkeypatch)
+    graph = cycle_union(*lengths)
+    assert automorphism_group(graph).order == order
+    assert calls == [graph.vertex_count]
+
+
+def test_lower_bound_above_upper_bound_raises(monkeypatch):
+    original = autgroup._search
+
+    def undersized(graph, initial_cells):
+        generators, base, sizes = original(graph, initial_cells)
+        return generators, base, [1] * len(sizes)
+
+    monkeypatch.setattr(autgroup, "_search", undersized)
+    with pytest.raises(StructureError, match="bug"):
+        automorphism_group(build_bipartite_kneser(5, 2).graph)
+
+
+def test_lower_bound_counts_only_generators_fixing_the_prefix():
+    # with base (0, 1), the swap (0 1) moves b_1, so it counts at level 1
+    # and not at level 2: Sym({0, 1, 2}) has order 3 * 2, not 3 * 3
+    swap01, swap12 = (1, 0, 2, 3), (0, 2, 1, 3)
+    assert _lower_bound([swap01, swap12], [0, 1], 4) == 6 == len(
+        closure_images([swap01, swap12], 4))
+    assert _lower_bound([swap01], [0, 1], 4) == 2
+
+
+def test_certified_group_is_enumerated_on_first_use():
+    kg = build_bipartite_kneser(4, 1)
+    engine = automorphism_group(kg.graph, order_cap=10)  # the order needs no closure
+    assert engine.order == 48
+    with pytest.raises(OrderCapExceeded, match="cap of 10 elements"):
+        engine.elements
+    engine = automorphism_group(kg.graph)
+    assert complement_automorphism(kg) in engine
+    assert engine.elements == group_closure(known_generators(kg)).elements
 
 
 def test_isomorphic_h31_c6_matches_direct_search():

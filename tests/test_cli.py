@@ -281,6 +281,35 @@ def test_aut_disagreement_exits_1(capsys, monkeypatch):
     assert "differs" in err
 
 
+def test_aut_generator_outside_the_closure_exits_1(capsys, monkeypatch):
+    from bkneser.perms import PermutationGroup
+
+    def fake_engine(graph, order_cap=100_000):
+        # the right order, 12, but the swap of vertices 0 and 1 is no automorphism of H(3,1)
+        swap = (1, 0, *range(2, graph.vertex_count))
+        return PermutationGroup(generators=(swap,), degree=graph.vertex_count, order=12)
+
+    monkeypatch.setattr(cli, "automorphism_group", fake_engine)
+    code, _, err = run_cli(capsys, "aut", "--n", "3", "--k", "1", "--method", "both")
+    assert code == 1
+    assert "differs" in err
+
+
+def test_aut_engine_is_not_capped_by_the_group_order(capsys):
+    # H(11,2) has 110 vertices and 2 * 11! automorphisms: the order is certified
+    code, out, _ = run_cli(capsys, "aut", "--method", "engine", "--n", "11", "--k", "2")
+    assert code == 0
+    assert out.startswith('{"order":79833600,"generators":[')
+
+
+def test_aut_both_is_capped_by_the_oracle_closure(capsys):
+    # the closure of the known generators still enumerates 2 * 9! elements
+    code, out, err = run_cli(capsys, "aut", "--n", "9", "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert "group closure exceeded the cap of 100000 elements" in err
+
+
 def test_unwritable_out_path_exits_2(capsys, tmp_path):
     out = tmp_path / "missing" / "g.json"
     code, _, err = run_cli(capsys, "build", "--n", "5", "--k", "2", "--out", str(out))

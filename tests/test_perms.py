@@ -30,6 +30,7 @@ from bkneser.errors import (
     NeedEnumerationError,
     OrderCapExceeded,
     SizeLimitError,
+    StructureError,
 )
 from bkneser.perms import (
     closure_images,
@@ -293,6 +294,17 @@ def test_stabilizer_needs_enumeration():
         stabilizer(group, 0)
     with pytest.raises(NeedEnumerationError):
         group.order
+
+
+def test_group_with_an_order_is_enumerated_on_first_use():
+    group = PermutationGroup(generators=((1, 2, 0),), degree=3, order=3)
+    assert group.order == 3 and (2, 0, 1) in group and stabilizer(group, 0).order == 1
+    with pytest.raises(OrderCapExceeded, match="cap of 2 elements"):
+        PermutationGroup(generators=((1, 2, 0),), degree=3, order=3, order_cap=2).elements
+    wrong = PermutationGroup(generators=((1, 0, 2),), degree=3, order=6)
+    assert wrong.order == 6  # taken on trust until the elements are read
+    with pytest.raises(StructureError, match="close to 2 elements"):
+        wrong.elements
 
 
 @pytest.mark.parametrize("make", [

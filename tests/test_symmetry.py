@@ -256,6 +256,27 @@ def test_explore_question2_skips_oversized(monkeypatch):
     assert "evidence only" in table
 
 
+def test_explore_question2_at_n9():
+    # the certified order needs no closure, so the 2 * 9! groups are no longer
+    # capped; H(9,3) and H(9,4) are above the engine's size limit
+    rows = {(r.n, r.k): r for r in explore_question2(9) if r.n == 9}
+    for k in (1, 2):
+        assert rows[(9, k)].comparison == "equal"
+        assert rows[(9, k)].aut_order == 2 * math.factorial(9)
+    for k, vertices in ((3, 168), (4, 252)):
+        assert rows[(9, k)].comparison == "skipped"
+        assert rows[(9, k)].skip_reason == f"{vertices} vertices exceeds the engine limit of 128"
+
+
+def test_explore_question1_skips_groups_above_the_cap():
+    # the search enumerates Aut, so a group above the cap is a skipped row
+    rows = {(r.n, r.k): r for r in explore_question1(5, order_cap=100)}
+    assert rows[(4, 1)].aut_order == 48 and rows[(4, 1)].regular_subgroup_order == 8
+    for key in ((5, 1), (5, 2)):
+        assert rows[key].verdict == "skipped"
+        assert rows[key].skip_reason == "group closure exceeded the cap of 100 elements"
+
+
 def test_explore_question1_smoke():
     rows = {(r.n, r.k): r for r in explore_question1(5)}
     assert rows[(4, 1)].regular_subgroup_order == 8
