@@ -41,6 +41,7 @@ from .perms import (
 )
 from .subsets import binomial, format_subset, rank_subset, unrank_subset
 from .symmetry import (
+    diameter_by_orbits,
     explore_question1,
     explore_question2,
     find_regular_subgroup,
@@ -66,6 +67,7 @@ __all__ = [
     "commutes",
     "complement_automorphism",
     "compose",
+    "diameter_by_orbits",
     "dihedral_inverse",
     "dihedral_label",
     "dihedral_multiply",

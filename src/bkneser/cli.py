@@ -37,6 +37,7 @@ from .subsets import binomial
 from .symmetry import (
     GENERATOR_BOUND,
     SEARCH_CAVEAT,
+    diameter_by_orbits,
     explore_question1,
     explore_question2,
     question2_table,
@@ -81,12 +82,14 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_props(args: argparse.Namespace) -> int:
     kg = build_bipartite_kneser(args.n, args.k)
     report = verify_family_counts(kg)
+    # the known generators act transitively, so this is one BFS, not V
+    group = PermutationGroup(known_generators(kg), kg.vertex_count)
     payload = {
         "vertices": report.vertices,
         "edges": report.edges,
         "degree": report.degree,
         "bipartition": list(report.part_sizes),
-        "diameter": kg.graph.diameter(),
+        "diameter": diameter_by_orbits(kg.graph, group),
     }
     _emit(payload, None)
     return 0

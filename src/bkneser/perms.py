@@ -38,7 +38,7 @@ decode table is built.  Only the BFS's ``seen`` bytearray has n^2 entries.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -80,9 +80,12 @@ def is_isomorphism(g1: Graph, g2: Graph, images: Sequence[int]) -> bool:
     A bijection maps distinct edges of g1 to distinct pairs, so when every
     edge of g1 lands on an edge of g2 and the edge counts are equal, the
     image is all of E(g2): the inverse map preserves edges too, and one
-    direction suffices.
+    direction suffices.  When g1 is g2 the counts are equal without being
+    summed, which saves two passes over the adjacency per automorphism check.
     """
-    if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
+    if g1.vertex_count != g2.vertex_count:
+        return False
+    if g1 is not g2 and g1.edge_count != g2.edge_count:
         return False
     if sorted(images) != list(range(g1.vertex_count)):
         return False
@@ -156,10 +159,9 @@ def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(images)
 
 
-def element_order(p: tuple[int, ...]) -> int:
-    """The lcm of the cycle lengths."""
+def _cycle_lengths(p: Sequence[int]) -> Iterator[int]:
+    """The length of each cycle of p, fixed points included, by least point."""
     seen = bytearray(len(p))
-    order = 1
     for start in range(len(p)):
         length = 0
         x = start
@@ -168,8 +170,21 @@ def element_order(p: tuple[int, ...]) -> int:
             x = p[x]
             length += 1
         if length:
-            order = math.lcm(order, length)
-    return order
+            yield length
+
+
+def element_order(p: tuple[int, ...]) -> int:
+    """The lcm of the cycle lengths."""
+    return math.lcm(*_cycle_lengths(p))
+
+
+def is_semiregular(p: Sequence[int]) -> bool:
+    """True iff every cycle of p has the same length.
+
+    Then each power of p is the identity or moves every point, so ``<p>``
+    acts with trivial point stabilizers.  The identity is semiregular.
+    """
+    return len(set(_cycle_lengths(p))) <= 1
 
 
 def commutes(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
@@ -244,8 +259,14 @@ class PermutationGroup:
 
     @property
     def elements(self) -> Optional[frozenset[bytes]]:
-        """The element set, enumerated here on first use when the order is known; else None."""
+        """The element set, enumerated here on first use when the order is known; else None.
+
+        An order above the cap raises ``OrderCapExceeded`` before any closure
+        runs, with the message the closure itself would give.
+        """
         if self._elements is None and self._order is not None:
+            if self._order > self._order_cap:
+                raise _cap_exceeded(self._order_cap)
             elements = closure_images(self.generators, self.degree, self._order_cap)
             if len(elements) != self._order:
                 raise StructureError(
@@ -277,6 +298,10 @@ class PermutationGroup:
         return key in elements
 
 
+def _cap_exceeded(order_cap: int) -> OrderCapExceeded:
+    return OrderCapExceeded(f"group closure exceeded the cap of {order_cap} elements")
+
+
 def closure_images(
     generator_images: Sequence[Sequence[int]],
     degree: int,
@@ -305,9 +330,7 @@ def closure_images(
                 q = p.translate(t)
                 if q not in elements:
                     if len(elements) >= order_cap:
-                        raise OrderCapExceeded(
-                            f"group closure exceeded the cap of {order_cap} elements"
-                        )
+                        raise _cap_exceeded(order_cap)
                     elements.add(q)
                     nxt.append(q)
         frontier = nxt

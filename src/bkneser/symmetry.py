@@ -1,5 +1,8 @@
-"""Transitivity hierarchy, direct-product structure, and the open-question
-explorations.
+"""Diameter, transitivity hierarchy, direct-product structure, and the
+open-question explorations.
+
+The diameter takes one BFS per vertex orbit of a group of automorphisms, so
+one BFS on a vertex-transitive graph.
 
 The transitivity report checks each generator as an automorphism, then reads
 each level off its own orbit set: vertex, arc and edge orbits from the orbit
@@ -24,6 +27,7 @@ from typing import Iterator, Optional
 from .autgroup import _refine, automorphism_group
 from .errors import (
     DisconnectedError,
+    DomainError,
     NeedEnumerationError,
     OrderCapExceeded,
     SizeLimitError,
@@ -37,9 +41,9 @@ from .perms import (
     closure_images,
     commutes,
     complement_automorphism,
-    element_order,
     group_closure,
     is_graph_automorphism,
+    is_semiregular,
     orbit_partition,
     orbits_on_ordered_pairs,
     orbits_on_unordered_pairs,
@@ -197,6 +201,22 @@ def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityRe
     return report
 
 
+def diameter_by_orbits(graph: Graph, group: PermutationGroup) -> int:
+    """The diameter, from one BFS per vertex orbit of the group.
+
+    Every generator must be an automorphism of the graph, or this raises.
+    Eccentricity is an automorphism invariant: an automorphism g maps the BFS
+    layers from v onto the BFS layers from g(v), so every vertex of an orbit
+    has the same eccentricity.  The diameter, the largest eccentricity, is
+    then the largest over one representative per orbit, and a transitive
+    group needs one BFS where ``Graph.diameter``, the oracle, runs V.
+    """
+    if not graph.is_connected():
+        raise DisconnectedError("diameter of a disconnected graph")
+    _check_generators(graph, group)
+    return max(max(graph.bfs_distances(orb[0])) for orb in orbits_on_vertices(group))
+
+
 @dataclass(frozen=True)
 class DirectProductReport:
     n: int
@@ -265,24 +285,36 @@ class RegularSubgroupSearch:
 def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> RegularSubgroupSearch:
     """Look for a subgroup acting regularly on the vertices.
 
-    Scans the subgroups <g, h> for the pairs g <= h of elements of the
-    (fully enumerated) input group, row by row in sorted order (a set's own
-    order changes with the hash seed); a hit certifies that the graph is a
-    Cayley graph, a miss is only evidence.
-    The identity sorts first, so the first row, <identity, h> = <h>, visits
-    every cyclic subgroup, the trivial one included, in element order before
-    any other pair.  Element
-    orders must divide the target order, which prunes most pairs before any
-    orbit is computed.  A pair is then tested for transitivity, one orbit
-    BFS, before its closure runs: a transitive group has at least
-    ``vertex_count`` elements, so a closure capped there that completes is
-    the regular subgroup.
+    The group acts on ``vertex_count`` points, its degree.  Scans the
+    subgroups <g, h> for the pairs g <= h of candidate elements of the (fully
+    enumerated) input group, row by row in sorted order (a set's own order
+    changes with the hash seed); a hit certifies that the graph is a Cayley
+    graph, a miss is only evidence.  The identity sorts first, so the first
+    row, <identity, h> = <h>, visits every cyclic subgroup, the trivial one
+    included, in element order before any other pair.
+
+    The candidates are the semiregular elements, whose cycles all have one
+    length.  In a regular group R no element but the identity fixes a point.
+    Let g in R have order m and a cycle of length l < m; then g^l is not the
+    identity and fixes the points of that cycle, which is impossible in R.  So
+    a pair with an element that is not semiregular never generates a regular
+    subgroup, and dropping it keeps the surviving pairs in their order: the
+    first hit is the pair the unpruned scan finds.  A semiregular element's
+    order is its cycle length, which divides the degree.
+
+    A pair is then tested for transitivity, one orbit BFS, before its
+    closure runs: a transitive group has at least ``vertex_count`` elements,
+    so a closure capped there that completes is the regular subgroup.
     """
     if group.elements is None:
         raise NeedEnumerationError("regular-subgroup search needs a fully enumerated group")
-
     degree = group.degree
-    candidates = [g for g in sorted(group.elements) if vertex_count % element_order(g) == 0]
+    if vertex_count != degree:
+        raise DomainError(
+            f"a group of degree {degree} has no regular action on {vertex_count} vertices"
+        )
+
+    candidates = [g for g in sorted(group.elements) if is_semiregular(g)]
     checked = 0
     for i, g in enumerate(candidates):
         for h in candidates[i:]:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from bkneser import cli
+from bkneser.graphs import Graph
 from bkneser.kneser import build_bipartite_kneser
 from bkneser.symmetry import feasible_parameters
 
@@ -24,6 +25,17 @@ def test_props_h52(capsys):
     assert data["degree"] == 3
     assert data["diameter"] == 5
     assert data["bipartition"] == [10, 10]
+
+
+def test_props_takes_one_bfs_per_vertex_orbit(capsys, monkeypatch):
+    # the known generators are transitive, so no all-vertices diameter runs
+    def all_vertices(self):
+        raise AssertionError("Graph.diameter ran")
+
+    monkeypatch.setattr(Graph, "diameter", all_vertices)
+    for n, k, diameter in ((9, 4, 9), (10, 4, 5), (7, 1, 3)):
+        code, out, _ = run_cli(capsys, "props", "--n", str(n), "--k", str(k))
+        assert code == 0 and json.loads(out)["diameter"] == diameter, (n, k)
 
 
 def test_aut_both_h41(capsys):

@@ -38,7 +38,9 @@ from bkneser.perms import (
     image_set,
     is_graph_automorphism,
     is_isomorphism,
+    is_semiregular,
 )
+from bkneser import perms
 from conftest import complete_graph, cycle_graph, mask, path_graph
 from oracles import dict_closure
 
@@ -141,6 +143,25 @@ def test_element_order_of_induced_cycle():
     assert element_order(f_rho) == 4
 
 
+def test_is_semiregular_examples():
+    assert is_semiregular((0, 1, 2, 3, 4, 5))  # the identity: six cycles of length 1
+    assert is_semiregular((1, 0, 3, 2, 5, 4))  # a fixed-point-free involution
+    assert not is_semiregular((1, 0, 3, 4, 5, 2))  # (0 1)(2 3 4 5): its square fixes 0 and 1
+    assert is_semiregular(b"\x01\x02\x00")  # image strings too
+
+
+def test_is_semiregular_iff_no_nonidentity_power_fixes_a_point():
+    # the definition, power by power, on every permutation of five points
+    identity = tuple(range(5))
+    for p in iter_permutations(range(5)):
+        powers, q = [], p
+        while q != identity:
+            powers.append(q)
+            q = compose(p, q)
+        fixed_point_free = all(all(q[x] != x for x in range(5)) for q in powers)
+        assert is_semiregular(p) == fixed_point_free, p
+
+
 def test_group_closure_trivial():
     g = group_closure([], degree=5)
     assert g.order == 1
@@ -216,6 +237,20 @@ def test_is_isomorphism_needs_a_bijection_and_equal_counts():
     assert not is_isomorphism(p3, p3, (0, 1, 0))  # a fold, not a bijection
     p3_and_a_point = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert not is_isomorphism(p3, p3_and_a_point, (0, 1, 2))
+
+
+def test_automorphism_check_does_not_count_edges(monkeypatch):
+    # g1 is g2, so the edge counts are equal without being summed
+    graph = cycle_graph(6)
+
+    def no_count(self):
+        raise AssertionError("edge_count was read")
+
+    monkeypatch.setattr(Graph, "edge_count", property(no_count))
+    assert is_graph_automorphism(graph, (1, 2, 3, 4, 5, 0))
+    assert not is_graph_automorphism(graph, (1, 0, 2, 3, 4, 5))
+    with pytest.raises(AssertionError, match="edge_count"):
+        is_isomorphism(graph, cycle_graph(6), (1, 2, 3, 4, 5, 0))
 
 
 def test_is_graph_automorphism_rejects_a_fold():
@@ -305,6 +340,22 @@ def test_group_with_an_order_is_enumerated_on_first_use():
     assert wrong.order == 6  # taken on trust until the elements are read
     with pytest.raises(StructureError, match="close to 2 elements"):
         wrong.elements
+
+
+def test_order_above_the_cap_raises_before_any_closure(monkeypatch):
+    # Aut(H(9,1)) has order 2 * 9! = 725,760; the order alone exceeds the cap
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(perms, "closure_images", no_closure)
+    kg = build_bipartite_kneser(9, 1)
+    group = PermutationGroup(known_generators(kg), kg.vertex_count,
+                             order=2 * math.factorial(9), order_cap=100_000)
+    with pytest.raises(OrderCapExceeded) as raised:
+        group.elements
+    assert str(raised.value) == "group closure exceeded the cap of 100000 elements"
+    with pytest.raises(OrderCapExceeded):
+        known_generators(kg)[0] in group
 
 
 @pytest.mark.parametrize("make", [

@@ -14,6 +14,7 @@ from bkneser import (
     build_bipartite_kneser,
     complement_automorphism,
     compose,
+    diameter_by_orbits,
     explore_question1,
     explore_question2,
     find_regular_subgroup,
@@ -34,6 +35,8 @@ from bkneser import (
 )
 from bkneser import autgroup, symmetry
 from bkneser.errors import DisconnectedError, DomainError, NeedEnumerationError, StructureError
+from bkneser.perms import is_semiregular
+from bkneser.subsets import binomial
 from bkneser.symmetry import SEARCH_CAVEAT, feasible_parameters, question2_table
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 from oracles import two_phase_regular_subgroup
@@ -160,6 +163,51 @@ def test_hierarchy_holds_on_corpus(corpus):
             assert report.edge_transitive, name
 
 
+def test_diameter_by_orbits_matches_graph_diameter_on_h_n_k():
+    for n, k in feasible_parameters(9):
+        kg = build_bipartite_kneser(n, k)
+        assert diameter_by_orbits(kg.graph, known_group(kg)) == kg.graph.diameter(), (n, k)
+
+
+def test_diameter_by_orbits_with_several_orbits(corpus):
+    # the reflection of a path leaves ceil(n/2) orbits, one of them holding
+    # the two ends, whose eccentricity is the diameter
+    for n in range(1, 9):
+        path = path_graph(n)
+        reflection = PermutationGroup((tuple(range(n - 1, -1, -1)),), n)
+        assert len(orbits_on_vertices(reflection)) == (n + 1) // 2
+        assert diameter_by_orbits(path, reflection) == path.diameter() == n - 1
+    for name, graph in corpus.items():
+        if not graph.is_connected():
+            continue
+        trivial = PermutationGroup((), graph.vertex_count)
+        aut = automorphism_group(graph)
+        assert diameter_by_orbits(graph, trivial) == graph.diameter(), name
+        assert diameter_by_orbits(graph, aut) == graph.diameter(), name
+
+
+def test_diameter_by_orbits_closed_form():
+    # diam H(n,k) = 2 * ceil(k / (n - 2k)) + 1 on every instance up to 1000 vertices
+    cases = [(n, k) for n, k in feasible_parameters(20) if 2 * binomial(n, k) <= 1000]
+    assert (11, 5) in cases and (12, 4) in cases
+    for n, k in cases:
+        kg = build_bipartite_kneser(n, k)
+        expected = 2 * math.ceil(k / (n - 2 * k)) + 1
+        assert diameter_by_orbits(kg.graph, known_group(kg)) == expected, (n, k)
+
+
+def test_diameter_by_orbits_checks_its_input():
+    disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
+    swap = PermutationGroup(((2, 3, 0, 1),), 4)
+    with pytest.raises(DisconnectedError):
+        diameter_by_orbits(disconnected, swap)
+    # a bijection of the path 1-0-2 that is no automorphism: its one orbit
+    # would report the eccentricity of the middle vertex 0, which is 1, not 2
+    rotation = PermutationGroup(((1, 2, 0),), 3)
+    with pytest.raises(StructureError):
+        diameter_by_orbits(star_graph(2), rotation)
+
+
 def test_verify_direct_product_h_n_1():
     for n in range(3, 7):
         kg = build_bipartite_kneser(n, 1)
@@ -234,6 +282,22 @@ def test_find_regular_subgroup_preconditions():
     kg = build_bipartite_kneser(3, 1)
     with pytest.raises(NeedEnumerationError):
         find_regular_subgroup(known_group(kg), 6)  # not enumerated
+    with pytest.raises(DomainError, match="degree 6"):
+        find_regular_subgroup(automorphism_group(kg.graph), 3)
+
+
+def test_regular_subgroups_found_are_semiregular():
+    # a regular group's elements other than the identity fix no point
+    rows = 0
+    for n, k in feasible_parameters(5) + [(6, 1), (7, 1)]:
+        kg = build_bipartite_kneser(n, k)
+        subgroup = find_regular_subgroup(automorphism_group(kg.graph), kg.vertex_count).subgroup
+        if subgroup is None:
+            continue
+        rows += 1
+        assert subgroup.order == kg.vertex_count
+        assert all(is_semiregular(g) for g in subgroup.elements), (n, k)
+    assert rows == 5  # every H(n,1) here; H(5,2) has no hit
 
 
 def test_explore_question2_rows():
