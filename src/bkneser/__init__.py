@@ -45,10 +45,6 @@ from .symmetry import (
     explore_question1,
     explore_question2,
     find_regular_subgroup,
-    is_arc_transitive,
-    is_distance_transitive,
-    is_edge_transitive,
-    is_vertex_transitive,
     transitivity_report,
     verify_direct_product,
 )
@@ -80,11 +76,7 @@ __all__ = [
     "group_closure",
     "induced_automorphism",
     "inverse",
-    "is_arc_transitive",
-    "is_distance_transitive",
-    "is_edge_transitive",
     "is_regular_action",
-    "is_vertex_transitive",
     "known_generators",
     "left_regular_subgroup",
     "local_vertex_connectivity",

@@ -27,6 +27,7 @@ from .kneser import build_bipartite_kneser, verify_family_counts
 from .perms import (
     DEFAULT_ORDER_CAP,
     PermutationGroup,
+    check_generators,
     format_cycles,
     group_closure,
     is_regular_action,
@@ -102,7 +103,9 @@ def cmd_aut(args: argparse.Namespace) -> int:
     if args.method != "generators":
         groups.append(automorphism_group(kg.graph, order_cap=cap))
     if args.method != "engine":
-        groups.append(group_closure(known_generators(kg), order_cap=cap))
+        known = known_generators(kg)
+        check_generators(kg.graph, known)
+        groups.append(group_closure(known, order_cap=cap))
     group = groups[0]
     payload: dict = {"order": group.order}
     if len(groups) == 2:

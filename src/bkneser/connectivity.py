@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AdjacencyError, DomainError, VerificationError
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _check_vertex
 from .perms import is_graph_automorphism, orbit_partition
 
 
@@ -38,10 +38,9 @@ def max_flow(graph: Graph, u: int, v: int) -> MaxFlowResult:
     failed BFS reached but whose out-state it did not form a minimum cut.
     """
     n = graph.vertex_count
+    u, v = _check_vertex(u, n), _check_vertex(v, n)
     if u == v:
         raise DomainError("max-flow needs two distinct vertices")
-    if not (0 <= u < n and 0 <= v < n):
-        raise DomainError(f"vertex pair ({u}, {v}) outside range 0..{n - 1}")
     adjacency = graph.adjacency
     source, sink = 2 * u + 1, 2 * v
     prv = [-1] * n

@@ -25,12 +25,12 @@ class Graph:
         adjacency: Sequence[int],
         labels: Optional[Sequence[str]] = None,
     ):
-        if vertex_count <= 0:
-            raise DomainError(f"vertex count must be positive, got {vertex_count}")
+        vertex_count = _check_count(vertex_count)
         if len(adjacency) != vertex_count:
             raise DomainError("adjacency length does not match vertex count")
         self.vertex_count = vertex_count
-        self.adjacency = tuple(adjacency)
+        # one int check per mask, not per bit: the loop below walks the bits
+        self.adjacency = tuple(as_int(mask, "an adjacency mask") for mask in adjacency)
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != vertex_count:
             raise DomainError("labels length does not match vertex count")
@@ -55,10 +55,10 @@ class Graph:
         edges: Iterable[tuple[int, int]],
         labels: Optional[Sequence[str]] = None,
     ) -> "Graph":
+        vertex_count = _check_count(vertex_count)
         adjacency = [0] * vertex_count
         for u, v in edges:
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise DomainError(f"edge ({u}, {v}) outside vertex range")
+            u, v = _check_vertex(u, vertex_count), _check_vertex(v, vertex_count)
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
             adjacency[u] |= 1 << v
@@ -66,7 +66,8 @@ class Graph:
         return cls(vertex_count, adjacency, labels)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency[u] >> v & 1)
+        n = self.vertex_count
+        return bool(self.adjacency[_check_vertex(u, n)] >> _check_vertex(v, n) & 1)
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(mask.bit_count() for mask in self.adjacency)
@@ -105,9 +106,7 @@ class Graph:
 
     def bfs_distances(self, start: int) -> list[int | float]:
         """Distances from ``start``; math.inf marks unreachable vertices."""
-        start = as_int(start, "start vertex")
-        if not 0 <= start < self.vertex_count:
-            raise DomainError(f"vertex {start} outside range 0..{self.vertex_count - 1}")
+        start = _check_vertex(start, self.vertex_count)
         dist: list[int | float] = [math.inf] * self.vertex_count
         for d, layer in enumerate(self._layers(start)):
             for v in _bits(layer):
@@ -164,6 +163,22 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(vertices={self.vertex_count}, edges={self.edge_count})"
+
+
+def _check_count(vertex_count: int) -> int:
+    """The vertex count as a positive int, or ``DomainError``."""
+    vertex_count = as_int(vertex_count, "vertex count")
+    if vertex_count <= 0:
+        raise DomainError(f"vertex count must be positive, got {vertex_count}")
+    return vertex_count
+
+
+def _check_vertex(v: int, vertex_count: int) -> int:
+    """The vertex as an int in 0..vertex_count-1, or ``DomainError``."""
+    v = as_int(v, "vertex")
+    if not 0 <= v < vertex_count:
+        raise DomainError(f"vertex {v} outside range 0..{vertex_count - 1}")
+    return v
 
 
 def _bits(mask: int):

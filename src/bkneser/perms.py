@@ -11,6 +11,15 @@ one graph onto another: ``is_graph_automorphism`` is its case g1 = g2, and
 the H(n,1) Cayley map and the engine's isomorphism witnesses go through it
 too.
 
+A vertex map is checked against the adjacency once, by the code whose result
+depends on it being an automorphism, not by the code that builds it.
+``induced_automorphism`` and ``complement_automorphism`` build f_theta and
+complementation without a check.  Their consumers (the transitivity report,
+the orbit diameter, the direct product and ``aut``'s closure) run
+``check_generators``, which raises ``StructureError``: a map that fails there
+is a wrong construction or a wrong group, so the claim resting on it fails.
+``vertex_connectivity`` checks its stabilizer maps itself.
+
 A group holds its generators and, when known, its order or its elements.
 An enumerated group comes from a breadth-first closure under composition,
 with an order cap, and is a ``frozenset`` of ``bytes`` image strings,
@@ -107,14 +116,26 @@ def is_graph_automorphism(graph: Graph, images: Sequence[int]) -> bool:
     return is_isomorphism(graph, graph, images)
 
 
+def check_generators(graph: Graph, generators: Iterable[Sequence[int]]) -> None:
+    """Raise ``StructureError`` unless every map is an automorphism of the graph.
+
+    A map listed twice is checked once.  A map that fails reveals a bad
+    construction or a bad group rather than a wrong answer.
+    """
+    for g in dict.fromkeys(map(tuple, generators)):
+        if not is_graph_automorphism(graph, g):
+            raise StructureError("a generator of the group is not an automorphism")
+
+
 def induced_automorphism(kg: KneserGraph, theta: Sequence[int]) -> tuple[int, ...]:
     """The vertex map f_theta sending each subset {x1..xt} to {theta(x1)..theta(xt)}.
 
     theta is an image tuple over 0..n-1, so it moves bit i of a subset mask
     to bit theta[i].  Each k-side mask is mapped and looked up by rank;
     f_theta commutes with complementation, so the (n-k)-side follows as
-    f(i + C(n,k)) = f(i) + C(n,k).  Adjacency preservation is verified
-    eagerly; a failure would mean a construction bug, not a property of theta.
+    f(i + C(n,k)) = f(i) + C(n,k).  A theta that is not a permutation of
+    0..n-1 raises ``DomainError``; the map is not checked against the
+    adjacency here, but by ``check_generators`` where a result rests on it.
     """
     n, side = kg.n, kg.side_size
     if sorted(theta) != list(range(n)):
@@ -130,19 +151,16 @@ def induced_automorphism(kg: KneserGraph, theta: Sequence[int]) -> tuple[int, ..
             image |= 1 << theta[low.bit_length() - 1]
             mask ^= low
         half.append(rank[image])
-    images = tuple(half + [i + side for i in half])
-    if not is_graph_automorphism(kg.graph, images):
-        raise DomainError(f"induced map of {format_cycles(theta)} is not an automorphism")
-    return images
+    return tuple(half + [i + side for i in half])
 
 
 def complement_automorphism(kg: KneserGraph) -> tuple[int, ...]:
-    """The complementation involution: the index shift i <-> i + C(n, k)."""
+    """The complementation involution: the index shift i <-> i + C(n, k).
+
+    Not checked against the adjacency here; see ``check_generators``.
+    """
     side = kg.side_size
-    images = tuple((i + side) % (2 * side) for i in range(2 * side))
-    if not is_graph_automorphism(kg.graph, images):
-        raise DomainError("complementation failed the adjacency check")
-    return images
+    return tuple((i + side) % (2 * side) for i in range(2 * side))
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -503,9 +521,10 @@ def known_generators(kg: KneserGraph) -> tuple[tuple[int, ...], ...]:
 def stabilizer_generators(kg: KneserGraph) -> tuple[tuple[int, ...], ...]:
     """Generators of the stabilizer of vertex 0 = {1..k} in Sym([n])'s image.
 
-    f over a transposition and a full cycle on {1..k} and on {k+1..n}, each
-    checked by ``induced_automorphism``; a part of one point adds nothing and
-    a part of two adds its transposition once.
+    f over a transposition and a full cycle on {1..k} and on {k+1..n}; a part
+    of one point adds nothing and a part of two adds its transposition once.
+    The maps are not checked here: ``vertex_connectivity`` checks each one,
+    and ``transitivity_report`` checks its group's generators.
     """
     n, k = kg.n, kg.k
     thetas = {}

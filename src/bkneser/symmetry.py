@@ -9,8 +9,7 @@ each level off its own orbit set: vertex, arc and edge orbits from the orbit
 functions of ``perms``, and the distance level from the suborbits of vertex 0
 when the group is transitive and refinement certifies them, else from the
 partition of all ordered pairs into orbits, taking each orbit's distance from
-one BFS row per orbit representative.  The single-level predicates check the
-generators the same way, then count orbits with the same functions.
+one BFS row per orbit representative.
 
 Every test here takes the acting group as an argument instead of recomputing
 it, so the same check can run against both the induced-map generators and the
@@ -38,11 +37,11 @@ from .kneser import KneserGraph, build_bipartite_kneser
 from .perms import (
     DEFAULT_ORDER_CAP,
     PermutationGroup,
+    check_generators,
     closure_images,
     commutes,
     complement_automorphism,
     group_closure,
-    is_graph_automorphism,
     is_semiregular,
     orbit_partition,
     orbits_on_ordered_pairs,
@@ -50,42 +49,6 @@ from .perms import (
     orbits_on_vertices,
     sym_generators,
 )
-
-
-def _check_generators(graph: Graph, group: PermutationGroup) -> None:
-    """Raise unless every generator is an automorphism of the graph.
-
-    A generator that is not reveals a bad group rather than a wrong answer.
-    """
-    for g in group.generators:
-        if not is_graph_automorphism(graph, g):
-            raise StructureError("a generator of the group is not an automorphism")
-
-
-def is_vertex_transitive(graph: Graph, group: PermutationGroup) -> bool:
-    _check_generators(graph, group)
-    return len(orbits_on_vertices(group)) == 1
-
-
-def is_edge_transitive(graph: Graph, group: PermutationGroup) -> bool:
-    _check_generators(graph, group)
-    edges = graph.edges()
-    if not edges:
-        return True
-    return len(orbits_on_unordered_pairs(group, edges)) == 1
-
-
-def is_arc_transitive(graph: Graph, group: PermutationGroup) -> bool:
-    _check_generators(graph, group)
-    arcs = graph.arcs()
-    if not arcs:
-        return True
-    return len(orbits_on_ordered_pairs(group, arcs)) == 1
-
-
-def is_distance_transitive(graph: Graph, group: PermutationGroup) -> bool:
-    """One pair-orbit per distance value; requires a connected graph."""
-    return transitivity_report(graph, group).distance_transitive
 
 
 @dataclass(frozen=True)
@@ -164,7 +127,7 @@ def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityRe
     """
     if not graph.is_connected():
         raise DisconnectedError("transitivity report needs a connected graph")
-    _check_generators(graph, group)
+    check_generators(graph, group.generators)
     vertex_orbits = len(orbits_on_vertices(group))
     arc_orbits = len(orbits_on_ordered_pairs(group, graph.arcs()))
     edge_orbits = len(orbits_on_unordered_pairs(group, graph.edges()))
@@ -213,7 +176,7 @@ def diameter_by_orbits(graph: Graph, group: PermutationGroup) -> int:
     """
     if not graph.is_connected():
         raise DisconnectedError("diameter of a disconnected graph")
-    _check_generators(graph, group)
+    check_generators(graph, group.generators)
     return max(max(graph.bfs_distances(orb[0])) for orb in orbits_on_vertices(group))
 
 
@@ -229,6 +192,8 @@ class DirectProductReport:
 def verify_direct_product(kg: KneserGraph, aut_order: int) -> DirectProductReport:
     """Check the four steps behind Aut = Sym([n]) x Z_2 on a concrete graph.
 
+    f_(1 2), f_(1 2 ... n) and complementation are first checked to be
+    automorphisms; then
     (a) the induced Sym generators close to a group of order n!;
     (b) complementation lies outside that group;
     (c) complementation commutes with both generators, hence with all of it;
@@ -237,6 +202,7 @@ def verify_direct_product(kg: KneserGraph, aut_order: int) -> DirectProductRepor
     n = kg.n
     f_swap, f_cycle = sym_generators(kg)
     alpha = complement_automorphism(kg)
+    check_generators(kg.graph, (f_swap, f_cycle, alpha))
 
     sym_group = group_closure([f_swap, f_cycle])
     n_factorial = math.factorial(n)

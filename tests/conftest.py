@@ -42,6 +42,27 @@ def petersen_graph():
     return Graph.from_edges(10, outer + spokes + inner)
 
 
+def two_switched(kg):
+    """H(n,k) with one 2-switch: edges a-b and c-d become a-d and c-b.
+
+    a and c lie on the k-side, and a-d and c-b are non-edges before the
+    switch.  Degrees and parts stay, so the result has every count of
+    H(n,k), but it is no longer H(n,k): the known generators, built from
+    its unchanged subset masks, are not all automorphisms of it.
+    """
+    graph, side = kg.graph, kg.side_size
+    a, b = graph.edges()[0]
+    c, d = next((c, d) for c in range(side) for d in range(side, 2 * side)
+                if graph.has_edge(c, d) and not graph.has_edge(a, d)
+                and not graph.has_edge(c, b))
+    adjacency = list(graph.adjacency)
+    for x, y in ((a, b), (c, d), (a, d), (c, b)):
+        adjacency[x] ^= 1 << y
+        adjacency[y] ^= 1 << x
+    return type(kg)(n=kg.n, k=kg.k, graph=Graph(graph.vertex_count, adjacency),
+                    side_size=side, masks=kg.masks)
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """Named small graphs shared by the oracle cross-check tests."""

@@ -225,7 +225,7 @@ def test_criterion_9_algebraic_property_suite():
         rng = random.Random(1000 * n + k)
         for _ in range(1000):
             theta = tuple(rng.sample(range(n), n))
-            f = induced_automorphism(kg, theta)  # adjacency verified eagerly
+            f = induced_automorphism(kg, theta)
             if not is_graph_automorphism(kg.graph, f):
                 problems.append((n, k, "automorphism", theta))
                 break

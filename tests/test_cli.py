@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from bkneser import cli
+from bkneser import cli, perms
 from bkneser.graphs import Graph
-from bkneser.kneser import build_bipartite_kneser
+from bkneser.kneser import build_bipartite_kneser, verify_family_counts
+from bkneser.perms import known_generators, stabilizer_generators
 from bkneser.symmetry import feasible_parameters
+from conftest import two_switched
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +279,43 @@ def test_corrupted_graph_exits_1(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "props", "--n", "4", "--k", "1")
     assert code == 1
     assert "claim failed" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["props"], ["transitivity"], ["aut", "--method", "generators"],
+], ids=lambda command: command[0])
+def test_construction_that_keeps_the_counts_fails_the_map_check(capsys, monkeypatch, command):
+    # the counts pass, so only the check of the known generators can catch it
+    def switched(n, k, allow_null=False):
+        return two_switched(build_bipartite_kneser(n, k, allow_null=allow_null))
+
+    verify_family_counts(switched(6, 2))
+    monkeypatch.setattr(cli, "build_bipartite_kneser", switched)
+    code, out, err = run_cli(capsys, *command, "--n", "6", "--k", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("claim failed: ") and "not an automorphism" in err
+
+
+@pytest.mark.parametrize("command, maps", [
+    (["props"], known_generators),
+    (["transitivity"], lambda kg: known_generators(kg) + stabilizer_generators(kg)),
+    (["connectivity", "--certificate"], stabilizer_generators),
+    (["aut", "--method", "generators"], known_generators),
+], ids=["props", "transitivity", "connectivity", "aut-generators"])
+def test_each_map_is_checked_once(capsys, monkeypatch, command, maps):
+    checked = []
+    is_isomorphism = perms.is_isomorphism
+
+    def counting(g1, g2, images):
+        checked.append(tuple(images))
+        return is_isomorphism(g1, g2, images)
+
+    monkeypatch.setattr(perms, "is_isomorphism", counting)
+    code, _, _ = run_cli(capsys, *command, "--n", "7", "--k", "3")
+    assert code == 0
+    # transitivity lists f_(1 2) twice: among the known generators and the stabilizer's
+    assert sorted(checked) == sorted(set(maps(build_bipartite_kneser(7, 3))))
 
 
 def test_aut_disagreement_exits_1(capsys, monkeypatch):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from bkneser import Graph, build_bipartite_kneser
+from bkneser import Graph, build_bipartite_kneser, max_flow
 from bkneser.errors import DisconnectedError, DomainError
 from conftest import complete_graph, cycle_graph, star_graph
 from oracles import plain_bfs_distances, plain_diameter
@@ -16,6 +16,27 @@ def test_construction_rejects_self_loops_and_asymmetry():
         Graph(2, [0b10, 0b00])  # 0->1 without 1->0
     with pytest.raises(DomainError):
         Graph.from_edges(2, [(0, 5)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: Graph(3.0, [0, 0, 0]),
+    lambda g: Graph(2, [1.0, 0]),
+    lambda g: Graph(2, ["a", 0]),
+    lambda g: Graph.from_edges(3, [(0.0, 1)]),
+    lambda g: Graph.from_edges(3.0, [(0, 1)]),
+    lambda g: max_flow(g, 0.0, 2),
+    lambda g: max_flow(g, 0, -1),
+    lambda g: g.has_edge(0, -1),
+    lambda g: g.has_edge(5, 0),
+    lambda g: g.has_edge(-1, 1),  # would read vertex 2's row
+    lambda g: g.has_edge(0, 1.0),
+], ids=["float-count", "float-mask", "str-mask", "float-endpoint", "float-edge-count",
+        "float-source", "negative-sink", "negative-v", "u-too-large", "negative-u",
+        "float-v"])
+def test_bad_vertices_and_masks_raise_domain_error(call):
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(DomainError):
+        call(path)
 
 
 def test_bfs_distances_cycle():

@@ -41,7 +41,7 @@ from bkneser.perms import (
     is_semiregular,
 )
 from bkneser import perms
-from conftest import complete_graph, cycle_graph, mask, path_graph
+from conftest import complete_graph, cycle_graph, mask, path_graph, two_switched
 from oracles import dict_closure
 
 
@@ -107,6 +107,18 @@ def test_containment_preserved_under_random_permutations():
         a = mask(*(theta[x - 1] + 1 for x in a_elems))
         b = mask(*(theta[x - 1] + 1 for x in b_elems))
         assert a & ~b == 0
+
+
+def test_maps_are_built_unchecked_and_checked_where_used():
+    kg = build_bipartite_kneser(5, 2)
+    switched = two_switched(kg)
+    maps = known_generators(switched)  # the subset labels are unchanged
+    assert maps == known_generators(kg)
+    perms.check_generators(kg.graph, maps)
+    with pytest.raises(StructureError, match="not an automorphism"):
+        perms.check_generators(switched.graph, maps)
+    with pytest.raises(StructureError):
+        perms.check_generators(switched.graph, [complement_automorphism(switched)])
 
 
 def test_complement_automorphism_examples():

@@ -20,10 +20,6 @@ from bkneser import (
     find_regular_subgroup,
     group_closure,
     inverse,
-    is_arc_transitive,
-    is_distance_transitive,
-    is_edge_transitive,
-    is_vertex_transitive,
     known_generators,
     orbits_on_ordered_pairs,
     orbits_on_unordered_pairs,
@@ -38,7 +34,7 @@ from bkneser.errors import DisconnectedError, DomainError, NeedEnumerationError,
 from bkneser.perms import is_semiregular
 from bkneser.subsets import binomial
 from bkneser.symmetry import SEARCH_CAVEAT, feasible_parameters, question2_table
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from conftest import complete_graph, cycle_graph, path_graph, star_graph, two_switched
 from oracles import two_phase_regular_subgroup
 
 
@@ -48,42 +44,42 @@ def known_group(kg):
 
 def test_vertex_transitive_examples():
     kg = build_bipartite_kneser(6, 2)
-    assert is_vertex_transitive(kg.graph, known_group(kg))
+    assert transitivity_report(kg.graph, known_group(kg)).vertex_transitive
 
     star = star_graph(3)
-    assert not is_vertex_transitive(star, automorphism_group(star))
+    assert not transitivity_report(star, automorphism_group(star)).vertex_transitive
 
     c6 = cycle_graph(6)
     rotation = tuple((i + 1) % 6 for i in range(6))
-    assert is_vertex_transitive(c6, PermutationGroup(generators=(rotation,), degree=6))
+    rotations = PermutationGroup(generators=(rotation,), degree=6)
+    assert transitivity_report(c6, rotations).vertex_transitive
 
 
 def test_edge_and_arc_transitive_examples():
     kg = build_bipartite_kneser(5, 2)
-    group = known_group(kg)
-    assert is_arc_transitive(kg.graph, group)
-    assert is_edge_transitive(kg.graph, group)
+    report = transitivity_report(kg.graph, known_group(kg))
+    assert report.arc_transitive
+    assert report.edge_transitive
 
     p3 = path_graph(3)
-    p3_group = automorphism_group(p3)
-    assert not is_arc_transitive(p3, p3_group)
+    assert not transitivity_report(p3, automorphism_group(p3)).arc_transitive
 
     star = star_graph(3)
-    star_group = automorphism_group(star)
-    assert is_edge_transitive(star, star_group)
-    assert not is_arc_transitive(star, star_group)
+    star_report = transitivity_report(star, automorphism_group(star))
+    assert star_report.edge_transitive
+    assert not star_report.arc_transitive
 
 
 def test_distance_transitive_examples():
     for n in range(3, 7):
         kg = build_bipartite_kneser(n, 1)
-        assert is_distance_transitive(kg.graph, known_group(kg))
+        assert transitivity_report(kg.graph, known_group(kg)).distance_transitive
 
     c6 = cycle_graph(6)
-    assert is_distance_transitive(c6, automorphism_group(c6))
+    assert transitivity_report(c6, automorphism_group(c6)).distance_transitive
 
     star = star_graph(3)
-    assert not is_distance_transitive(star, automorphism_group(star))
+    assert not transitivity_report(star, automorphism_group(star)).distance_transitive
 
 
 def test_distance_transitive_needs_connected():
@@ -91,7 +87,7 @@ def test_distance_transitive_needs_connected():
     adjacency = list(g.adjacency) + [0]
     disconnected = type(g)(4, adjacency)
     with pytest.raises(DisconnectedError):
-        is_distance_transitive(disconnected, automorphism_group(disconnected))
+        transitivity_report(disconnected, automorphism_group(disconnected))
 
 
 def test_pair_orbits_have_constant_distance_even_for_subgroups():
@@ -100,7 +96,7 @@ def test_pair_orbits_have_constant_distance_even_for_subgroups():
     c6 = cycle_graph(6)
     rotation = tuple((i + 1) % 6 for i in range(6))
     group = PermutationGroup(generators=(rotation,), degree=6)
-    assert not is_distance_transitive(c6, group)  # 6 orbits vs 4 distances
+    assert not transitivity_report(c6, group).distance_transitive  # 6 orbits vs 4 distances
 
 
 def test_non_automorphism_in_group_is_detected():
@@ -115,8 +111,7 @@ def test_non_automorphism_in_group_is_detected():
         transitivity_report(cycle_graph(6), c6_group)
     # the rotation of the path 0-1-2 is a bijection with one orbit, not an automorphism
     p3_group = PermutationGroup(generators=((1, 2, 0),), degree=3)
-    for check in (is_vertex_transitive, is_edge_transitive, is_arc_transitive,
-                  is_distance_transitive, transitivity_report):
+    for check in (transitivity_report, diameter_by_orbits):
         with pytest.raises(StructureError):
             check(path_graph(3), p3_group)
 
@@ -229,6 +224,13 @@ def test_verify_direct_product_detects_bad_order():
     aut = automorphism_group(kg.graph)
     with pytest.raises(StructureError, match=r"step \(d\)"):
         verify_direct_product(kg, aut.order + 1)
+
+
+def test_verify_direct_product_checks_its_maps_on_the_graph():
+    # a 2-switch keeps every count, and the closures alone would still pass
+    switched = two_switched(build_bipartite_kneser(5, 2))
+    with pytest.raises(StructureError, match="not an automorphism"):
+        verify_direct_product(switched, 240)
 
 
 def test_alpha_conjugation_fixes_sym_elements():
