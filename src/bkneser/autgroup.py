@@ -1,4 +1,4 @@
-"""Automorphism groups of small graphs, computed from scratch.
+"""Automorphism groups of graphs, computed from scratch.
 
 The engine is a classical individualization-refinement search: refine an
 ordered partition until equitable, individualize a vertex of the first
@@ -8,42 +8,62 @@ the leftmost path once, individualizing the least vertex of each target cell
 and recording each level; its discrete partition is the base leaf, the
 reference labeling.  The second visits the recorded levels deepest first.  At
 each level it skips a sibling in the orbit of the siblings already processed
-(orbit pruning), and searches each remaining sibling's subtree depth-first,
+(orbit pruning, through a point-to-orbit table rebuilt once per new
+generator), and searches each remaining sibling's subtree depth-first,
 with an explicit stack, for the first leaf whose labeling preserves
 adjacency; a node whose cell sizes differ from those of the base path's node
 at the same depth cannot lead to such a leaf, and is dropped with its
 subtree.  That one automorphism is enough: everything else the subtree
 contains is a product of it with stabilizer elements found earlier.
 
+Refinement runs a splitter queue (McKay, "Practical graph isomorphism",
+Congr. Numer. 30, 1981) over one array of vertices in contiguous cells.
+Popping a splitter cell counts each vertex's neighbours in it and splits
+only the cells it touches, in partition order, into fragments by ascending
+count, each keeping its vertices' order.  All fragments of a queued cell are
+queued; of any other cell, all but the first largest (Hopcroft's trick: its
+counts are the cell's, constant, minus the others').  Individualizing u
+queues only {u}, as the parent partition is equitable.  Every choice depends
+only on positions in the ordered partition and on neighbour counts, so
+relabelling the graph and the input relabels the output cell by cell: in
+particular, refinement commutes with automorphisms.
+
 The order of the group comes from the base path, read as a certificate (the
 order formula of McKay and Piperno, "Practical graph isomorphism II", J.
 Symbolic Comput. 60, 2014).  Let b_1..b_m be the base points, the least
-vertex of each target cell T_i on the leftmost path.  Refinement and
-individualization commute with automorphisms: cell keys are neighbour
-counts, subcells are sorted by key, and the target cell is chosen by size.
-So an automorphism fixing b_1..b_{i-1} fixes the path's partition at level
-i, maps b_i into T_i, and the automorphisms fixing every base point fix the
-discrete leaf and are the identity.  By the orbit-stabilizer theorem down
-the chain of pointwise stabilizers, |Aut| <= prod |T_i|.  For the lower
-bound let S_i be the generators that fix b_1..b_{i-1}, checked point by
-point: each is a verified automorphism, and the product of the orbit lengths
-of b_i under <S_i> is at most |<generators>| <= |Aut|.  When the bounds meet,
-the order is proved, and the generators generate all of Aut.  A lower bound
-above the upper one is a bug and raises.  When the bounds do not meet (on a
-union of cycles of different lengths, refinement cannot tell the cycles
-apart and T_i is too large), the group is enumerated by ``closure_images``
-under the order cap, which is also the oracle for the certificate.
+vertex of each target cell T_i on the leftmost path.  Individualization,
+whose target cell is chosen by size and position, commutes with
+automorphisms as refinement does.  So an automorphism fixing b_1..b_{i-1}
+fixes the path's partition at level i, maps b_i into T_i, and the
+automorphisms fixing every base point fix the discrete leaf and are the
+identity.  By the orbit-stabilizer theorem down the chain of pointwise
+stabilizers, |Aut| <= prod |T_i|.  For the lower bound let S_i be the
+generators that fix b_1..b_{i-1}, checked point by point: each is a
+verified automorphism, and the product of the orbit lengths of b_i under
+<S_i> is at most |<generators>| <= |Aut|.  When the bounds meet, the order
+is proved, and the generators generate all of Aut.  A lower bound above the
+upper one is a bug and raises.  When the bounds do not meet (on a union of
+cycles of different lengths, refinement cannot tell the cycles apart and
+T_i is too large), the group is enumerated by ``closure_images`` under the
+order cap, which is also the oracle for the certificate.
+
+The search is bounded by work, not by graph size: each node refined costs
+V + E units, and a search past ``WORK_LIMIT`` units raises
+``SizeLimitError``.
 
 This engine is the independent check for the group-theoretic claims the rest
 of the package makes, so it deliberately shares no code with the induced-map
-constructions.  Its own oracle, an exhaustive factorial-time counter, lives
-with the tests (``tests/oracles.py``).
+constructions.  Its own oracles, an exhaustive factorial-time counter and
+the earlier full-round refinement, live with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence
+from collections import deque
+from functools import partial
+from itertools import accumulate, groupby
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import IsomorphismError, SizeLimitError, StructureError
 from .graphs import Graph
@@ -56,72 +76,83 @@ from .perms import (
     orbit_partition,
 )
 
-# The search needs no call stack, but its time grows steeply on highly
-# symmetric graphs: the empty graph takes 0.05 s at 40 vertices, 0.24 s at 60
-# and 1.1 s at 90, and H(60, 1) (120 vertices) 1.1 s (2-core x86_64, Python
-# 3.11).  The group's order does not limit the engine, since the base-path
-# certificate proves it without enumeration; search time does.
-SIZE_LIMIT = 128
+# A unit takes 0.5 to 1.5 us (2-core x86_64, Python 3.11), so a search stops
+# within seconds.  H(13,6) takes 0.5 M units (0.8 s), H(14,6) 4.2 M (3.2 s),
+# and the empty graph about V^3 / 2, stopping at 300 vertices after 2.8 s.
+WORK_LIMIT = 6_000_000
 
 
-def _refine(adjacency: Sequence[int], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Coarsest equitable refinement; subcells ordered by neighbor-count key."""
-    while True:
-        masks = []
-        for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
-        new_cells: list[tuple[int, ...]] = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
+def refine(
+    graph: Graph, cells: Sequence[Sequence[int]], splitters: Optional[Iterable[int]] = None
+) -> list[tuple[int, ...]]:
+    """The coarsest equitable refinement of the ordered partition ``cells``.
+
+    ``splitters`` lists the indices of the cells to queue first, all of them
+    by default; the partition must be equitable with respect to every other
+    cell.  A split cell keeps its vertices in their order, in fragments by
+    ascending neighbour count.
+    """
+    neighbours = graph.neighbours
+    order = [v for cell in cells for v in cell]
+    starts = list(accumulate(map(len, cells), initial=0))[:-1]
+    cell_of = [0] * len(order)  # the start of each vertex's cell in ``order``
+    length = [0] * len(order)  # each cell's length at its start, 0 elsewhere
+    for start, cell in zip(starts, cells):
+        length[start] = len(cell)
+        for v in cell:
+            cell_of[v] = start
+    queue = deque(starts if splitters is None else [starts[i] for i in splitters])
+    queued = set(queue)
+    while queue:
+        s = queue.popleft()
+        queued.remove(s)
+        count: dict[int, int] = {}  # vertex -> its neighbours in the splitter, if any
+        for v in order[s:s + length[s]]:
+            for w in neighbours[v]:
+                count[w] = count.get(w, 0) + 1
+        hits: dict[int, list[int]] = {}  # non-singleton cell start -> the nonzero counts in it
+        for w, k in count.items():
+            if length[cell_of[w]] > 1:
+                hits.setdefault(cell_of[w], []).append(k)
+        for c in sorted(hits):
+            size, keys = length[c], hits[c]
+            if len(keys) == size and min(keys) == max(keys):
                 continue
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                key = tuple((adjacency[v] & m).bit_count() for m in masks)
-                groups.setdefault(key, []).append(v)
-            if len(groups) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for key in sorted(groups):
-                    new_cells.append(tuple(groups[key]))
-        if not changed:
-            return new_cells
-        cells = new_cells
+            members = order[c:c + size]
+            order[c:c + size] = [v for v in members if v not in count] + sorted(
+                [v for v in members if v in count], key=count.__getitem__
+            )
+            keys.sort()
+            sizes = [len(list(run)) for _, run in groupby(keys)]
+            if len(keys) < size:
+                sizes.insert(0, size - len(keys))
+            fragments = list(accumulate(sizes[:-1], initial=c))
+            for pos, f in zip(fragments, sizes):
+                length[pos] = f
+            for pos, f in zip(fragments[1:], sizes[1:]):  # the first keeps the start c
+                for v in order[pos:pos + f]:
+                    cell_of[v] = pos
+            if c not in queued:
+                # Hopcroft: c is not queued, so counts into all of c are constant
+                # on every cell once the queue empties; counts into one fragment
+                # then follow from those into the others
+                fragments.remove(max(fragments, key=length.__getitem__))
+            for f in fragments:
+                if f not in queued:
+                    queued.add(f)
+                    queue.append(f)
+    return [tuple(order[s:s + size]) for s, size in enumerate(length) if size]
 
 
 def _target_cell(cells: list[tuple[int, ...]]) -> Optional[int]:
     """Index of the first largest non-singleton cell, or None when discrete."""
-    best = None
-    best_size = 1
-    for i, cell in enumerate(cells):
-        if len(cell) > best_size:
-            best = i
-            best_size = len(cell)
-    return best
-
-
-def _individualize(
-    adjacency: Sequence[int], cells: list[tuple[int, ...]], target: int, u: int
-) -> list[tuple[int, ...]]:
-    """The refined partition after splitting ``u`` off the front of the target cell."""
-    rest = tuple(w for w in cells[target] if w != u)
-    return _refine(adjacency, cells[:target] + [(u,), rest] + cells[target + 1:])
-
-
-def _children(
-    adjacency: Sequence[int], cells: list[tuple[int, ...]], target: int
-) -> Iterator[list[tuple[int, ...]]]:
-    """The children of a tree node, one per vertex of its target cell, in cell order."""
-    for u in cells[target]:
-        yield _individualize(adjacency, cells, target, u)
+    sizes = [len(cell) for cell in cells]
+    largest = max(sizes)
+    return sizes.index(largest) if largest > 1 else None
 
 
 def _first_automorphism(
+    child: Callable[[list[tuple[int, ...]], int, int], list[tuple[int, ...]]],
     adjacency: Sequence[int],
     edges: list[tuple[int, int]],
     base_leaf: list[int],
@@ -130,7 +161,8 @@ def _first_automorphism(
 ) -> Optional[tuple[int, ...]]:
     """The first automorphism from the base leaf to a leaf below ``start``, depth-first.
 
-    The stack holds the unvisited children of every node on the current path.
+    The stack holds the unvisited children of every node on the current path,
+    one per vertex u of its target cell, built by ``child(cells, target, u)``.
     ``shapes[d]`` is the cell-size tuple of the base path's node at the depth
     of ``start`` plus d; a node of another shape is dropped with its subtree.
     Refinement commutes with automorphisms, so the leaf gamma(base leaf) is
@@ -148,7 +180,7 @@ def _first_automorphism(
             continue
         target = _target_cell(cells)
         if target is not None:
-            stack.append(_children(adjacency, cells, target))
+            stack.append(map(partial(child, cells, target), cells[target]))
             continue
         images = [0] * len(base_leaf)
         for a, cell in zip(base_leaf, cells):
@@ -167,35 +199,55 @@ def _search(
     """Generators of the automorphisms of ``graph`` that respect ``initial_cells``.
 
     Also returns the base path's base points and target-cell sizes, one of
-    each per level.
+    each per level, or raises ``SizeLimitError`` past ``WORK_LIMIT``.
     """
     adjacency = graph.adjacency
     n = graph.vertex_count
     edges = graph.edges()
+    work = size = n + len(edges)
+
+    def child(cells: list[tuple[int, ...]], target: int, u: int) -> list[tuple[int, ...]]:
+        # u split off the front of the target cell; cells is equitable, so {u} is the splitter
+        nonlocal work
+        work += size
+        if work > WORK_LIMIT:
+            raise SizeLimitError(
+                f"the automorphism search on {n} vertices and {len(edges)} edges "
+                f"exceeds the work limit of {WORK_LIMIT}"
+            )
+        rest = tuple(w for w in cells[target] if w != u)
+        return refine(graph, cells[:target] + [(u,), rest] + cells[target + 1:], [target])
 
     levels = []
-    cells = _refine(adjacency, list(initial_cells))
+    cells = refine(graph, initial_cells)
     while (target := _target_cell(cells)) is not None:
         levels.append((cells, target))
-        cells = _individualize(adjacency, cells, target, cells[target][0])
+        cells = child(cells, target, cells[target][0])
     base_leaf = [cell[0] for cell in cells]
     shapes = [tuple(map(len, level)) for level, _ in levels] + [(1,) * n]
 
     # Every generator found so far fixes the base points above the current
     # level, so all of them are valid for orbit pruning there.
     generators: list[tuple[int, ...]] = []
+    ids = {x: x for x in range(n)}  # each point's orbit index under <generators>
     for depth in reversed(range(len(levels))):
         cells, target = levels[depth]
         first, *siblings = cells[target]
         processed = [first]
+        seen = {ids[first]}
         for u in siblings:
-            if generators and any(u in orb for orb in orbit_partition(processed, generators, n)):
+            if ids[u] in seen:
                 continue
-            child = _individualize(adjacency, cells, target, u)
-            found = _first_automorphism(adjacency, edges, base_leaf, shapes[depth + 1:], child)
+            found = _first_automorphism(
+                child, adjacency, edges, base_leaf, shapes[depth + 1:], child(cells, target, u)
+            )
             if found is not None:
                 generators.append(found)
+                orbits = orbit_partition(range(n), generators, n)
+                ids = {x: i for i, orb in enumerate(orbits) for x in orb}
+                seen = {ids[p] for p in processed}
             processed.append(u)
+            seen.add(ids[u])
     base = [cells[target][0] for cells, target in levels]
     return generators, base, [len(cells[target]) for cells, target in levels]
 
@@ -212,15 +264,13 @@ def _lower_bound(generators: Sequence[tuple[int, ...]], base: Sequence[int], n: 
 def automorphism_group(graph: Graph, order_cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
     """Generators and exact order of Aut(G).
 
-    Graphs above ``SIZE_LIMIT`` vertices are refused; every emitted generator
-    is re-verified against the adjacency.  The order is the base-path
+    A search past ``WORK_LIMIT`` raises ``SizeLimitError``; every emitted
+    generator is re-verified against the adjacency.  The order is the base-path
     certificate's when its bounds meet, and the group is then enumerated
     only when its elements are read, under ``order_cap``; otherwise the
     group is enumerated here, under ``order_cap``.
     """
     n = graph.vertex_count
-    if n > SIZE_LIMIT:
-        raise SizeLimitError(f"{n} vertices exceeds the engine limit of {SIZE_LIMIT}")
     gen_images, base, sizes = _search(graph, [tuple(range(n))])
     for images in gen_images:
         if not is_graph_automorphism(graph, images):
@@ -247,8 +297,6 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[tuple[int, ...]]:
     the bijection.  The apexes keep the reduction valid for disconnected
     inputs as well.
     """
-    if g1.vertex_count > SIZE_LIMIT or g2.vertex_count > SIZE_LIMIT:
-        raise SizeLimitError(f"inputs exceed the engine limit of {SIZE_LIMIT}")
     if g1.vertex_count != g2.vertex_count:
         return None
     if g1.edge_count != g2.edge_count:

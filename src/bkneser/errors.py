@@ -57,8 +57,8 @@ class ConnectionSetError(DomainError):
 class SizeLimitError(DomainError):
     """An input exceeds one of two fixed limits.
 
-    The search engine takes graphs of at most 128 vertices
-    (``autgroup.SIZE_LIMIT``), and an enumerated group acts on at most 256
+    The search engine stops a search past a fixed amount of work
+    (``autgroup.WORK_LIMIT``), and an enumerated group acts on at most 256
     points, one byte per image in its image strings (``perms``).
     """
 

@@ -17,7 +17,7 @@ from .errors import DisconnectedError, DomainError, as_int
 class Graph:
     """Simple undirected graph: vertex count, adjacency bitsets, optional labels."""
 
-    __slots__ = ("vertex_count", "adjacency", "labels")
+    __slots__ = ("vertex_count", "adjacency", "labels", "_neighbours")
 
     def __init__(
         self,
@@ -32,6 +32,7 @@ class Graph:
         # one int check per mask, not per bit: the loop below walks the bits
         self.adjacency = tuple(as_int(mask, "an adjacency mask") for mask in adjacency)
         self.labels = tuple(labels) if labels is not None else None
+        self._neighbours: Optional[tuple[tuple[int, ...], ...]] = None
         if self.labels is not None and len(self.labels) != vertex_count:
             raise DomainError("labels length does not match vertex count")
         full = (1 << vertex_count) - 1
@@ -64,6 +65,13 @@ class Graph:
             adjacency[u] |= 1 << v
             adjacency[v] |= 1 << u
         return cls(vertex_count, adjacency, labels)
+
+    @property
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, ascending; built on first use."""
+        if self._neighbours is None:
+            self._neighbours = tuple(tuple(_bits(mask)) for mask in self.adjacency)
+        return self._neighbours
 
     def has_edge(self, u: int, v: int) -> bool:
         n = self.vertex_count

@@ -5,11 +5,11 @@ permutation theta of [n] is a tuple over 0..n-1 in which position i stands
 for element i+1, that is, for bit i of a subset mask; a vertex map is a tuple
 over 0..V-1.  Maps enter through ``PermutationGroup`` (its generators),
 ``induced_automorphism`` (theta) or ``is_isomorphism``, which reject tuples
-that are not permutations; products and inverses of checked maps are not
-checked again.  ``is_isomorphism`` is the one check that a vertex map carries
-one graph onto another: ``is_graph_automorphism`` is its case g1 = g2, and
-the H(n,1) Cayley map and the engine's isomorphism witnesses go through it
-too.
+that are not permutations and raise ``DomainError`` on an image that is not
+an int; products and inverses of checked maps are not checked again.
+``is_isomorphism`` is the one check that a vertex map carries one graph onto
+another: ``is_graph_automorphism`` is its case g1 = g2, and the H(n,1)
+Cayley map and the engine's isomorphism witnesses go through it too.
 
 A vertex map is checked against the adjacency once, by the code whose result
 depends on it being an automorphism, not by the code that builds it.
@@ -26,14 +26,13 @@ with an order cap, and is a ``frozenset`` of ``bytes`` image strings,
 ``bytes(images)``, from the closure to its consumers: the product g∘p is
 ``p.translate(t_g)``, one C call per product, with ``t_g`` the image string
 of g padded to the 256-byte table ``translate`` takes.  So an enumerated
-group has at most 256 points, which covers every graph the engine accepts; a
-larger degree raises ``SizeLimitError`` before any work.  Hashing of
-``bytes`` differs from process to process, so a loop over an element set
-sorts it first.  Image strings of one length sort as the tuples of their
-bytes do, so the identity comes first.  A group whose order was proved
-without enumeration, as ``autgroup.automorphism_group`` proves it, carries
-that order and is enumerated only when a consumer needs its elements, under
-the cap it was built with.
+group has at most 256 points; a larger degree raises ``SizeLimitError``
+before any work.  Hashing of ``bytes`` differs from process to process, so a
+loop over an element set sorts it first.  Image strings of one length sort
+as the tuples of their bytes do, so the identity comes first.  A group whose
+order was proved without enumeration, as ``autgroup.automorphism_group``
+proves it, carries that order and is enumerated only when a consumer needs
+its elements, under the cap it was built with.
 
 Orbits come from one primitive, ``orbit_partition``: a BFS over generator
 image tables on integer points.  Vertex, ordered-pair and unordered-pair
@@ -96,7 +95,7 @@ def is_isomorphism(g1: Graph, g2: Graph, images: Sequence[int]) -> bool:
         return False
     if g1 is not g2 and g1.edge_count != g2.edge_count:
         return False
-    if sorted(images) != list(range(g1.vertex_count)):
+    if not _is_permutation(images, g1.vertex_count):
         return False
     adjacency = g2.adjacency
     for u, mask in enumerate(g1.adjacency):
@@ -138,7 +137,7 @@ def induced_automorphism(kg: KneserGraph, theta: Sequence[int]) -> tuple[int, ..
     adjacency here, but by ``check_generators`` where a result rests on it.
     """
     n, side = kg.n, kg.side_size
-    if sorted(theta) != list(range(n)):
+    if not _is_permutation(theta, n):
         raise DomainError(f"{tuple(theta)} is not a permutation of 0..{n - 1}; "
                           f"it cannot act on H({n},{kg.k})")
     masks = kg.masks[:side]
@@ -229,9 +228,13 @@ def _check_string_degree(degree: int) -> int:
     return degree
 
 
+def _is_permutation(images: Sequence[int], degree: int) -> bool:
+    """True iff the images are 0..degree-1; a non-int image, even 1.0, raises ``DomainError``."""
+    return sorted(as_int(x, "an image") for x in images) == list(range(degree))
+
+
 def _check_permutations(maps: Iterable[Sequence[int]], degree: int) -> None:
-    points = list(range(degree))
-    if any(sorted(g) != points for g in maps):
+    if not all(_is_permutation(g, degree) for g in maps):
         raise DomainError(f"a generator is not a permutation of 0..{degree - 1}")
 
 

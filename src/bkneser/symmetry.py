@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .autgroup import _refine, automorphism_group
+from .autgroup import automorphism_group, refine
 from .errors import (
     DisconnectedError,
     DomainError,
@@ -87,7 +87,7 @@ def _suborbit_distances(graph: Graph, group: PermutationGroup) -> Optional[list[
     n = graph.vertex_count
     fixing = [g for g in group.generators if g[0] == 0]
     suborbits = orbit_partition(range(n), fixing, n)
-    cells = _refine(graph.adjacency, [(0,), tuple(range(1, n))] if n > 1 else [(0,)])
+    cells = refine(graph, [(0,), tuple(range(1, n))] if n > 1 else [(0,)])
     if len(cells) != len(suborbits):
         return None
     row = graph.bfs_distances(0)

@@ -4,12 +4,14 @@ Distances come from a dictionary BFS, connectivity from exhaustive cut
 enumeration, isomorphism from a direct scan over all bijections,
 automorphism counts from a scan over all vertex permutations, and group
 elements from a dictionary BFS by right multiplication; none of these
-shares logic with the implementation under test.  Two oracles are earlier
+shares logic with the implementation under test.  Three oracles are earlier
 versions of the code, kept to check what replaced them.  The all-pairs
 connectivity loop solves a flow for every non-adjacent pair and checks the
-pair selection, not the flow.  The regular-subgroup scan is the two-phase
-search (cyclic subgroups first, then pairs), kept to pin the order in which
-the single pair scan finds its subgroup.
+pair selection, not the flow.  The full-round refinement keys every vertex
+by its neighbour count in every cell, on every round, and checks the cells
+of the splitter-queue refinement, not their order.  The regular-subgroup
+scan is the two-phase search (cyclic subgroups first, then pairs), kept to
+pin the order in which the single pair scan finds its subgroup.
 """
 
 from collections import deque
@@ -180,3 +182,25 @@ def two_phase_regular_subgroup(group, vertex_count):
             if len(elements) == vertex_count and transitive([g, h]):
                 return elements
     return None
+
+
+def full_round_refinement(graph, cells):
+    """Coarsest equitable refinement; subcells ordered by neighbour-count key.
+
+    Each round keys every vertex by its neighbour count in every cell of the
+    round's partition, and splits each cell by key until no cell splits.
+    """
+    adjacency = graph.adjacency
+    cells = [tuple(cell) for cell in cells]
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        new_cells = []
+        for cell in cells:
+            groups = {}
+            for v in cell:
+                key = tuple((adjacency[v] & m).bit_count() for m in masks)
+                groups.setdefault(key, []).append(v)
+            new_cells += [tuple(groups[key]) for key in sorted(groups)]
+        if len(new_cells) == len(cells):
+            return new_cells
+        cells = new_cells

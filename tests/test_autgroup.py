@@ -14,12 +14,17 @@ from bkneser import (
     known_generators,
 )
 from bkneser import autgroup
-from bkneser.autgroup import SIZE_LIMIT, _lower_bound, _refine
+from bkneser.autgroup import _lower_bound, refine
 from bkneser.errors import OrderCapExceeded, SizeLimitError, StructureError
-from bkneser.perms import closure_images, complement_automorphism, is_graph_automorphism
+from bkneser.perms import (
+    closure_images,
+    complement_automorphism,
+    is_graph_automorphism,
+    is_isomorphism,
+)
 from bkneser.symmetry import feasible_parameters
 from conftest import complete_graph, cycle_graph, star_graph
-from oracles import brute_force_automorphism_order, brute_isomorphism
+from oracles import brute_force_automorphism_order, brute_isomorphism, full_round_refinement
 
 
 def random_graph(rng, n, p):
@@ -29,11 +34,11 @@ def random_graph(rng, n, p):
 
 def test_refinement_regular_graph_stays_unit():
     c6 = cycle_graph(6)
-    assert _refine(c6.adjacency, [tuple(range(6))]) == [(0, 1, 2, 3, 4, 5)]
+    assert refine(c6, [tuple(range(6))]) == [(0, 1, 2, 3, 4, 5)]
 
 
 def test_refinement_star_splits_by_degree():
-    refined = _refine(star_graph(3).adjacency, [(0, 1, 2, 3)])
+    refined = refine(star_graph(3), [(0, 1, 2, 3)])
     assert set(refined) == {(0,), (1, 2, 3)}
 
 
@@ -42,17 +47,77 @@ def test_refinement_idempotent_and_refines():
     for _ in range(100):
         n = rng.randint(2, 12)
         g = random_graph(rng, n, rng.random())
-        once = _refine(g.adjacency, [tuple(range(n))])
-        twice = _refine(g.adjacency, once)
+        once = refine(g, [tuple(range(n))])
+        twice = refine(g, once)
         assert once == twice
         # every refined cell sits inside one original cell (trivially the
         # unit cell here); also check against a random two-cell start
         if n >= 2:
             split = rng.randint(1, n - 1)
             start = [tuple(range(split)), tuple(range(split, n))]
-            refined = _refine(g.adjacency, start)
+            refined = refine(g, start)
             for cell in refined:
                 assert set(cell) <= set(range(split)) or set(cell) <= set(range(split, n))
+
+
+def is_equitable(graph, cells):
+    masks = [sum(1 << v for v in cell) for cell in cells]
+    return all(len({(graph.adjacency[v] & m).bit_count() for v in cell}) == 1
+               for cell in cells for m in masks)
+
+
+def refinement_graphs(corpus):
+    graphs = dict(corpus)
+    for n, k in feasible_parameters(8):
+        graphs[f"H({n},{k})"] = build_bipartite_kneser(n, k).graph
+    return graphs
+
+
+def random_ordered_partition(rng, n):
+    """A random partition of 0..n-1 into at most four cells, each in random order."""
+    vertices = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(3, n - 1))))
+    bounds = [0, *cuts, n]
+    return [tuple(vertices[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def test_refinement_is_equitable_with_the_oracle_cells(corpus):
+    # the coarsest equitable refinement is unique as a set of cells, so the
+    # splitter queue and the full-round oracle must agree on it; both keep
+    # each cell's vertices in their input order, so the cells are compared
+    # as tuples
+    rng = random.Random(5309)
+    for name, graph in refinement_graphs(corpus).items():
+        n = graph.vertex_count
+        starts = [([tuple(range(n))], None)]
+        starts += [([(v,), tuple(w for w in range(n) if w != v)], None) for v in range(n) if n > 1]
+        starts += [(random_ordered_partition(rng, n), None) for _ in range(5)]
+        # the engine's own call: one vertex split off an equitable partition,
+        # with only its new cell queued
+        unit = refine(graph, [tuple(range(n))])
+        for t, cell in enumerate(unit):
+            for v in cell[:3] if len(cell) > 1 else ():
+                rest = tuple(w for w in cell if w != v)
+                starts.append((unit[:t] + [(v,), rest] + unit[t + 1:], [t]))
+        for cells, splitters in starts:
+            refined = refine(graph, cells, splitters)
+            assert is_equitable(graph, refined), (name, cells)
+            assert set(refined) == set(full_round_refinement(graph, cells)), (name, cells)
+
+
+def test_refinement_commutes_with_relabelling(corpus):
+    # every choice depends only on the ordered partition, so relabelling the
+    # graph and the input by sigma relabels the output, cell by cell in order
+    rng = random.Random(2718)
+    for name, graph in refinement_graphs(corpus).items():
+        n = graph.vertex_count
+        for _ in range(5):
+            sigma = rng.sample(range(n), n)
+            image = Graph.from_edges(n, [(sigma[u], sigma[v]) for u, v in graph.edges()])
+            cells = random_ordered_partition(rng, n)
+            moved = [tuple(sigma[v] for v in cell) for cell in cells]
+            expected = [tuple(sigma[v] for v in cell) for cell in refine(graph, cells)]
+            assert refine(image, moved) == expected, name
 
 
 def test_automorphism_group_examples():
@@ -110,9 +175,11 @@ def test_search_does_not_use_the_call_stack():
     assert mapping is not None
 
 
-def test_size_limit():
-    with pytest.raises(SizeLimitError):
-        automorphism_group(cycle_graph(SIZE_LIMIT + 1))
+def test_work_limit():
+    # the empty graph individualizes every vertex, about V^2 / 2 nodes of V
+    # units each, so the search stops at the work limit within seconds
+    with pytest.raises(SizeLimitError, match="300 vertices and 0 edges exceeds the work limit"):
+        automorphism_group(Graph(300, [0] * 300))
     with pytest.raises(SizeLimitError):
         brute_force_automorphism_order(cycle_graph(9))
 
@@ -277,9 +344,20 @@ def test_isomorphism_handles_disconnected_graphs():
     assert are_isomorphic(g1, g3) is None
 
 
-def test_isomorphism_size_limit():
-    with pytest.raises(SizeLimitError):
-        are_isomorphic(cycle_graph(SIZE_LIMIT + 1), cycle_graph(SIZE_LIMIT + 1))
+def test_isomorphism_work_limit(monkeypatch):
+    monkeypatch.setattr(autgroup, "WORK_LIMIT", 10_000)
+    with pytest.raises(SizeLimitError, match="exceeds the work limit of 10000"):
+        are_isomorphic(Graph(40, [0] * 40), Graph(40, [0] * 40))
+
+
+def test_isomorphism_of_a_relabelled_h94():
+    # V = 252, so the apex union has 506 vertices
+    graph = build_bipartite_kneser(9, 4).graph
+    n = graph.vertex_count
+    sigma = random.Random(94).sample(range(n), n)
+    relabelled = Graph.from_edges(n, [(sigma[u], sigma[v]) for u, v in graph.edges()])
+    mapping = are_isomorphic(relabelled, graph)
+    assert mapping is not None and is_isomorphism(relabelled, graph, mapping)
 
 
 def test_aut_of_dense_graph_uses_complement_safely():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from bkneser import cli, perms
+from bkneser import autgroup, cli, perms
 from bkneser.graphs import Graph
 from bkneser.kneser import build_bipartite_kneser, verify_family_counts
 from bkneser.perms import known_generators, stabilizer_generators
@@ -55,12 +55,18 @@ def test_aut_generators_method(capsys):
     assert json.loads(out)["order"] == 12
 
 
-def test_aut_above_the_engine_limit_exits_2(capsys):
-    # H(9,4) has 252 vertices; the engine refuses it before any search
-    code, out, err = run_cli(capsys, "aut", "--n", "9", "--k", "4")
+def test_aut_engine_certifies_h94(capsys):
+    code, out, _ = run_cli(capsys, "aut", "--method", "engine", "--n", "9", "--k", "4")
+    assert code == 0
+    assert json.loads(out)["order"] == 2 * 362_880  # 2 * 9!
+
+
+def test_aut_above_the_work_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(autgroup, "WORK_LIMIT", 10_000)
+    code, out, err = run_cli(capsys, "aut", "--method", "engine", "--n", "9", "--k", "4")
     assert code == 2
     assert out == ""
-    assert "252 vertices exceeds the engine limit of 128" in err
+    assert "252 vertices and 630 edges exceeds the work limit of 10000" in err
 
 
 def test_aut_generators_above_the_closure_limit_exits_2(capsys):

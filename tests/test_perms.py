@@ -25,6 +25,7 @@ from bkneser import (
     sym_generators,
 )
 from bkneser.autgroup import automorphism_group
+from bkneser.connectivity import vertex_connectivity
 from bkneser.errors import (
     DomainError,
     NeedEnumerationError,
@@ -378,6 +379,18 @@ def test_order_above_the_cap_raises_before_any_closure(monkeypatch):
 ], ids=["negative group degree", "negative closure degree", "float degree", "str degree"])
 def test_degree_is_checked_where_it_enters(make):
     with pytest.raises(DomainError, match="degree"):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: vertex_connectivity(path_graph(3), [(0.0, 1.0, 2.0)]),
+    lambda: is_graph_automorphism(path_graph(3), (0.0, 1.0, 2.0)),
+    lambda: orbits_on_vertices(PermutationGroup([(1.0, 0.0)], 2)),
+    lambda: closure_images([(1.0, 0.0)], 2),
+], ids=["stabilizer map", "automorphism check", "group generator", "closure generator"])
+def test_float_images_are_checked_where_a_map_enters(make):
+    # sorted((1.0, 0.0)) == [0, 1], so only an int check stops these maps
+    with pytest.raises(DomainError, match="an image must be an int, got"):
         make()
 
 

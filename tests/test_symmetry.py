@@ -312,26 +312,23 @@ def test_explore_question2_rows():
 
 
 def test_explore_question2_skips_oversized(monkeypatch):
-    monkeypatch.setattr(autgroup, "SIZE_LIMIT", 8)
+    # H(3,1) needs 12 units of work per node, H(5,2) 50
+    monkeypatch.setattr(autgroup, "WORK_LIMIT", 200)
     rows = explore_question2(5)
     skipped = [r for r in rows if r.comparison == "skipped"]
-    assert skipped and all(
-        r.skip_reason == f"{r.vertices} vertices exceeds the engine limit of 8" for r in skipped
-    )
+    assert skipped and len(skipped) < len(rows)
+    assert all(r.skip_reason.endswith("exceeds the work limit of 200") for r in skipped)
     table = question2_table(rows)
     assert "evidence only" in table
 
 
 def test_explore_question2_at_n9():
-    # the certified order needs no closure, so the 2 * 9! groups are no longer
-    # capped; H(9,3) and H(9,4) are above the engine's size limit
+    # the certified order needs no closure, so the 2 * 9! groups are not
+    # capped, and H(9,3) and H(9,4) are well inside the engine's work limit
     rows = {(r.n, r.k): r for r in explore_question2(9) if r.n == 9}
-    for k in (1, 2):
+    for k in (1, 2, 3, 4):
         assert rows[(9, k)].comparison == "equal"
         assert rows[(9, k)].aut_order == 2 * math.factorial(9)
-    for k, vertices in ((3, 168), (4, 252)):
-        assert rows[(9, k)].comparison == "skipped"
-        assert rows[(9, k)].skip_reason == f"{vertices} vertices exceeds the engine limit of 128"
 
 
 def test_explore_question1_skips_groups_above_the_cap():
