@@ -151,7 +151,7 @@ def vertex_connectivity(graph: Graph, stabilizer: Sequence[Sequence[int]] = ()) 
     best = n - 1
     for orb in orbit_partition(_bits(others), stabilizer, n):
         best = min(best, max_flow(graph, v, orb[0]).value)
-    around = list(_bits(adjacency[v]))
+    around = graph.neighbours[v]
     index = {x: i for i, x in enumerate(around)}
     local = [[index[g[x]] for x in around] for g in stabilizer]
     tables = [[a * degree + b for a in g for b in g] for g in local]

@@ -3,9 +3,9 @@
 An element a^i b^s of D_2n (0 <= i < n, s in {0, 1}) is the int i + n*s,
 which is also its vertex in every Cayley graph built here: a^0 .. a^{n-1},
 then a^0 b .. a^{n-1} b.  Multiplication resolves through the relation
-b a = a^{-1} b.  Each function checks n >= 3 and 0 <= x < 2n where its
-arguments enter.  With this order the explicit isomorphism with H(n, 1) is
-index arithmetic.
+b a = a^{-1} b.  Each function checks that n and x are ints, n >= 3 and
+0 <= x < 2n, where its arguments enter.  With this order the explicit
+isomorphism with H(n, 1) is index arithmetic.
 """
 
 from __future__ import annotations
@@ -13,17 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ConnectionSetError, DomainError, IsomorphismError
+from .errors import ConnectionSetError, DomainError, IsomorphismError, as_int
 from .graphs import Graph
 from .kneser import KneserGraph, build_bipartite_kneser
 from .perms import PermutationGroup, image_set, inverse, is_graph_automorphism, is_isomorphism
 
 
 def _check(n: int, *elements: int) -> None:
-    if n < 3:
+    if as_int(n, "n") < 3:
         raise DomainError(f"dihedral group needs n >= 3, got {n}")
     for x in elements:
-        if x not in range(2 * n):
+        if as_int(x, "a dihedral element") not in range(2 * n):
             raise DomainError(f"{x!r} is not an element 0..{2 * n - 1} of D_{2 * n}")
 
 

@@ -1,23 +1,30 @@
 """Simple undirected graphs over integer vertex indices.
 
-Adjacency is a per-vertex bitset (a Python int), which keeps adjacency tests
-and neighborhood intersections O(1)-ish at the few-thousand-vertex scale this
-package targets.  Graphs are treated as immutable after construction; every
-query is pure.
+Adjacency is a per-vertex bitset (a Python int), which keeps adjacency tests,
+BFS layers and flow searches to a few big-int operations per vertex at the
+few-thousand-vertex scale this package targets.  Construction walks each
+row's bits once: that walk checks the rows for symmetry in O(E) and records
+``neighbours``, the ascending neighbour tuples that every edge scan
+(``edges``, ``arcs``, the isomorphism check, refinement) reads.  Graphs are
+treated as immutable after construction; every query is pure.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 from .errors import DisconnectedError, DomainError, as_int
 
 
 class Graph:
-    """Simple undirected graph: vertex count, adjacency bitsets, optional labels."""
+    """Simple undirected graph: vertex count, adjacency bitsets, optional labels.
 
-    __slots__ = ("vertex_count", "adjacency", "labels", "_neighbours")
+    ``neighbours[v]`` lists v's neighbours in ascending order.
+    """
+
+    __slots__ = ("vertex_count", "adjacency", "labels", "neighbours")
 
     def __init__(
         self,
@@ -32,22 +39,25 @@ class Graph:
         # one int check per mask, not per bit: the loop below walks the bits
         self.adjacency = tuple(as_int(mask, "an adjacency mask") for mask in adjacency)
         self.labels = tuple(labels) if labels is not None else None
-        self._neighbours: Optional[tuple[tuple[int, ...], ...]] = None
         if self.labels is not None and len(self.labels) != vertex_count:
             raise DomainError("labels length does not match vertex count")
-        full = (1 << vertex_count) - 1
+        # rows[w] gathers each v whose mask holds w, in ascending order, so when
+        # v is reached rows[v] must be exactly v's neighbours below v.  A row
+        # holds the int enumerate yields for each vertex, one object per vertex.
+        rows: list = [[] for _ in range(vertex_count)]
         for v, mask in enumerate(self.adjacency):
-            if mask < 0 or mask & ~full:
+            if mask < 0 or mask >> vertex_count:
                 raise DomainError(f"adjacency of vertex {v} refers outside the vertex set")
             if mask >> v & 1:
                 raise DomainError(f"self-loop at vertex {v}")
-            rest = mask
-            while rest:
-                low = rest & -rest
-                u = low.bit_length() - 1
-                if not self.adjacency[u] >> v & 1:
-                    raise DomainError(f"asymmetric adjacency between {u} and {v}")
-                rest ^= low
+            walked = list(_bits(mask))
+            if walked[:bisect_left(walked, v)] != rows[v]:
+                raise DomainError(f"asymmetric adjacency at vertex {v}")
+            for w in walked:
+                rows[w].append(v)
+        for v, row in enumerate(rows):
+            rows[v] = tuple(row)
+        self.neighbours: tuple[tuple[int, ...], ...] = tuple(rows)
 
     @classmethod
     def from_edges(
@@ -66,13 +76,6 @@ class Graph:
             adjacency[v] |= 1 << u
         return cls(vertex_count, adjacency, labels)
 
-    @property
-    def neighbours(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbours, ascending; built on first use."""
-        if self._neighbours is None:
-            self._neighbours = tuple(tuple(_bits(mask)) for mask in self.adjacency)
-        return self._neighbours
-
     def has_edge(self, u: int, v: int) -> bool:
         n = self.vertex_count
         return bool(self.adjacency[_check_vertex(u, n)] >> _check_vertex(v, n) & 1)
@@ -86,20 +89,11 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
-        out = []
-        for u in range(self.vertex_count):
-            rest = self.adjacency[u] >> (u + 1) << (u + 1)
-            for v in _bits(rest):
-                out.append((u, v))
-        return out
+        return [(u, v) for u, row in enumerate(self.neighbours) for v in row if u < v]
 
     def arcs(self) -> list[tuple[int, int]]:
-        """All ordered adjacent pairs."""
-        out = []
-        for u, v in self.edges():
-            out.append((u, v))
-            out.append((v, u))
-        return out
+        """All ordered adjacent pairs: each edge (u, v) of ``edges``, then (v, u)."""
+        return [arc for u, v in self.edges() for arc in ((u, v), (v, u))]
 
     def _layers(self, start: int):
         """Yield the BFS layers from ``start`` as vertex masks, ``start`` first."""

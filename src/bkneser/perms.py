@@ -85,29 +85,16 @@ def format_cycles(images: Sequence[int]) -> str:
 def is_isomorphism(g1: Graph, g2: Graph, images: Sequence[int]) -> bool:
     """True iff the vertex map is a bijection V(g1) -> V(g2) carrying edges onto edges.
 
-    A bijection maps distinct edges of g1 to distinct pairs, so when every
-    edge of g1 lands on an edge of g2 and the edge counts are equal, the
-    image is all of E(g2): the inverse map preserves edges too, and one
-    direction suffices.  When g1 is g2 the counts are equal without being
-    summed, which saves two passes over the adjacency per automorphism check.
+    For a bijection, each u's neighbours mapping exactly onto the neighbours
+    of its image means v ~ u iff images[v] ~ images[u], in both directions.
     """
-    if g1.vertex_count != g2.vertex_count:
+    if g1.vertex_count != g2.vertex_count or not _is_permutation(images, g1.vertex_count):
         return False
-    if g1 is not g2 and g1.edge_count != g2.edge_count:
-        return False
-    if not _is_permutation(images, g1.vertex_count):
-        return False
-    adjacency = g2.adjacency
-    for u, mask in enumerate(g1.adjacency):
-        row = adjacency[images[u]]
-        w = u + 1
-        rest = mask >> w  # the neighbours v > u, as bit v - w: each edge once
-        while rest:
-            low = rest & -rest
-            if not row >> images[w + low.bit_length() - 1] & 1:
-                return False
-            rest ^= low
-    return True
+    rows = g2.neighbours
+    return all(
+        tuple(sorted([images[v] for v in row])) == rows[images[u]]
+        for u, row in enumerate(g1.neighbours)
+    )
 
 
 def is_graph_automorphism(graph: Graph, images: Sequence[int]) -> bool:

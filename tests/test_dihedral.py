@@ -87,6 +87,18 @@ def test_element_validation():
             dihedral_label(0, small)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: dihedral_label(2.0, 3),
+    lambda: dihedral_multiply(1.0, 2, 3),
+    lambda: build_cayley_graph(3, [4.0, 5]),
+    lambda: dihedral_multiply(0, 0, 3.0),
+], ids=["float-label", "float-factor", "float-connection-element", "float-n"])
+def test_integral_floats_raise_domain_error(call):
+    # 2.0 in range(6) holds, so a range test alone lets these through
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_connection_set_validation():
     with pytest.raises(ConnectionSetError):
         build_cayley_graph(4, [IDENTITY])

@@ -16,6 +16,19 @@ def test_construction_rejects_self_loops_and_asymmetry():
         Graph(2, [0b10, 0b00])  # 0->1 without 1->0
     with pytest.raises(DomainError):
         Graph.from_edges(2, [(0, 5)])
+    with pytest.raises(DomainError):
+        Graph(3, [0b010, 0b100, 0b001])  # directed 3-cycle: in-degree = out-degree
+    with pytest.raises(DomainError):
+        Graph(4, [0b0010, 0b1001, 0, 0])  # 1 lists 3 above it, 3 lists nothing
+    with pytest.raises(DomainError):
+        Graph(3, [0, 0b100, 0b001])  # 2 lists one vertex below it, 0 and not 1
+
+
+def test_neighbours_list_the_set_bits(corpus):
+    for name, g in corpus.items():
+        for v, mask in enumerate(g.adjacency):
+            bits = tuple(u for u in range(g.vertex_count) if mask >> u & 1)
+            assert g.neighbours[v] == bits, (name, v)
 
 
 @pytest.mark.parametrize("call", [
