@@ -153,7 +153,7 @@ def _target_cell(cells: list[tuple[int, ...]]) -> Optional[int]:
 
 def _first_automorphism(
     child: Callable[[list[tuple[int, ...]], int, int], list[tuple[int, ...]]],
-    adjacency: Sequence[int],
+    neighbours: Sequence[Sequence[int]],
     edges: list[tuple[int, int]],
     base_leaf: list[int],
     shapes: Sequence[tuple[int, ...]],
@@ -186,7 +186,7 @@ def _first_automorphism(
         for a, cell in zip(base_leaf, cells):
             images[a] = cell[0]
         for u, v in edges:
-            if not adjacency[images[u]] >> images[v] & 1:
+            if images[v] not in neighbours[images[u]]:
                 break
         else:
             return tuple(images)
@@ -201,7 +201,6 @@ def _search(
     Also returns the base path's base points and target-cell sizes, one of
     each per level, or raises ``SizeLimitError`` past ``WORK_LIMIT``.
     """
-    adjacency = graph.adjacency
     n = graph.vertex_count
     edges = graph.edges()
     work = size = n + len(edges)
@@ -238,12 +237,11 @@ def _search(
         for u in siblings:
             if ids[u] in seen:
                 continue
-            found = _first_automorphism(
-                child, adjacency, edges, base_leaf, shapes[depth + 1:], child(cells, target, u)
-            )
+            found = _first_automorphism(child, graph.neighbours, edges, base_leaf,
+                                        shapes[depth + 1:], child(cells, target, u))
             if found is not None:
                 generators.append(found)
-                orbits = orbit_partition(range(n), generators, n)
+                orbits = orbit_partition(range(n), generators)
                 ids = {x: i for i, orb in enumerate(orbits) for x in orb}
                 seen = {ids[p] for p in processed}
             processed.append(u)
@@ -257,7 +255,7 @@ def _lower_bound(generators: Sequence[tuple[int, ...]], base: Sequence[int], n: 
     bound = 1
     for i, b in enumerate(base):
         fixing = [g for g in generators if all(g[a] == a for a in base[:i])]
-        bound *= len(orbit_partition([b], fixing, n)[0])
+        bound *= len(orbit_partition([b], fixing)[0])
     return bound
 
 

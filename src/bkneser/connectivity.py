@@ -5,7 +5,7 @@ Internally disjoint u-v paths are unit flows once every vertex w is split
 into w_in = 2w and w_out = 2w + 1, joined by a unit-capacity arc, and every
 edge xy becomes the uncapacitated arcs x_out -> y_in and y_out -> x_in
 (Even & Tarjan, SIAM J. Comput. 1975).  The split graph is never built: the
-search reads the adjacency bitsets directly.  Global connectivity solves the
+search reads the neighbour tuples directly.  Global connectivity solves the
 flows of the Esfahanian-Hakimi pair selection (Networks 14, 1984) around one
 vertex of minimum degree, one flow per orbit of a verified group of
 automorphisms that fixes it.  Every solve reads a minimum cut off its last,
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AdjacencyError, DomainError, VerificationError
-from .graphs import Graph, _bits, _check_vertex
+from .graphs import Graph, _check_vertex
 from .perms import is_graph_automorphism, orbit_partition
 
 
@@ -41,30 +41,30 @@ def max_flow(graph: Graph, u: int, v: int) -> MaxFlowResult:
     u, v = _check_vertex(u, n), _check_vertex(v, n)
     if u == v:
         raise DomainError("max-flow needs two distinct vertices")
-    adjacency = graph.adjacency
+    rows = graph.neighbours
     source, sink = 2 * u + 1, 2 * v
     prv = [-1] * n
     ends: list[int] = []  # the last interior vertex of each path
     while True:
         parent = [-1] * (2 * n)
         parent[source] = source
-        seen_in = 1 << u  # no path re-enters u
+        seen_in = bytearray(n)
+        seen_in[u] = 1  # no path re-enters u
         queue = [source]
         for state in queue:
             w = state >> 1
             if state & 1:
-                fresh = adjacency[w] & ~seen_in
-                if w == u:
-                    fresh &= ~(1 << v)  # the direct edge is not an interior path
-                if fresh >> v & 1:
+                row = rows[w]
+                if w != u and v in row:  # from u, the direct edge is not an interior path
                     parent[sink] = state
                     break
-                seen_in |= fresh
-                for y in _bits(fresh):
-                    parent[2 * y] = state
-                    queue.append(2 * y)
-                if prv[w] >= 0 and not seen_in >> w & 1:  # w's unit can run back to w_in
-                    seen_in |= 1 << w
+                for y in row:
+                    if not seen_in[y] and y != v:
+                        seen_in[y] = 1
+                        parent[2 * y] = state
+                        queue.append(2 * y)
+                if prv[w] >= 0 and not seen_in[w]:  # w's unit can run back to w_in
+                    seen_in[w] = 1
                     parent[2 * w] = state
                     queue.append(2 * w)
             else:
@@ -89,7 +89,7 @@ def max_flow(graph: Graph, u: int, v: int) -> MaxFlowResult:
                     prv[y] = x
             b = a
 
-    cut = sum(1 for w in _bits(seen_in) if parent[2 * w + 1] < 0)
+    cut = sum(1 for w in range(n) if seen_in[w] and parent[2 * w + 1] < 0)
     if cut != len(ends):
         raise VerificationError(
             f"max-flow {len(ends)} does not match extracted min-cut {cut}"
@@ -137,9 +137,9 @@ def vertex_connectivity(graph: Graph, stabilizer: Sequence[Sequence[int]] = ()) 
     its own orbit.
     """
     n = graph.vertex_count
-    adjacency = graph.adjacency
-    degree = min(mask.bit_count() for mask in adjacency)
-    v = next(u for u in range(n) if adjacency[u].bit_count() == degree)
+    rows = graph.neighbours
+    degree = min(map(len, rows))
+    v = next(u for u in range(n) if len(rows[u]) == degree)
     for i, g in enumerate(stabilizer):
         if not is_graph_automorphism(graph, g):
             raise DomainError(f"stabilizer map {i} is not an automorphism of the graph")
@@ -147,18 +147,19 @@ def vertex_connectivity(graph: Graph, stabilizer: Sequence[Sequence[int]] = ()) 
             raise DomainError(f"stabilizer map {i} moves vertex {v} to {g[v]}")
     if degree == n - 1:
         return n - 1  # complete graph convention, 0 for K_1
-    others = ((1 << n) - 1) ^ adjacency[v] ^ (1 << v)
+    around = rows[v]
+    adjacent = set(around)
     best = n - 1
-    for orb in orbit_partition(_bits(others), stabilizer, n):
+    others = [w for w in range(n) if w != v and w not in adjacent]
+    for orb in orbit_partition(others, stabilizer):
         best = min(best, max_flow(graph, v, orb[0]).value)
-    around = graph.neighbours[v]
     index = {x: i for i, x in enumerate(around)}
     local = [[index[g[x]] for x in around] for g in stabilizer]
     tables = [[a * degree + b for a in g for b in g] for g in local]
     tables.append([b * degree + a for a in range(degree) for b in range(degree)])
     pairs = [i * degree + j for i, x in enumerate(around) for j in range(i + 1, degree)
-             if not adjacency[x] >> around[j] & 1]
-    for orb in orbit_partition(pairs, tables, degree * degree):
+             if around[j] not in rows[x]]
+    for orb in orbit_partition(pairs, tables):
         i, j = divmod(orb[0], degree)
         best = min(best, max_flow(graph, around[i], around[j]).value)
     return best

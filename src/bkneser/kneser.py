@@ -4,7 +4,8 @@ Vertices 0 .. C(n,k)-1 are the k-subsets in lexicographic order; vertex
 C(n,k)+r is the (n-k)-subset whose complement has lex rank r.  This pairing
 makes complementation the fixed index shift i <-> i + C(n,k), which the
 symmetry modules rely on.  ``KneserGraph.masks`` holds the subset of each
-vertex as an int mask (see ``subsets``).
+vertex as an int mask (see ``subsets``); the labels and the induced maps
+f_theta read it, and the graph holds only its neighbour tuples.
 """
 
 from __future__ import annotations
@@ -65,20 +66,20 @@ def build_bipartite_kneser(n: int, k: int, allow_null: bool = False) -> KneserGr
     masks = [unrank_subset(r, n, k) for r in range(side)]
     masks += [full ^ masks[r] for r in range(side)]
 
-    adjacency = [0] * (2 * side)
+    rows: list[list[int]] = [[] for _ in range(2 * side)]
     if n > 2 * k:
-        # Neighbors of a k-subset A are the (n-k)-supersets A ∪ T, T from [n]∖A;
-        # A ∪ T sits at side + the rank of its complement, a k-subset.
-        rank = {masks[r]: r for r in range(side)}
+        # Neighbors of a k-subset A are the (n-k)-supersets A ∪ T, T from [n]∖A.
+        # The dict hands out one int object per vertex, which every row shares.
+        vertex = {masks[j]: j for j in range(side, 2 * side)}
         for i in range(side):
             a = masks[i]
             outside = [1 << x for x in range(n) if not a >> x & 1]
             for extra in combinations(outside, n - 2 * k):
-                j = side + rank[full ^ (a | sum(extra))]
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
+                j = vertex[a | sum(extra)]
+                rows[i].append(j)
+                rows[j].append(i)
 
-    graph = Graph(2 * side, adjacency, labels=[format_subset(m) for m in masks])
+    graph = Graph(2 * side, rows, labels=[format_subset(m) for m in masks])
     return KneserGraph(n=n, k=k, graph=graph, side_size=side, masks=tuple(masks))
 
 

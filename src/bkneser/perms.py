@@ -40,7 +40,8 @@ orbits are thin encodings over it.  A pair (u, v) of an n-point group is the
 point u*n+v; each generator, and the transpose (u, v) -> (v, u), acts on it
 through an indexable object that computes each image from two n-entry lists
 when it is read, and output pairs decode with ``divmod``, so no n^2 image or
-decode table is built.  Only the BFS's ``seen`` bytearray has n^2 entries.
+decode table is built, and the BFS keeps its visited points in a set: memory
+grows with the pairs in the orbits walked, not with n^2.
 """
 
 from __future__ import annotations
@@ -367,27 +368,27 @@ def group_closure(
 def orbit_partition(
     points: Iterable[int],
     tables: Sequence[Sequence[int]],
-    size: int,
 ) -> list[tuple[int, ...]]:
     """Orbits through ``points`` of the group generated by ``tables``.
 
-    Points are ints in 0..size-1 and each generator is an image table, g[x].
-    Each orbit is a sorted tuple, and the orbits are ordered by least point.
-    When ``points`` is not a union of orbits, an orbit may include points
-    outside it.
+    Points are ints and each generator is an image table, g[x].  Each orbit
+    is a sorted tuple, and the orbits are ordered by least point.  When
+    ``points`` is not a union of orbits, an orbit may include points outside
+    it.  The visited points are kept in a set, so memory grows with the
+    orbits walked, not with the range the points are drawn from.
     """
-    seen = bytearray(size)
+    seen: set[int] = set()
     out = []
     for start in points:
-        if seen[start]:
+        if start in seen:
             continue
-        seen[start] = 1
+        seen.add(start)
         members = [start]
         for x in members:  # the list is the BFS queue: appends are visited too
             for g in tables:
                 y = g[x]
-                if not seen[y]:
-                    seen[y] = 1
+                if y not in seen:
+                    seen.add(y)
                     members.append(y)
         members.sort()
         out.append(tuple(members))
@@ -406,11 +407,11 @@ def _check_point(point: int, degree: int) -> int:
 def orbit(group: PermutationGroup, point: int) -> tuple[int, ...]:
     """Orbit of a vertex under the generated group."""
     point = _check_point(point, group.degree)
-    return orbit_partition([point], group.generators, group.degree)[0]
+    return orbit_partition([point], group.generators)[0]
 
 
 def orbits_on_vertices(group: PermutationGroup) -> list[tuple[int, ...]]:
-    return orbit_partition(range(group.degree), group.generators, group.degree)
+    return orbit_partition(range(group.degree), group.generators)
 
 
 class _OnPairs:
@@ -452,7 +453,7 @@ def orbits_on_ordered_pairs(
     actions = [_OnPairs.diagonal(g) for g in group.generators]
     return [
         tuple(divmod(x, n) for x in orb)
-        for orb in orbit_partition(points, actions, n * n)
+        for orb in orbit_partition(points, actions)
     ]
 
 
@@ -471,7 +472,7 @@ def orbits_on_unordered_pairs(
     points = [u * n + v for u, v in pairs]
     return [
         tuple(divmod(x, n) for x in orb if x // n <= x % n)
-        for orb in orbit_partition(points, actions, n * n)
+        for orb in orbit_partition(points, actions)
     ]
 
 

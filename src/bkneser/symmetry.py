@@ -86,7 +86,7 @@ def _suborbit_distances(graph: Graph, group: PermutationGroup) -> Optional[list[
     """
     n = graph.vertex_count
     fixing = [g for g in group.generators if g[0] == 0]
-    suborbits = orbit_partition(range(n), fixing, n)
+    suborbits = orbit_partition(range(n), fixing)
     cells = refine(graph, [(0,), tuple(range(1, n))] if n > 1 else [(0,)])
     if len(cells) != len(suborbits):
         return None
@@ -285,7 +285,7 @@ def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> Regular
     for i, g in enumerate(candidates):
         for h in candidates[i:]:
             checked += 1
-            if len(orbit_partition([0], [g, h], degree)[0]) != vertex_count:
+            if len(orbit_partition([0], [g, h])[0]) != vertex_count:
                 continue
             try:
                 elements = closure_images([g, h], degree, order_cap=vertex_count)

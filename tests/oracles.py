@@ -168,7 +168,7 @@ def two_phase_regular_subgroup(group, vertex_count):
     candidates = [g for g in sorted(group.elements) if vertex_count % element_order(g) == 0]
 
     def transitive(gens):
-        return len(orbit_partition([0], gens, degree)[0]) == vertex_count
+        return len(orbit_partition([0], gens)[0]) == vertex_count
 
     for g in candidates:
         if element_order(g) == vertex_count and transitive([g]):
@@ -190,15 +190,14 @@ def full_round_refinement(graph, cells):
     Each round keys every vertex by its neighbour count in every cell of the
     round's partition, and splits each cell by key until no cell splits.
     """
-    adjacency = graph.adjacency
     cells = [tuple(cell) for cell in cells]
     while True:
-        masks = [sum(1 << v for v in cell) for cell in cells]
+        sets = [set(cell) for cell in cells]
         new_cells = []
         for cell in cells:
             groups = {}
             for v in cell:
-                key = tuple((adjacency[v] & m).bit_count() for m in masks)
+                key = tuple(len(s.intersection(graph.neighbours[v])) for s in sets)
                 groups.setdefault(key, []).append(v)
             new_cells += [tuple(groups[key]) for key in sorted(groups)]
         if len(new_cells) == len(cells):

@@ -13,28 +13,39 @@ def test_construction_rejects_self_loops_and_asymmetry():
     with pytest.raises(DomainError):
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(DomainError):
-        Graph(2, [0b10, 0b00])  # 0->1 without 1->0
+        Graph(2, [(1,), ()])  # 0->1 without 1->0
     with pytest.raises(DomainError):
         Graph.from_edges(2, [(0, 5)])
     with pytest.raises(DomainError):
-        Graph(3, [0b010, 0b100, 0b001])  # directed 3-cycle: in-degree = out-degree
+        Graph(3, [(1,), (2,), (0,)])  # directed 3-cycle: in-degree = out-degree
     with pytest.raises(DomainError):
-        Graph(4, [0b0010, 0b1001, 0, 0])  # 1 lists 3 above it, 3 lists nothing
+        Graph(4, [(1,), (0, 3), (), ()])  # 1 lists 3 above it, 3 lists nothing
     with pytest.raises(DomainError):
-        Graph(3, [0, 0b100, 0b001])  # 2 lists one vertex below it, 0 and not 1
+        Graph(3, [(), (2,), (0,)])  # 2 lists one vertex below it, 0 and not 1
 
 
-def test_neighbours_list_the_set_bits(corpus):
+def test_rows_are_stored_ascending():
+    assert Graph(3, [[2, 1], {0}, (0,)]).neighbours == ((1, 2), (0,), (0,))
+    # an edge listed twice counts once, in either orientation
+    assert Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)]).edge_count == 1
+
+
+def test_edge_list_round_trip(corpus):
     for name, g in corpus.items():
-        for v, mask in enumerate(g.adjacency):
-            bits = tuple(u for u in range(g.vertex_count) if mask >> u & 1)
-            assert g.neighbours[v] == bits, (name, v)
+        assert Graph.from_edges(g.vertex_count, g.edges()).neighbours == g.neighbours, name
 
 
 @pytest.mark.parametrize("call", [
-    lambda g: Graph(3.0, [0, 0, 0]),
-    lambda g: Graph(2, [1.0, 0]),
-    lambda g: Graph(2, ["a", 0]),
+    lambda g: Graph(3.0, [(), (), ()]),
+    lambda g: Graph(2, [(1.0,), (0,)]),
+    lambda g: Graph(2, [("a",), (0,)]),
+    lambda g: Graph(2, 5),
+    lambda g: Graph(2, [()]),
+    lambda g: Graph(2, [0b10, 0b01]),  # the adjacency masks of K2, not rows
+    lambda g: Graph(2, [(1, 1), (0, 0)]),  # symmetric counts, so only the repeat is wrong
+    lambda g: Graph(2, [(2,), ()]),
+    lambda g: Graph(2, [(-1,), ()]),
+    lambda g: Graph(2, [(0, 1), (0,)]),
     lambda g: Graph.from_edges(3, [(0.0, 1)]),
     lambda g: Graph.from_edges(3.0, [(0, 1)]),
     lambda g: max_flow(g, 0.0, 2),
@@ -43,9 +54,10 @@ def test_neighbours_list_the_set_bits(corpus):
     lambda g: g.has_edge(5, 0),
     lambda g: g.has_edge(-1, 1),  # would read vertex 2's row
     lambda g: g.has_edge(0, 1.0),
-], ids=["float-count", "float-mask", "str-mask", "float-endpoint", "float-edge-count",
-        "float-source", "negative-sink", "negative-v", "u-too-large", "negative-u",
-        "float-v"])
+], ids=["float-count", "float-neighbour", "str-neighbour", "int-rows", "short-rows",
+        "mask-rows", "repeated-neighbour", "neighbour-too-large", "negative-neighbour",
+        "self-loop-row", "float-endpoint", "float-edge-count", "float-source", "negative-sink",
+        "negative-v", "u-too-large", "negative-u", "float-v"])
 def test_bad_vertices_and_masks_raise_domain_error(call):
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(DomainError):
@@ -58,7 +70,7 @@ def test_bfs_distances_cycle():
 
 
 def test_bfs_distances_single_vertex_and_bad_index():
-    k1 = Graph(1, [0])
+    k1 = Graph(1, [()])
     assert k1.bfs_distances(0) == [0]
     for start in (1, -1, 0.0, "0"):
         with pytest.raises(DomainError):

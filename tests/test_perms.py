@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import permutations as iter_permutations
 
 import pytest
@@ -522,3 +523,18 @@ def test_orbit_functions_match_orbits_of_the_elements():
             assert orbits_on_ordered_pairs(group, pool) == oracle(pool, on_ordered)
         for pool in (graph.edges(), ragged):
             assert orbits_on_unordered_pairs(group, pool) == oracle(pool, on_unordered)
+
+
+def test_pair_orbits_take_memory_by_orbit_not_by_degree_squared():
+    # degree 20,000: an array over all encoded pairs would take 400 MB
+    n = 20_000
+    swap = (1, 0, *range(2, n))
+    group = PermutationGroup([swap], n)
+    tracemalloc.start()
+    try:
+        orbits = orbits_on_ordered_pairs(group, [(0, 1), (2, 3), (n - 1, 5)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert orbits == [((0, 1), (1, 0)), ((2, 3),), ((n - 1, 5),)]
+    assert peak < 5_000_000
