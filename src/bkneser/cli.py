@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .autgroup import automorphism_group
@@ -59,24 +58,18 @@ def _order_cap() -> int:
     return cap
 
 
-def _write(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
-def _emit(payload: dict, out: Optional[str]) -> None:
-    _write(json.dumps(payload, separators=(",", ":")) + "\n", out)
+def _emit(payload: dict) -> None:
+    sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     kg = build_bipartite_kneser(args.n, args.k, allow_null=args.allow_null)
-    if args.format == "dot":
-        _write(kg.graph.to_dot(), args.out)
+    write = kg.graph.write_dot if args.format == "dot" else kg.graph.write_json
+    if args.out is None:
+        write(sys.stdout)
     else:
-        _emit(kg.graph.to_json_dict(), args.out)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            write(handle)
     return 0
 
 
@@ -92,7 +85,7 @@ def cmd_props(args: argparse.Namespace) -> int:
         "bipartition": list(report.part_sizes),
         "diameter": diameter_by_orbits(kg.graph, group),
     }
-    _emit(payload, None)
+    _emit(payload)
     return 0
 
 
@@ -121,7 +114,7 @@ def cmd_aut(args: argparse.Namespace) -> int:
             )
         payload["agree"] = True
     payload["generators"] = [format_cycles(g) for g in group.generators]
-    _emit(payload, None)
+    _emit(payload)
     return 0
 
 
@@ -145,7 +138,7 @@ def cmd_transitivity(args: argparse.Namespace) -> int:
             args.level: full[args.level],
             "orbits": {orbit_key: full["orbits"][orbit_key]},
         }
-    _emit(payload, None)
+    _emit(payload)
     return 0
 
 
@@ -159,11 +152,11 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
         u, v = 0, kg.side_size
         payload["certificate"] = menger_certificate(kg.graph, u, v)
     if kappa != expected:
-        _emit(payload, None)
+        _emit(payload)
         raise VerificationError(
             f"connectivity {kappa} does not match the degree bound {expected}"
         )
-    _emit(payload, None)
+    _emit(payload)
     return 0
 
 
@@ -181,7 +174,7 @@ def cmd_cayley_check(args: argparse.Namespace) -> int:
         "left_regular_order": subgroup.order,
         "regular_action": True,
     }
-    _emit(payload, None)
+    _emit(payload)
     return 0
 
 
@@ -196,11 +189,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
             payload = {
                 "question": 2,
                 "nmax": nmax,
-                "rows": [asdict(r) for r in rows],
+                "rows": [r._asdict() for r in rows],
                 "note": "evidence only: equality on these instances proves nothing "
                         "about unlisted (n, k)",
             }
-            _emit(payload, None)
+            _emit(payload)
     else:
         nmax = args.nmax if args.nmax is not None else 5
         rows = explore_question1(nmax, args.kmax, order_cap=cap)
@@ -208,7 +201,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "question": 1,
             "nmax": nmax,
             "generator_bound": GENERATOR_BOUND,
-            "rows": [asdict(r) for r in rows],
+            "rows": [r._asdict() for r in rows],
             "caveat": SEARCH_CAVEAT,
         }
         if args.format == "text":
@@ -218,7 +211,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 )
             sys.stdout.write(payload["caveat"] + "\n")
         else:
-            _emit(payload, None)
+            _emit(payload)
     return 0
 
 

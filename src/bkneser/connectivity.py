@@ -14,16 +14,14 @@ failed search and checks it against the flow value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import AdjacencyError, DomainError, VerificationError
 from .graphs import Graph, _check_vertex
 from .perms import is_graph_automorphism, orbit_partition
 
 
-@dataclass
-class MaxFlowResult:
+class MaxFlowResult(NamedTuple):
     value: int
     cut_capacity: int
     paths: list[list[int]]  # one internally disjoint u .. v path per unit of flow

@@ -10,8 +10,7 @@ isomorphism with H(n, 1) is index arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ConnectionSetError, DomainError, IsomorphismError, as_int
 from .graphs import Graph
@@ -78,8 +77,7 @@ def build_cayley_graph(n: int, omega: Iterable[int]) -> Graph:
     return Graph.from_edges(2 * n, edges, labels=[dihedral_label(x, n) for x in range(2 * n)])
 
 
-@dataclass(frozen=True)
-class CayleyIsomorphism:
+class CayleyIsomorphism(NamedTuple):
     """Verified bijection between V(H(n,1)) and D_2n under the reflection set."""
 
     n: int

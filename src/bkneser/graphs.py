@@ -2,17 +2,21 @@
 
 A graph is its vertex count and ``neighbours``, one ascending tuple of
 neighbours per vertex, which every reader (BFS, flows, refinement, the
-isomorphism check) walks directly.  The constructor checks the rows once,
-where they enter, in O(E).  Graphs are treated as immutable after
-construction; every query is pure.
+isomorphism check) walks directly.  The constructor takes the rows from any
+iterable, one pass, and checks them once, where they enter, in O(E).  A row
+given as an ascending tuple of plain ints is kept as given, so the rows a
+builder makes are stored without a second copy.  Graphs are treated as
+immutable after construction; every query is pure.  The writers stream JSON
+and DOT one vertex's edges at a time.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from bisect import bisect_left
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .errors import DisconnectedError, DomainError, as_int
 
@@ -34,11 +38,9 @@ class Graph:
         """Check each row: ints in range, no self-loop, no repeat, and symmetric."""
         vertex_count = _check_count(vertex_count)
         try:
-            given = list(neighbours)
+            given = iter(neighbours)
         except TypeError:
             raise DomainError("neighbours must be an iterable of rows") from None
-        if len(given) != vertex_count:
-            raise DomainError("neighbours length does not match vertex count")
         self.vertex_count = vertex_count
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != vertex_count:
@@ -48,12 +50,19 @@ class Graph:
         earlier: list[list[int]] = [[] for _ in range(vertex_count)]
         rows: list[tuple[int, ...]] = []
         for v, given_row in enumerate(given):
+            if v == vertex_count:
+                raise DomainError("neighbours length does not match vertex count")
             try:
-                row = tuple(sorted(map(operator.index, given_row)))
+                ordered = sorted(map(operator.index, given_row))
             except TypeError:
                 raise DomainError(
                     f"the row of vertex {v} must be an iterable of ints, got {given_row!r}"
                 ) from None
+            # an ascending tuple of plain ints is kept as given, not copied
+            if type(given_row) is tuple and all(map(operator.is_, ordered, given_row)):
+                row = given_row
+            else:
+                row = tuple(ordered)
             if row and (row[0] < 0 or row[-1] >= vertex_count):
                 raise DomainError(f"the row of vertex {v} refers outside the vertex set")
             if len(set(row)) != len(row):
@@ -67,6 +76,8 @@ class Graph:
             for w in row[cut:]:
                 earlier[w].append(v)
             rows.append(row)
+        if len(rows) != vertex_count:
+            raise DomainError("neighbours length does not match vertex count")
         self.neighbours: tuple[tuple[int, ...], ...] = tuple(rows)
 
     @classmethod
@@ -149,26 +160,38 @@ class Graph:
                 return None
         return tuple(sorted(sides[0])), tuple(sorted(sides[1]))
 
-    def to_json_dict(self) -> dict:
-        data: dict = {
-            "vertex_count": self.vertex_count,
-            "edges": [[u, v] for u, v in self.edges()],
-        }
-        if self.labels is not None:
-            data["labels"] = list(self.labels)
-        return data
+    def _edge_rows(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Each vertex u with a neighbour above it, and those neighbours."""
+        for u, row in enumerate(self.neighbours):
+            above = row[bisect_left(row, u):]
+            if above:
+                yield u, above
 
-    def to_dot(self) -> str:
-        lines = ["graph G {"]
-        for v in range(self.vertex_count):
-            if self.labels is not None:
-                lines.append(f'  {v} [label="{self.labels[v]}"];')
-            else:
-                lines.append(f"  {v};")
-        for u, v in self.edges():
-            lines.append(f"  {u} -- {v};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+    def write_json(self, handle: TextIO) -> None:
+        """Write {"vertex_count", "edges", "labels"} as one compact JSON line.
+
+        The edges are those of ``edges``, written one vertex's row at a time.
+        """
+        handle.write(f'{{"vertex_count":{self.vertex_count},"edges":[')
+        separator = ""
+        for u, above in self._edge_rows():
+            handle.write(separator + ",".join([f"[{u},{v}]" for v in above]))
+            separator = ","
+        handle.write("]")
+        if self.labels is not None:
+            handle.write(',"labels":' + json.dumps(self.labels, separators=(",", ":")))
+        handle.write("}\n")
+
+    def write_dot(self, handle: TextIO) -> None:
+        """Write the graph in DOT, each vertex with its label, then each edge."""
+        handle.write("graph G {\n")
+        if self.labels is not None:
+            handle.writelines(f'  {v} [label="{label}"];\n' for v, label in enumerate(self.labels))
+        else:
+            handle.writelines(f"  {v};\n" for v in range(self.vertex_count))
+        for u, above in self._edge_rows():
+            handle.write("".join([f"  {u} -- {v};\n" for v in above]))
+        handle.write("}\n")
 
     def __repr__(self) -> str:
         return f"Graph(vertices={self.vertex_count}, edges={self.edge_count})"

@@ -6,25 +6,38 @@ makes complementation the fixed index shift i <-> i + C(n,k), which the
 symmetry modules rely on.  ``KneserGraph.masks`` holds the subset of each
 vertex as an int mask (see ``subsets``); the labels and the induced maps
 f_theta read it, and the graph holds only its neighbour tuples.
+
+A k-set A lies inside the (n-k)-set [n]-B exactly when A and B are
+disjoint, so H(n, k) is the Kneser graph K(n, k) times K_2: vertex r and
+vertex C(n,k)+s are adjacent exactly when the k-subsets of ranks r and s
+are disjoint.  The builder computes each Kneser row once, as the ascending
+tuple of ranks disjoint from r.  Vertex C(n,k)+r takes that tuple as its
+row, and vertex r takes it shifted by C(n,k); the shifted entries come from
+one list, so every row that names a vertex shares one int object for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import CardinalityError, DomainError, FamilyInvariantError, NullGraphError, as_int
 from .graphs import Graph
 from .subsets import binomial, format_subset, rank_subset, unrank_subset
 
 
-@dataclass(frozen=True)
-class KneserGraph:
+class KneserGraph(NamedTuple):
     n: int
     k: int
     graph: Graph
     side_size: int  # C(n, k); vertices i and i + side_size hold complementary subsets
-    masks: tuple[int, ...] = field(repr=False)  # the subset mask of each vertex
+    masks: tuple[int, ...]  # the subset mask of each vertex
+
+    def __repr__(self) -> str:
+        return (
+            f"KneserGraph(n={self.n!r}, k={self.k!r}, graph={self.graph!r}, "
+            f"side_size={self.side_size!r})"
+        )
 
     def subset_of_vertex(self, index: int) -> int:
         """The subset mask of vertex ``index``, 0 <= index < V."""
@@ -64,27 +77,25 @@ def build_bipartite_kneser(n: int, k: int, allow_null: bool = False) -> KneserGr
     side = binomial(n, k)
     full = (1 << n) - 1
     masks = [unrank_subset(r, n, k) for r in range(side)]
-    masks += [full ^ masks[r] for r in range(side)]
-
-    rows: list[list[int]] = [[] for _ in range(2 * side)]
-    if n > 2 * k:
-        # Neighbors of a k-subset A are the (n-k)-supersets A ∪ T, T from [n]∖A.
-        # The dict hands out one int object per vertex, which every row shares.
-        vertex = {masks[j]: j for j in range(side, 2 * side)}
-        for i in range(side):
-            a = masks[i]
+    if n == 2 * k:
+        rows = [()] * (2 * side)
+    else:
+        # ranks[r]: the k-subsets disjoint from subset r, from the k-combinations
+        # of r's complement bits, which come out in lex order
+        rank_of = {m: r for r, m in enumerate(masks)}
+        ranks = []
+        for a in masks:
             outside = [1 << x for x in range(n) if not a >> x & 1]
-            for extra in combinations(outside, n - 2 * k):
-                j = vertex[a | sum(extra)]
-                rows[i].append(j)
-                rows[j].append(i)
+            ranks.append(tuple(map(rank_of.__getitem__, map(sum, combinations(outside, k)))))
+        shifted = list(range(side, 2 * side))
+        rows = [tuple(map(shifted.__getitem__, row)) for row in ranks] + ranks
+    masks += [full ^ m for m in masks]
 
     graph = Graph(2 * side, rows, labels=[format_subset(m) for m in masks])
     return KneserGraph(n=n, k=k, graph=graph, side_size=side, masks=tuple(masks))
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     n: int
     k: int
     vertices: int

@@ -20,8 +20,7 @@ silent choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .autgroup import automorphism_group, refine
 from .errors import (
@@ -51,8 +50,7 @@ from .perms import (
 )
 
 
-@dataclass(frozen=True)
-class TransitivityReport:
+class TransitivityReport(NamedTuple):
     vertex_transitive: bool
     edge_transitive: bool
     arc_transitive: bool
@@ -180,8 +178,7 @@ def diameter_by_orbits(graph: Graph, group: PermutationGroup) -> int:
     return max(max(graph.bfs_distances(orb[0])) for orb in orbits_on_vertices(group))
 
 
-@dataclass(frozen=True)
-class DirectProductReport:
+class DirectProductReport(NamedTuple):
     n: int
     k: int
     sym_closure_order: int
@@ -242,8 +239,7 @@ SEARCH_CAVEAT = (
 )
 
 
-@dataclass(frozen=True)
-class RegularSubgroupSearch:
+class RegularSubgroupSearch(NamedTuple):
     subgroup: Optional[PermutationGroup]
     candidates_checked: int
 
@@ -297,8 +293,7 @@ def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> Regular
     return RegularSubgroupSearch(None, checked)
 
 
-@dataclass(frozen=True)
-class Question2Row:
+class Question2Row(NamedTuple):
     n: int
     k: int
     vertices: int
@@ -369,8 +364,7 @@ def question2_table(rows: list[Question2Row]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Question1Row:
+class Question1Row(NamedTuple):
     n: int
     k: int
     vertices: int

@@ -4,8 +4,11 @@ Distances come from a dictionary BFS, connectivity from exhaustive cut
 enumeration, isomorphism from a direct scan over all bijections,
 automorphism counts from a scan over all vertex permutations, and group
 elements from a dictionary BFS by right multiplication; none of these
-shares logic with the implementation under test.  Three oracles are earlier
-versions of the code, kept to check what replaced them.  The all-pairs
+shares logic with the implementation under test.  The other oracles are
+earlier versions of the code, kept to check what replaced them.  The
+mask-and-append builder finds each k-subset's (n-k)-supersets by adding bits
+to its mask and appends every edge to both rows; the writers' oracles build
+the whole text at once, JSON through ``json.dumps``.  The all-pairs
 connectivity loop solves a flow for every non-adjacent pair and checks the
 pair selection, not the flow.  The full-round refinement keys every vertex
 by its neighbour count in every cell, on every round, and checks the cells
@@ -14,6 +17,7 @@ scan is the two-phase search (cyclic subgroups first, then pairs), kept to
 pin the order in which the single pair scan finds its subgroup.
 """
 
+import json
 from collections import deque
 from itertools import combinations, permutations
 
@@ -203,3 +207,48 @@ def full_round_refinement(graph, cells):
         if len(new_cells) == len(cells):
             return new_cells
         cells = new_cells
+
+
+def mask_and_append_kneser(n, k):
+    """(neighbours, masks) of H(n, k), n >= 2k, in the package's indexing.
+
+    The earlier builder: when n > 2k, each k-subset A is joined to the
+    (n-k)-supersets A | T for T among the (n-2k)-subsets of [n] - A, and
+    every edge is appended to both rows; H(2k, k) has no edges.  The masks
+    come from ``itertools.combinations``, not from ``unrank_subset``.
+    """
+    full = (1 << n) - 1
+    small = [sum(1 << x for x in c) for c in combinations(range(n), k)]
+    side = len(small)
+    masks = small + [full ^ m for m in small]
+    vertex = {masks[j]: j for j in range(side, 2 * side)}
+    rows = [[] for _ in range(2 * side)]
+    for i, a in enumerate(small if n > 2 * k else ()):
+        outside = [1 << x for x in range(n) if not a >> x & 1]
+        for extra in combinations(outside, n - 2 * k):
+            j = vertex[a | sum(extra)]
+            rows[i].append(j)
+            rows[j].append(i)
+    return tuple(tuple(sorted(row)) for row in rows), tuple(masks)
+
+
+def json_text(graph):
+    """The JSON document of ``Graph.write_json``, built as one dict."""
+    data = {"vertex_count": graph.vertex_count, "edges": [[u, v] for u, v in graph.edges()]}
+    if graph.labels is not None:
+        data["labels"] = list(graph.labels)
+    return json.dumps(data, separators=(",", ":")) + "\n"
+
+
+def dot_text(graph):
+    """The DOT text of ``Graph.write_dot``, built as one list of lines."""
+    lines = ["graph G {"]
+    for v in range(graph.vertex_count):
+        if graph.labels is not None:
+            lines.append(f'  {v} [label="{graph.labels[v]}"];')
+        else:
+            lines.append(f"  {v};")
+    for u, v in graph.edges():
+        lines.append(f"  {u} -- {v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -370,6 +370,11 @@ def test_unwritable_out_path_exits_2(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+    # a directory cannot be opened for writing either, in either format
+    code, out, err = run_cli(capsys, "build", "--n", "5", "--k", "2", "--format", "dot",
+                             "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):

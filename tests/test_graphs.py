@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -6,7 +7,14 @@ import pytest
 from bkneser import Graph, build_bipartite_kneser, max_flow
 from bkneser.errors import DisconnectedError, DomainError
 from conftest import complete_graph, cycle_graph, star_graph
-from oracles import plain_bfs_distances, plain_diameter
+from oracles import dot_text, json_text, plain_bfs_distances, plain_diameter
+
+
+def written(write):
+    """The text that a ``Graph.write_*`` method writes."""
+    handle = io.StringIO()
+    write(handle)
+    return handle.getvalue()
 
 
 def test_construction_rejects_self_loops_and_asymmetry():
@@ -28,6 +36,34 @@ def test_rows_are_stored_ascending():
     assert Graph(3, [[2, 1], {0}, (0,)]).neighbours == ((1, 2), (0,), (0,))
     # an edge listed twice counts once, in either orientation
     assert Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)]).edge_count == 1
+
+
+def test_rows_may_come_from_a_generator():
+    g = Graph(3, (row for row in [[1, 2], [0], [0]]))
+    assert g.neighbours == ((1, 2), (0,), (0,))
+
+
+@pytest.mark.parametrize("rows", [[(1,), (0,)], [(1,), (0,), (), ()]], ids=["too-few", "too-many"])
+def test_row_count_must_match_vertex_count(rows):
+    with pytest.raises(DomainError, match="^neighbours length does not match vertex count$"):
+        Graph(3, iter(rows))
+
+
+def test_bool_entries_are_stored_as_plain_ints():
+    g = Graph(2, [(True,), (False,)])
+    assert g.neighbours == ((1,), (0,))
+    assert all(type(x) is int for row in g.neighbours for x in row)
+
+
+def test_ascending_int_tuples_are_kept_as_given():
+    rows = [(1, 2), (0,), (0,)]
+    g = Graph(3, rows)
+    assert all(kept is given for kept, given in zip(g.neighbours, rows))
+    # a list, or a tuple out of order, is stored as a new tuple
+    g = Graph(3, [[1, 2], (0,), (0,)])
+    assert g.neighbours[0] == (1, 2) and type(g.neighbours[0]) is tuple
+    unsorted = (2, 1)
+    assert Graph(3, [unsorted, (0,), (0,)]).neighbours[0] == (1, 2)
 
 
 def test_edge_list_round_trip(corpus):
@@ -156,7 +192,7 @@ def test_degree_sum_is_twice_edges(corpus):
 
 def test_json_export_shape():
     g = Graph.from_edges(3, [(1, 0), (2, 1)], labels=["a", "b", "c"])
-    data = json.loads(json.dumps(g.to_json_dict()))
+    data = json.loads(written(g.write_json))
     assert data == {
         "vertex_count": 3,
         "edges": [[0, 1], [1, 2]],
@@ -166,9 +202,28 @@ def test_json_export_shape():
 
 def test_dot_export_golden():
     g = Graph.from_edges(2, [(0, 1)], labels=["{1}", "{2}"])
-    assert g.to_dot() == (
+    assert written(g.write_dot) == (
         'graph G {\n  0 [label="{1}"];\n  1 [label="{2}"];\n  0 -- 1;\n}\n'
     )
+
+
+def test_writers_match_their_oracles(corpus):
+    cases = dict(corpus)
+    cases["H52"] = build_bipartite_kneser(5, 2).graph
+    cases["H42-null"] = build_bipartite_kneser(4, 2, allow_null=True).graph
+    cases["P3-quoted-labels"] = Graph.from_edges(
+        3, [(0, 1), (1, 2)], labels=['say "hi"', "back\\slash", '\\"'])
+    assert cases["K4"].labels is None and cases["H31"].labels is not None
+    for name, g in cases.items():
+        assert written(g.write_json) == json_text(g), name
+        assert written(g.write_dot) == dot_text(g), name
+
+
+def test_edgeless_json_has_an_empty_edge_list():
+    g = build_bipartite_kneser(4, 2, allow_null=True).graph
+    text = written(g.write_json)
+    assert text.startswith('{"vertex_count":12,"edges":[],"labels":["{1,2}",')
+    assert written(Graph(2, [(), ()]).write_json) == '{"vertex_count":2,"edges":[]}\n'
 
 
 def test_edges_sorted():

@@ -8,6 +8,8 @@ the module's own code never reads.  ``__init__`` counts the names it lists in
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,3 +57,14 @@ def test_every_absolute_import_is_stdlib(path):
             roots.add(node.module.split(".")[0])
     outside = sorted(roots - sys.stdlib_module_names)
     assert not outside, f"{path.name} imports {outside}, which are not in the standard library"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every run pays for its imports; the records are NamedTuples, so the CLI
+    # needs neither dataclasses nor inspect, which dataclasses pulls in
+    probe = ("import bkneser.cli, sys; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

@@ -14,6 +14,7 @@ from bkneser.errors import (
     NullGraphError,
 )
 from conftest import cycle_graph, mask
+from oracles import mask_and_append_kneser
 
 
 def test_build_small_examples():
@@ -31,6 +32,31 @@ def test_build_small_examples():
     assert kg.vertex_count == 62
     assert kg.graph.edge_count == 31 * 30
     assert set(kg.graph.degree_sequence()) == {30}
+
+
+def test_builder_matches_the_mask_and_append_oracle():
+    feasible = [(n, k) for n in range(3, 12) for k in range(1, (n - 1) // 2 + 1)]
+    for n, k in feasible:
+        kg = build_bipartite_kneser(n, k)
+        assert (kg.graph.neighbours, kg.masks) == mask_and_append_kneser(n, k), (n, k)
+    for k in range(1, 5):
+        kg = build_bipartite_kneser(2 * k, k, allow_null=True)
+        assert (kg.graph.neighbours, kg.masks) == mask_and_append_kneser(2 * k, k), k
+
+
+def test_each_vertex_is_one_int_object_in_every_row():
+    # a vertex listed in many rows costs one int; H(10,4) has 420 vertices,
+    # past the small ints that CPython caches
+    objects = {}
+    for row in build_bipartite_kneser(10, 4).graph.neighbours:
+        for v in row:
+            assert objects.setdefault(v, v) is v
+
+
+def test_repr_leaves_out_the_masks():
+    kg = build_bipartite_kneser(5, 2)
+    assert repr(kg) == ("KneserGraph(n=5, k=2, graph=Graph(vertices=20, edges=30), "
+                        "side_size=10)")
 
 
 def test_null_graph_requires_flag():
