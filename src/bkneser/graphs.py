@@ -5,9 +5,13 @@ neighbours per vertex, which every reader (BFS, flows, refinement, the
 isomorphism check) walks directly.  The constructor takes the rows from any
 iterable, one pass, and checks them once, where they enter, in O(E).  A row
 given as an ascending tuple of plain ints is kept as given, so the rows a
-builder makes are stored without a second copy.  Graphs are treated as
-immutable after construction; every query is pure.  The writers stream JSON
-and DOT one vertex's edges at a time.
+builder makes are stored without a second copy.  Labels given as a list, or
+any mutable or one-pass input, are copied to a tuple; any other sequence is
+kept as given, so a view that formats each label when it is read costs
+nothing until a writer reads it.  Graphs are treated as immutable after
+construction; every query is pure.  The writers stream JSON and DOT one
+vertex's edges at a time, and the DOT writer escapes each label's
+backslashes and double quotes.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import json
 import math
 import operator
 from bisect import bisect_left
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from collections.abc import MutableSequence, Sequence
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .errors import DisconnectedError, DomainError, as_int
 
@@ -42,7 +47,10 @@ class Graph:
         except TypeError:
             raise DomainError("neighbours must be an iterable of rows") from None
         self.vertex_count = vertex_count
-        self.labels = tuple(labels) if labels is not None else None
+        if labels is not None and (isinstance(labels, MutableSequence)
+                                   or not isinstance(labels, Sequence)):
+            labels = tuple(labels)  # copied; a tuple, or a view, is kept as given
+        self.labels = labels
         if self.labels is not None and len(self.labels) != vertex_count:
             raise DomainError("labels length does not match vertex count")
         # earlier[w] gathers each v < w whose row holds w, in ascending order,
@@ -179,14 +187,19 @@ class Graph:
             separator = ","
         handle.write("]")
         if self.labels is not None:
-            handle.write(',"labels":' + json.dumps(self.labels, separators=(",", ":")))
+            handle.write(',"labels":' + json.dumps(list(self.labels), separators=(",", ":")))
         handle.write("}\n")
 
     def write_dot(self, handle: TextIO) -> None:
-        """Write the graph in DOT, each vertex with its label, then each edge."""
+        """Write the graph in DOT, each vertex with its quoted label, then each edge.
+
+        A backslash or a double quote in a label is escaped, so the quoted
+        string ends where the label does.
+        """
         handle.write("graph G {\n")
         if self.labels is not None:
-            handle.writelines(f'  {v} [label="{label}"];\n' for v, label in enumerate(self.labels))
+            handle.writelines(f'  {v} [label="{label.translate(_DOT_ESCAPES)}"];\n'
+                              for v, label in enumerate(self.labels))
         else:
             handle.writelines(f"  {v};\n" for v in range(self.vertex_count))
         for u, above in self._edge_rows():
@@ -195,6 +208,9 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(vertices={self.vertex_count}, edges={self.edge_count})"
+
+
+_DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"'})
 
 
 def _check_count(vertex_count: int) -> int:

@@ -5,7 +5,9 @@ C(n,k)+r is the (n-k)-subset whose complement has lex rank r.  This pairing
 makes complementation the fixed index shift i <-> i + C(n,k), which the
 symmetry modules rely on.  ``KneserGraph.masks`` holds the subset of each
 vertex as an int mask (see ``subsets``); the labels and the induced maps
-f_theta read it, and the graph holds only its neighbour tuples.
+f_theta read it, and the graph holds only its neighbour tuples.  The graph's
+labels are a view over the masks that formats each label when it is read,
+so only a writer (``build``) pays for them.
 
 A k-set A lies inside the (n-k)-set [n]-B exactly when A and B are
 disjoint, so H(n, k) is the Kneser graph K(n, k) times K_2: vertex r and
@@ -18,12 +20,31 @@ one list, so every row that names a vertex shares one int object for it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import CardinalityError, DomainError, FamilyInvariantError, NullGraphError, as_int
 from .graphs import Graph
 from .subsets import binomial, format_subset, rank_subset, unrank_subset
+
+
+class _SubsetLabels(Sequence):
+    """The label of each vertex, "{1,3}", formatted from its subset mask when it is read."""
+
+    __slots__ = ("masks",)
+
+    def __init__(self, masks: tuple[int, ...]) -> None:
+        self.masks = masks
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, index: int) -> str:
+        return format_subset(self.masks[index])
+
+    def __iter__(self) -> Iterator[str]:
+        return map(format_subset, self.masks)
 
 
 class KneserGraph(NamedTuple):
@@ -89,10 +110,10 @@ def build_bipartite_kneser(n: int, k: int, allow_null: bool = False) -> KneserGr
             ranks.append(tuple(map(rank_of.__getitem__, map(sum, combinations(outside, k)))))
         shifted = list(range(side, 2 * side))
         rows = [tuple(map(shifted.__getitem__, row)) for row in ranks] + ranks
-    masks += [full ^ m for m in masks]
+    masks = tuple(masks + [full ^ m for m in masks])
 
-    graph = Graph(2 * side, rows, labels=[format_subset(m) for m in masks])
-    return KneserGraph(n=n, k=k, graph=graph, side_size=side, masks=tuple(masks))
+    graph = Graph(2 * side, rows, labels=_SubsetLabels(masks))
+    return KneserGraph(n=n, k=k, graph=graph, side_size=side, masks=masks)
 
 
 class FamilyReport(NamedTuple):

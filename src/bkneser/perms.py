@@ -21,18 +21,23 @@ is a wrong construction or a wrong group, so the claim resting on it fails.
 ``vertex_connectivity`` checks its stabilizer maps itself.
 
 A group holds its generators and, when known, its order or its elements.
-An enumerated group comes from a breadth-first closure under composition,
-with an order cap, and is a ``frozenset`` of ``bytes`` image strings,
+An enumerated group comes from a closure under composition, built coset by
+coset with an order cap, and is a ``frozenset`` of ``bytes`` image strings,
 ``bytes(images)``, from the closure to its consumers: the product g∘p is
 ``p.translate(t_g)``, one C call per product, with ``t_g`` the image string
 of g padded to the 256-byte table ``translate`` takes.  So an enumerated
 group has at most 256 points; a larger degree raises ``SizeLimitError``
-before any work.  Hashing of ``bytes`` differs from process to process, so a
-loop over an element set sorts it first.  Image strings of one length sort
-as the tuples of their bytes do, so the identity comes first.  A group whose
-order was proved without enumeration, as ``autgroup.automorphism_group``
-proves it, carries that order and is enumerated only when a consumer needs
-its elements, under the cap it was built with.
+before any work.  The closure is Dimino's method (Butler, *Fundamental
+Algorithms for Permutation Groups*, LNCS 559, 1991): each generator that is
+not yet an element adds whole left cosets r∘H of the group H closed so far,
+so each element costs one ``translate``, and the set is asked only whether
+each coset representative is new.  Hashing of ``bytes`` differs from
+process to process, so a loop over an element set sorts it first.  Image
+strings of one length sort as the tuples of their bytes do, so the identity
+comes first.  A group whose order was proved without enumeration, as
+``autgroup.automorphism_group`` proves it, carries that order and is
+enumerated only when a consumer needs its elements, under the cap it was
+built with.
 
 Orbits come from one primitive, ``orbit_partition``: a BFS over generator
 image tables on integer points.  Vertex, ordered-pair and unordered-pair
@@ -47,6 +52,7 @@ grows with the pairs in the orbits walked, not with n^2.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -218,7 +224,11 @@ def _check_string_degree(degree: int) -> int:
 
 def _is_permutation(images: Sequence[int], degree: int) -> bool:
     """True iff the images are 0..degree-1; a non-int image, even 1.0, raises ``DomainError``."""
-    return sorted(as_int(x, "an image") for x in images) == list(range(degree))
+    try:
+        ordered = sorted(map(operator.index, images))
+    except TypeError:
+        ordered = sorted(as_int(x, "an image") for x in images)  # raises at the first non-int
+    return ordered == list(range(degree))
 
 
 def _check_permutations(maps: Iterable[Sequence[int]], degree: int) -> None:
@@ -318,31 +328,59 @@ def closure_images(
 ) -> frozenset[bytes]:
     """The group generated by the given image tuples, as a frozenset of image strings.
 
-    A BFS from the identity that multiplies each new element p on the left
-    by each generator g, in generator order.  Before an element is added
-    beyond ``order_cap`` elements, ``OrderCapExceeded`` is raised.  A degree
-    above 256 raises ``SizeLimitError`` before the BFS starts, and a
-    generator that is not a permutation of 0..degree-1 raises
-    ``DomainError``.
+    Dimino's coset enumeration.  The closure starts from the cyclic group
+    of the generator of largest order, the first such; the powers of every
+    generator are walked to find it.  Each other generator, in the given
+    order, that is not already an element extends the group H closed so far
+    to G = <H, g>, a union of left cosets r∘H.  The representatives start
+    from the identity, and each one r gives the candidates s∘r for every
+    generator s taken so far; a candidate outside the elements is a new
+    representative, and its coset {r∘h : h in H} is added whole.  The cosets
+    found are closed under left multiplication by every generator of G, so
+    their union is G.
+
+    ``OrderCapExceeded`` is raised when a power or a coset would take the
+    group past ``order_cap`` elements, which happens exactly when the group
+    is larger than the cap.  A degree above 256 raises ``SizeLimitError``
+    before any work, and a generator that is not a permutation of
+    0..degree-1 raises ``DomainError``.
     """
     degree = _check_string_degree(degree)
     _check_permutations(generator_images, degree)
     pad = bytes(256 - degree)
-    tables = [bytes(g) + pad for g in generator_images]
     ident = bytes(range(degree))
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
+    gens = list(map(bytes, generator_images))
+    elements, tables = [ident], []
+    for g in gens:
+        table = g + pad
+        powers = [ident]
+        p = g
+        while p != ident:
+            if len(powers) >= order_cap:
+                raise _cap_exceeded(order_cap)
+            powers.append(p)
+            p = p.translate(table)
+        if len(powers) > len(elements):
+            elements, tables = powers, [table]
+    members = set(elements)
+    for g in gens:
+        if g in members:
+            continue
+        tables.append(g + pad)
+        subgroup = elements[:]
+        reps = [ident]
+        for r in reps:  # the list is the queue: appended representatives are visited too
             for t in tables:
-                q = p.translate(t)
-                if q not in elements:
-                    if len(elements) >= order_cap:
+                q = r.translate(t)
+                if q not in members:
+                    if len(elements) + len(subgroup) > order_cap:
                         raise _cap_exceeded(order_cap)
-                    elements.add(q)
-                    nxt.append(q)
-        frontier = nxt
+                    table = q + pad
+                    coset = [h.translate(table) for h in subgroup]
+                    members.update(coset)
+                    elements += coset
+                    reps.append(q)
+    del members  # freed before the frozenset is built, so the two never coexist
     return frozenset(elements)
 
 

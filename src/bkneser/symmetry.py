@@ -41,6 +41,7 @@ from .perms import (
     commutes,
     complement_automorphism,
     group_closure,
+    inverse,
     is_semiregular,
     orbit_partition,
     orbits_on_ordered_pairs,
@@ -244,6 +245,23 @@ class RegularSubgroupSearch(NamedTuple):
     candidates_checked: int
 
 
+class _Conjugation:
+    """Conjugation g -> x∘g∘x^-1 of image strings by x, as a table for ``orbit_partition``.
+
+    Two ``translate`` calls per product: g∘x^-1, then x after it.
+    """
+
+    __slots__ = ("inverse", "table", "pad")
+
+    def __init__(self, x: bytes) -> None:
+        self.pad = bytes(256 - len(x))
+        self.inverse = bytes(inverse(tuple(x)))
+        self.table = x + self.pad
+
+    def __getitem__(self, g: bytes) -> bytes:
+        return self.inverse.translate(g + self.pad).translate(self.table)
+
+
 def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> RegularSubgroupSearch:
     """Look for a subgroup acting regularly on the vertices.
 
@@ -264,6 +282,19 @@ def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> Regular
     first hit is the pair the unpruned scan finds.  A semiregular element's
     order is its cycle length, which divides the degree.
 
+    Only the rows of elements that are least in their conjugacy class are
+    scanned.  Let (g*, h*) be the first pair the full scan accepts.
+    Conjugation by x in the group maps a regular subgroup to a regular
+    subgroup and a semiregular element to a semiregular one, so if
+    x g* x^-1 < g*, the pair {x g* x^-1, x h* x^-1} is accepted in an
+    earlier row, which is impossible.  So g* is the least element of its
+    class, and skipping the other rows leaves the same first hit, or none;
+    only ``candidates_checked`` falls.  The rows are walked in sorted order,
+    so a row whose element is not yet seen holds the least element of its
+    class: the class, its orbit under conjugation by the generators, is
+    marked seen, and the row is scanned.  Every generator must be an
+    element, or ``StructureError`` is raised.
+
     A pair is then tested for transitivity, one orbit BFS, before its
     closure runs: a transitive group has at least ``vertex_count`` elements,
     so a closure capped there that completes is the regular subgroup.
@@ -275,10 +306,18 @@ def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> Regular
         raise DomainError(
             f"a group of degree {degree} has no regular action on {vertex_count} vertices"
         )
+    generators = [bytes(x) for x in group.generators]
+    if not all(x in group.elements for x in generators):
+        raise StructureError("a generator of the group is not one of its elements")
+    conjugations = [_Conjugation(x) for x in generators]
 
     candidates = [g for g in sorted(group.elements) if is_semiregular(g)]
+    seen: set[bytes] = set()
     checked = 0
     for i, g in enumerate(candidates):
+        if g in seen:
+            continue
+        seen.update(orbit_partition([g], conjugations)[0])
         for h in candidates[i:]:
             checked += 1
             if len(orbit_partition([0], [g, h])[0]) != vertex_count:

@@ -8,13 +8,18 @@ shares logic with the implementation under test.  The other oracles are
 earlier versions of the code, kept to check what replaced them.  The
 mask-and-append builder finds each k-subset's (n-k)-supersets by adding bits
 to its mask and appends every edge to both rows; the writers' oracles build
-the whole text at once, JSON through ``json.dumps``.  The all-pairs
-connectivity loop solves a flow for every non-adjacent pair and checks the
-pair selection, not the flow.  The full-round refinement keys every vertex
+the whole text at once, JSON through ``json.dumps``, DOT with each label's
+backslashes and then its double quotes escaped by ``str.replace``.  The
+all-pairs connectivity loop solves a flow for every non-adjacent pair and
+checks the pair selection, not the flow.  The full-round refinement keys every vertex
 by its neighbour count in every cell, on every round, and checks the cells
-of the splitter-queue refinement, not their order.  The regular-subgroup
-scan is the two-phase search (cyclic subgroups first, then pairs), kept to
-pin the order in which the single pair scan finds its subgroup.
+of the splitter-queue refinement, not their order.  The breadth-first
+closure multiplies each new element on the left by every generator and
+checks the coset closure, cap included.  The regular-subgroup scans are the
+two-phase search (cyclic subgroups first, then pairs), kept to pin the order
+in which the single pair scan finds its subgroup, and the pair scan over
+every row, kept to check that scanning only the least element of each
+conjugacy class finds the same subgroup.
 """
 
 import json
@@ -23,7 +28,13 @@ from itertools import combinations, permutations
 
 from bkneser.connectivity import local_vertex_connectivity
 from bkneser.errors import OrderCapExceeded, SizeLimitError
-from bkneser.perms import closure_images, element_order, orbit_partition
+from bkneser.perms import (
+    DEFAULT_ORDER_CAP,
+    closure_images,
+    element_order,
+    is_semiregular,
+    orbit_partition,
+)
 
 
 def edge_dict(graph):
@@ -161,6 +172,60 @@ def dict_closure(generators, degree):
     return tuple(sorted(seen))
 
 
+def bfs_closure_images(generator_images, degree, order_cap=DEFAULT_ORDER_CAP):
+    """The element set of ``closure_images``, by the earlier breadth-first closure.
+
+    A BFS from the identity that multiplies each new element p on the left
+    by each generator g, in generator order.  Before an element is added
+    beyond ``order_cap`` elements, ``OrderCapExceeded`` is raised.  The
+    generators are not checked: they must be permutations of 0..degree-1,
+    degree <= 256.
+    """
+    pad = bytes(256 - degree)
+    tables = [bytes(g) + pad for g in generator_images]
+    ident = bytes(range(degree))
+    elements = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for t in tables:
+                q = p.translate(t)
+                if q not in elements:
+                    if len(elements) >= order_cap:
+                        raise OrderCapExceeded(
+                            f"group closure exceeded the cap of {order_cap} elements")
+                    elements.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return frozenset(elements)
+
+
+def every_row_regular_subgroup(group, vertex_count):
+    """(element set of the first regular subgroup found, or None, pairs checked).
+
+    The pair scan of ``find_regular_subgroup`` without its conjugacy
+    pruning: every pair g <= h of semiregular elements, row by row in sorted
+    order, each tested for transitivity and then closed, by the breadth-first
+    closure, under a cap of ``vertex_count``.
+    """
+    degree = group.degree
+    candidates = [g for g in sorted(group.elements) if is_semiregular(g)]
+    checked = 0
+    for i, g in enumerate(candidates):
+        for h in candidates[i:]:
+            checked += 1
+            if len(orbit_partition([0], [g, h])[0]) != vertex_count:
+                continue
+            try:
+                elements = bfs_closure_images([g, h], degree, order_cap=vertex_count)
+            except OrderCapExceeded:
+                continue
+            if len(elements) == vertex_count:
+                return elements, checked
+    return None, checked
+
+
 def two_phase_regular_subgroup(group, vertex_count):
     """The element set of the first regular subgroup found, or None.
 
@@ -245,7 +310,8 @@ def dot_text(graph):
     lines = ["graph G {"]
     for v in range(graph.vertex_count):
         if graph.labels is not None:
-            lines.append(f'  {v} [label="{graph.labels[v]}"];')
+            label = graph.labels[v].replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {v} [label="{label}"];')
         else:
             lines.append(f"  {v};")
     for u, v in graph.edges():

@@ -207,6 +207,22 @@ def test_dot_export_golden():
     )
 
 
+def test_dot_export_escapes_quotes_and_backslashes():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)], labels=['say "hi"', "back\\slash", '\\"'])
+    assert written(g.write_dot) == (
+        'graph G {\n  0 [label="say \\"hi\\""];\n  1 [label="back\\\\slash"];\n'
+        '  2 [label="\\\\\\""];\n  0 -- 1;\n  1 -- 2;\n}\n'
+    )
+
+
+def test_labels_given_as_a_list_are_copied():
+    labels = ["a", "b"]
+    g = Graph.from_edges(2, [(0, 1)], labels=labels)
+    labels[0] = "changed"
+    assert g.labels == ("a", "b")
+    assert Graph(2, [(1,), (0,)], labels=iter("xy")).labels == ("x", "y")
+
+
 def test_writers_match_their_oracles(corpus):
     cases = dict(corpus)
     cases["H52"] = build_bipartite_kneser(5, 2).graph

@@ -1,10 +1,12 @@
 import pytest
 
+from bkneser import kneser
 from bkneser import (
     KneserGraph,
     are_isomorphic,
     binomial,
     build_bipartite_kneser,
+    format_subset,
     verify_family_counts,
 )
 from bkneser.errors import (
@@ -51,6 +53,19 @@ def test_each_vertex_is_one_int_object_in_every_row():
     for row in build_bipartite_kneser(10, 4).graph.neighbours:
         for v in row:
             assert objects.setdefault(v, v) is v
+
+
+def test_labels_are_formatted_only_when_read(monkeypatch):
+    def no_format(mask):
+        raise AssertionError("a label was formatted")
+
+    monkeypatch.setattr(kneser, "format_subset", no_format)
+    kg = build_bipartite_kneser(5, 2)
+    verify_family_counts(kg)
+    monkeypatch.undo()
+    labels = kg.graph.labels
+    assert len(labels) == kg.vertex_count and labels[0] == "{1,2}" and labels[-1] == "{1,2,3}"
+    assert list(labels) == [format_subset(m) for m in kg.masks]
 
 
 def test_repr_leaves_out_the_masks():

@@ -42,9 +42,10 @@ from bkneser.perms import (
     is_isomorphism,
     is_semiregular,
 )
+from bkneser.symmetry import feasible_parameters
 from bkneser import perms
 from conftest import complete_graph, cycle_graph, mask, path_graph, two_switched
-from oracles import dict_closure
+from oracles import bfs_closure_images, dict_closure
 
 
 def random_permutation(rng, n):
@@ -234,13 +235,37 @@ def test_closure_images_matches_a_dict_closure():
 
 
 def test_closure_images_cap_is_the_largest_order_that_completes():
-    # Aut(H(5,2)), and the dihedral group D_256 at the largest degree
+    # Aut(H(5,2)), the dihedral group D_256 at the largest degree, and known
+    # generators; the BFS closure completes and raises at the same caps
     h52 = build_bipartite_kneser(5, 2).graph
-    for gens, degree, order in [(automorphism_group(h52).generators, 20, 240),
-                                (dihedral_generators(256), 256, 512)]:
-        assert len(closure_images(gens, degree, order_cap=order)) == order
-        with pytest.raises(OrderCapExceeded):
-            closure_images(gens, degree, order_cap=order - 1)
+    cases = [(automorphism_group(h52).generators, 20, 240),
+             (dihedral_generators(256), 256, 512), (dihedral_generators(3), 3, 6)]
+    for n, k in [(4, 1), (6, 2), (7, 3)]:
+        kg = build_bipartite_kneser(n, k)
+        cases += [(known_generators(kg), kg.vertex_count, 2 * math.factorial(n)),
+                  (sym_generators(kg), kg.vertex_count, math.factorial(n))]
+    for gens, degree, order in cases:
+        for closure in (closure_images, bfs_closure_images):
+            assert len(closure(gens, degree, order_cap=order)) == order
+            with pytest.raises(OrderCapExceeded, match=f"the cap of {order - 1} elements"):
+                closure(gens, degree, order_cap=order - 1)
+
+
+def test_coset_closure_matches_the_bfs_closure():
+    # the coset method starts from the generator of largest order and takes
+    # the others in the given order; every order gives the BFS closure's group
+    cases = []
+    for n, k in feasible_parameters(7):
+        kg = build_bipartite_kneser(n, k)
+        known = known_generators(kg)
+        cases += [(order, kg.vertex_count) for order in iter_permutations(known)]
+        cases.append((known[:2], kg.vertex_count))
+    for degree in (1, 2, 3, 4, 5, 6, 12, 97, 128, 256):
+        rotation, reflection = dihedral_generators(degree)
+        cases += [([rotation, reflection], degree), ([reflection, rotation], degree),
+                  ([reflection, rotation, reflection, tuple(range(degree))], degree)]
+    for gens, degree in cases:
+        assert closure_images(gens, degree) == bfs_closure_images(gens, degree), (degree, gens)
 
 
 def test_is_isomorphism_needs_a_bijection_and_equal_counts():
@@ -397,7 +422,10 @@ def test_degree_is_checked_where_it_enters(make):
     lambda: is_graph_automorphism(path_graph(3), (0.0, 1.0, 2.0)),
     lambda: orbits_on_vertices(PermutationGroup([(1.0, 0.0)], 2)),
     lambda: closure_images([(1.0, 0.0)], 2),
-], ids=["stabilizer map", "automorphism check", "group generator", "closure generator"])
+    lambda: closure_images([(0, "1", 2)], 3),
+    lambda: closure_images([(None, 1, 2)], 3),
+], ids=["stabilizer map", "automorphism check", "group generator", "closure generator",
+        "str image", "None image"])
 def test_float_images_are_checked_where_a_map_enters(make):
     # sorted((1.0, 0.0)) == [0, 1], so only an int check stops these maps
     with pytest.raises(DomainError, match="an image must be an int, got"):

@@ -34,8 +34,16 @@ from bkneser.errors import DisconnectedError, DomainError, NeedEnumerationError,
 from bkneser.perms import is_semiregular
 from bkneser.subsets import binomial
 from bkneser.symmetry import SEARCH_CAVEAT, feasible_parameters, question2_table
-from conftest import complete_graph, cycle_graph, path_graph, star_graph, two_switched
-from oracles import two_phase_regular_subgroup
+from conftest import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+    star_graph,
+    two_switched,
+)
+from oracles import every_row_regular_subgroup, two_phase_regular_subgroup
 
 
 def known_group(kg):
@@ -279,6 +287,33 @@ def test_find_regular_subgroup_matches_the_two_phase_scan():
         assert found == two_phase_regular_subgroup(group, vertex_count), vertex_count
 
 
+def test_find_regular_subgroup_matches_the_scan_over_every_row():
+    # skipping rows whose element is not least in its conjugacy class keeps
+    # the first hit; the 3-cube, K_{4,4} minus a perfect matching, has no
+    # cyclic regular group, so its hit is not in the identity row
+    cube = Graph.from_edges(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
+    cases = [(cube, 8), (petersen_graph(), 10), (complete_bipartite(2, 3), 5)]
+    cases = [(automorphism_group(g), count) for g, count in cases]
+    for n, k in feasible_parameters(6) + [(7, 1), (7, 2)]:
+        kg = build_bipartite_kneser(n, k)
+        cases.append((automorphism_group(kg.graph), kg.vertex_count))
+    pruned = 0
+    for group, vertex_count in cases:
+        search = find_regular_subgroup(group, vertex_count)
+        found = None if search.subgroup is None else search.subgroup.elements
+        expected, checked = every_row_regular_subgroup(group, vertex_count)
+        assert found == expected, vertex_count
+        assert search.candidates_checked <= checked, vertex_count
+        pruned += search.candidates_checked < checked
+    assert found is not None and pruned >= 3  # H(7,2) is Cayley; the cube, Petersen, H(5,2) pruned
+
+
+def test_find_regular_subgroup_needs_its_generators_among_its_elements():
+    group = PermutationGroup([(1, 0, 2)], 3, elements=frozenset([bytes(range(3))]))
+    with pytest.raises(StructureError, match="not one of its elements"):
+        find_regular_subgroup(group, 3)
+
+
 def test_find_regular_subgroup_preconditions():
     kg = build_bipartite_kneser(3, 1)
     with pytest.raises(NeedEnumerationError):
@@ -344,6 +379,23 @@ def test_explore_question1_smoke():
     assert rows[(4, 1)].regular_subgroup_order == 8
     assert rows[(5, 2)].regular_subgroup_order is None
     assert "not exhaustive" in rows[(5, 2)].verdict
+
+
+def test_explore_question1_verdicts_to_n7():
+    # pinned: every H(n,1) is Cayley, and so is H(7,2), where x -> ax + b over
+    # Z_7 with a a nonzero square acts regularly on the 2-subsets; H(5,2),
+    # H(6,2) and H(7,3) have no regular subgroup on at most 2 generators
+    found = {(3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (7, 2)}
+    rows = explore_question1(7)
+    assert [(r.n, r.k) for r in rows] == feasible_parameters(7)
+    for r in rows:
+        assert r.aut_order == 2 * math.factorial(r.n)
+        if (r.n, r.k) in found:
+            assert r.regular_subgroup_order == r.vertices == 2 * binomial(r.n, r.k)
+            assert r.verdict.startswith("regular subgroup found"), (r.n, r.k)
+        else:
+            assert r.regular_subgroup_order is None
+            assert "not a proof (search not exhaustive)" in r.verdict, (r.n, r.k)
 
 
 def test_transitivity_report_counts_match_direct_orbits(corpus):
