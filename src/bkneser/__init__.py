@@ -29,7 +29,6 @@ from .perms import (
     group_closure,
     induced_automorphism,
     inverse,
-    is_regular_action,
     known_generators,
     orbit,
     orbits_on_ordered_pairs,
@@ -76,7 +75,6 @@ __all__ = [
     "group_closure",
     "induced_automorphism",
     "inverse",
-    "is_regular_action",
     "known_generators",
     "left_regular_subgroup",
     "local_vertex_connectivity",

@@ -3,19 +3,29 @@
 An element a^i b^s of D_2n (0 <= i < n, s in {0, 1}) is the int i + n*s,
 which is also its vertex in every Cayley graph built here: a^0 .. a^{n-1},
 then a^0 b .. a^{n-1} b.  Multiplication resolves through the relation
-b a = a^{-1} b.  Each function checks that n and x are ints, n >= 3 and
-0 <= x < 2n, where its arguments enter.  With this order the explicit
-isomorphism with H(n, 1) is index arithmetic.
+b a = a^{-1} b.  Each public function checks that n and x are ints, n >= 3
+and 0 <= x < 2n, where its arguments enter; ``build_cayley_graph`` then runs
+the unchecked ``_multiply`` once per arc.  With this order the explicit
+isomorphism with H(n, 1) is index arithmetic, and ``left_regular_subgroup``
+proves H(n, 1) a Cayley graph from the translations by a and b alone.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import ConnectionSetError, DomainError, IsomorphismError, as_int
+from .errors import ConnectionSetError, DomainError, IsomorphismError, StructureError, as_int
 from .graphs import Graph
 from .kneser import KneserGraph, build_bipartite_kneser
-from .perms import PermutationGroup, image_set, inverse, is_graph_automorphism, is_isomorphism
+from .perms import (
+    PermutationGroup,
+    compose,
+    element_order,
+    inverse,
+    is_graph_automorphism,
+    is_isomorphism,
+    orbit_partition,
+)
 
 
 def _check(n: int, *elements: int) -> None:
@@ -29,6 +39,11 @@ def _check(n: int, *elements: int) -> None:
 def dihedral_multiply(x: int, y: int, n: int) -> int:
     """(a^i b^s)(a^j b^t) = a^(i + (-1)^s j) b^(s + t)."""
     _check(n, x, y)
+    return _multiply(x, y, n)
+
+
+def _multiply(x: int, y: int, n: int) -> int:
+    """``dihedral_multiply`` on arguments already checked."""
     s, t = x // n, y // n
     rot = (x + (y if s == 0 else -y)) % n
     return rot + n * (s ^ t)
@@ -73,8 +88,9 @@ def build_cayley_graph(n: int, omega: Iterable[int]) -> Graph:
             raise ConnectionSetError(
                 f"connection set not closed under inverse of {dihedral_label(w, n)}"
             )
-    edges = [(x, dihedral_multiply(x, w, n)) for x in range(2 * n) for w in omega]
-    return Graph.from_edges(2 * n, edges, labels=[dihedral_label(x, n) for x in range(2 * n)])
+    # x's |omega| neighbours are distinct and not x; Graph checks the symmetry
+    rows = [[_multiply(x, w, n) for w in omega] for x in range(2 * n)]
+    return Graph(2 * n, rows, labels=[dihedral_label(x, n) for x in range(2 * n)])
 
 
 class CayleyIsomorphism(NamedTuple):
@@ -105,26 +121,37 @@ def explicit_iso_Hn1(n: int) -> CayleyIsomorphism:
 
 
 def left_regular_subgroup(iso: CayleyIsomorphism) -> PermutationGroup:
-    """Left translations x -> g x transported through the isomorphism.
+    """The translations by a and b, transported through the isomorphism, as a regular group.
 
-    Yields 2n automorphisms of H(n,1) forming a group that acts regularly on
-    the vertex set: the constructive witness that H(n,1) is a Cayley graph.
+    The constructive witness that H(n,1) is a Cayley graph (Sabidussi, Proc.
+    AMS 9, 1958).  a and b are checked to be automorphisms, so
+    <a, b> <= Aut(H(n,1)).  The order of a (the lcm of its cycle lengths)
+    divides n, and b and a∘b have order at most 2, so <a, b> is a quotient of
+    D_2n = <a, b | a^n, b^2, (ab)^2> and |<a, b>| <= 2n.  One orbit of all 2n
+    vertices gives |<a, b>| >= 2n.  So |<a, b>| = 2n, every vertex stabilizer
+    is trivial, and <a, b> acts regularly.  The cost is two automorphism
+    checks, O(n^2); no element is listed.  A map that breaks an edge raises
+    ``IsomorphismError``, a failed relation or a second orbit ``StructureError``.
     """
     n = iso.n
-    forward = iso.vertex_map
-    back = inverse(forward)
+    back = inverse(iso.vertex_map)
+    a, b = (tuple(back[_multiply(g, x, n)] for x in iso.vertex_map) for g in (1, n))
+    return _dihedral_action(iso.kneser.graph, a, b)
 
-    perms = []
-    for g in range(2 * n):
-        images = tuple(back[dihedral_multiply(g, forward[v], n)] for v in range(2 * n))
-        if not is_graph_automorphism(iso.kneser.graph, images):
-            raise IsomorphismError(
-                f"transported translation by {dihedral_label(g, n)} broke an edge"
-            )
-        perms.append(images)
 
-    return PermutationGroup(
-        generators=(perms[1], perms[n]),  # a and b
-        degree=2 * n,
-        elements=image_set(perms, 2 * n),
-    )
+def _dihedral_action(graph: Graph, a: tuple[int, ...], b: tuple[int, ...]) -> PermutationGroup:
+    """``left_regular_subgroup``'s checks on maps a, b of the graph's 2n vertices."""
+    degree = graph.vertex_count
+    n = degree // 2
+    for name, images in (("a", a), ("b", b)):
+        if not is_graph_automorphism(graph, images):
+            raise IsomorphismError(f"transported translation by {name} broke an edge")
+    if n % element_order(a):
+        raise StructureError(f"a^{n} is not the identity")
+    if element_order(b) > 2:
+        raise StructureError("b^2 is not the identity")
+    if element_order(compose(a, b)) > 2:
+        raise StructureError("(ab)^2 is not the identity")
+    if len(orbit_partition([0], (a, b))[0]) != degree:
+        raise StructureError(f"<a, b> does not act transitively on the {degree} vertices")
+    return PermutationGroup((a, b), degree, order=degree)

@@ -212,16 +212,6 @@ def _check_degree(degree: int) -> int:
     return degree
 
 
-def _check_string_degree(degree: int) -> int:
-    """A checked degree that an image string holds: one byte per point, so at most 256."""
-    degree = _check_degree(degree)
-    if degree > 256:
-        raise SizeLimitError(
-            f"degree {degree} exceeds the limit of 256 points for an enumerated group"
-        )
-    return degree
-
-
 def _is_permutation(images: Sequence[int], degree: int) -> bool:
     """True iff the images are 0..degree-1; a non-int image, even 1.0, raises ``DomainError``."""
     try:
@@ -234,13 +224,6 @@ def _is_permutation(images: Sequence[int], degree: int) -> bool:
 def _check_permutations(maps: Iterable[Sequence[int]], degree: int) -> None:
     if not all(_is_permutation(g, degree) for g in maps):
         raise DomainError(f"a generator is not a permutation of 0..{degree - 1}")
-
-
-def image_set(maps: Sequence[Sequence[int]], degree: int) -> frozenset[bytes]:
-    """The element set of an enumerated group holding exactly the given permutations."""
-    degree = _check_string_degree(degree)
-    _check_permutations(maps, degree)
-    return frozenset(map(bytes, maps))
 
 
 class PermutationGroup:
@@ -345,7 +328,11 @@ def closure_images(
     before any work, and a generator that is not a permutation of
     0..degree-1 raises ``DomainError``.
     """
-    degree = _check_string_degree(degree)
+    degree = _check_degree(degree)
+    if degree > 256:  # an image string holds one byte per point
+        raise SizeLimitError(
+            f"degree {degree} exceeds the limit of 256 points for an enumerated group"
+        )
     _check_permutations(generator_images, degree)
     pad = bytes(256 - degree)
     ident = bytes(range(degree))
@@ -522,15 +509,6 @@ def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
     fixed = sorted(g for g in group.elements if g[point] == point)
     return PermutationGroup(generators=tuple(tuple(g) for g in fixed),
                             degree=group.degree, elements=frozenset(fixed))
-
-
-def is_regular_action(group: PermutationGroup, vertex_count: int) -> bool:
-    """Transitive with |group| = number of points (trivial point stabilizers)."""
-    if group.elements is None:
-        raise NeedEnumerationError("regularity check needs a fully enumerated group")
-    if group.order != vertex_count:
-        return False
-    return len(orbit(group, 0)) == vertex_count
 
 
 def sym_generators(kg: KneserGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -27,12 +27,23 @@ from collections import deque
 from itertools import combinations, permutations
 
 from bkneser.connectivity import local_vertex_connectivity
-from bkneser.errors import OrderCapExceeded, SizeLimitError
+from bkneser.dihedral import dihedral_label, dihedral_multiply
+from bkneser.errors import (
+    IsomorphismError,
+    NeedEnumerationError,
+    OrderCapExceeded,
+    SizeLimitError,
+)
+from bkneser.graphs import Graph
 from bkneser.perms import (
     DEFAULT_ORDER_CAP,
+    PermutationGroup,
     closure_images,
     element_order,
+    inverse,
+    is_graph_automorphism,
     is_semiregular,
+    orbit,
     orbit_partition,
 )
 
@@ -251,6 +262,42 @@ def two_phase_regular_subgroup(group, vertex_count):
             if len(elements) == vertex_count and transitive([g, h]):
                 return elements
     return None
+
+
+def is_regular_action(group, vertex_count):
+    """Transitive with |group| = number of points (trivial point stabilizers)."""
+    if group.elements is None:
+        raise NeedEnumerationError("regularity check needs a fully enumerated group")
+    if group.order != vertex_count:
+        return False
+    return len(orbit(group, 0)) == vertex_count
+
+
+def translation_left_regular_subgroup(iso):
+    """The enumerated group of all 2n left translations x -> g x, transported.
+
+    Each translation is checked as an automorphism of H(n,1); the group's
+    generators are the translations by a and b, and its elements are all 2n.
+    """
+    n = iso.n
+    forward = iso.vertex_map
+    back = inverse(forward)
+    perms = []
+    for g in range(2 * n):
+        images = tuple(back[dihedral_multiply(g, forward[v], n)] for v in range(2 * n))
+        if not is_graph_automorphism(iso.kneser.graph, images):
+            raise IsomorphismError(
+                f"transported translation by {dihedral_label(g, n)} broke an edge"
+            )
+        perms.append(images)
+    return PermutationGroup(generators=(perms[1], perms[n]), degree=2 * n,
+                            elements=frozenset(map(bytes, perms)))
+
+
+def edge_list_cayley_graph(n, omega):
+    """Cay(D_2n, omega) from its edge list; omega must be a connection set."""
+    edges = [(x, dihedral_multiply(x, w, n)) for x in range(2 * n) for w in set(omega)]
+    return Graph.from_edges(2 * n, edges, labels=[dihedral_label(x, n) for x in range(2 * n)])
 
 
 def full_round_refinement(graph, cells):

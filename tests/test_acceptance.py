@@ -21,7 +21,6 @@ from bkneser import (
     explicit_iso_Hn1,
     group_closure,
     induced_automorphism,
-    is_regular_action,
     known_generators,
     left_regular_subgroup,
     max_flow,
@@ -35,7 +34,7 @@ from bkneser import (
     vertex_connectivity,
 )
 from bkneser.perms import is_graph_automorphism
-from oracles import brute_force_automorphism_order, brute_vertex_connectivity
+from oracles import brute_force_automorphism_order, brute_vertex_connectivity, is_regular_action
 
 
 def _report(number, label, ok, elapsed, bound):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from bkneser import autgroup, cli, perms
+from bkneser import autgroup, cli, dihedral, perms
 from bkneser.graphs import Graph
 from bkneser.kneser import build_bipartite_kneser, verify_family_counts
 from bkneser.perms import known_generators, stabilizer_generators
@@ -229,6 +229,25 @@ def test_cayley_check_n31(capsys):
     code, out, _ = run_cli(capsys, "cayley-check", "--n", "31")
     assert code == 0
     assert json.loads(out)["left_regular_order"] == 62
+
+
+def test_cayley_check_past_256_points(capsys):
+    # two transported maps and three relations: no enumerated group caps the degree
+    code, out, _ = run_cli(capsys, "cayley-check", "--n", "256")
+    assert code == 0
+    assert out == ('{"n":256,"vertices":512,"edges":65280,"isomorphic":true,'
+                   '"left_regular_order":512,"regular_action":true}\n')
+
+
+def test_cayley_check_exits_1_when_a_transported_map_breaks_an_edge(capsys, monkeypatch):
+    iso = dihedral.explicit_iso_Hn1(5)
+    # {1} and {2} swap images, so the map is no isomorphism and a no automorphism
+    images = list(iso.vertex_map)
+    images[0], images[1] = images[1], images[0]
+    monkeypatch.setattr(cli, "explicit_iso_Hn1", lambda n: iso._replace(vertex_map=tuple(images)))
+    code, out, err = run_cli(capsys, "cayley-check", "--n", "5")
+    assert code == 1 and out == ""
+    assert "claim failed: transported translation by a broke an edge" in err
 
 
 def test_explore_question2_json(capsys):

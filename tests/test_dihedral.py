@@ -5,17 +5,20 @@ import pytest
 from bkneser import (
     are_isomorphic,
     build_cayley_graph,
+    complement_automorphism,
     dihedral_inverse,
     dihedral_label,
     dihedral_multiply,
     explicit_iso_Hn1,
-    is_regular_action,
+    induced_automorphism,
     left_regular_subgroup,
     reflection_connection_set,
 )
-from bkneser.errors import ConnectionSetError, DomainError
+from bkneser.dihedral import _dihedral_action
+from bkneser.errors import ConnectionSetError, DomainError, StructureError, VerificationError
 from bkneser.perms import is_graph_automorphism
 from conftest import mask
+from oracles import edge_list_cayley_graph, is_regular_action, translation_left_regular_subgroup
 
 # a^i b^s is the int i + n*s
 IDENTITY = 0
@@ -111,6 +114,19 @@ def test_connection_set_validation():
     assert g.edge_count == 8
 
 
+@pytest.mark.parametrize("name,omega", [
+    ("reflections", reflection_connection_set),
+    ("a and its inverse", lambda n: [1, n - 1]),
+    ("every non-identity element", lambda n: range(1, 2 * n)),
+    ("b", lambda n: [n]),
+])
+def test_cayley_rows_match_the_edge_list_builder(name, omega):
+    for n in range(3, 41):
+        g, oracle = build_cayley_graph(n, omega(n)), edge_list_cayley_graph(n, omega(n))
+        assert g.neighbours == oracle.neighbours, (name, n)
+        assert g.labels == oracle.labels, (name, n)
+
+
 def test_reflection_connection_set_size_matches_degree():
     for n in range(3, 9):
         omega = reflection_connection_set(n)
@@ -185,3 +201,42 @@ def test_identity_translation_is_identity_permutation():
     subgroup = left_regular_subgroup(iso)
     identity = tuple(range(8))
     assert identity in subgroup
+
+
+def test_left_regular_subgroup_matches_the_translation_oracle():
+    for n in range(3, 41):
+        iso = explicit_iso_Hn1(n)
+        subgroup, oracle = left_regular_subgroup(iso), translation_left_regular_subgroup(iso)
+        assert subgroup.generators == oracle.generators, n
+        assert subgroup.order == oracle.order == 2 * n, n
+        assert subgroup.elements == oracle.elements, n
+
+
+def _translations(n):
+    iso = explicit_iso_Hn1(n)
+    a, b = left_regular_subgroup(iso).generators
+    return iso.kneser, a, b
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_an_automorphism_of_the_wrong_order_breaks_a_relation(n):
+    kg, a, b = _translations(n)
+    short_cycle = induced_automorphism(kg, (*range(1, n - 1), 0, n - 1))  # (1 2 ... n-1)
+    three_cycle = induced_automorphism(kg, (1, 2, 0, *range(3, n)))  # (1 2 3)
+    for images in (short_cycle, three_cycle):
+        assert is_graph_automorphism(kg.graph, images)
+    with pytest.raises(StructureError, match=rf"a\^{n} is not the identity"):
+        _dihedral_action(kg.graph, short_cycle, b)
+    with pytest.raises(StructureError, match=r"b\^2 is not the identity"):
+        _dihedral_action(kg.graph, a, three_cycle)
+    # complementation commutes with a, so (a c)^2 = a^2
+    with pytest.raises(StructureError, match=r"\(ab\)\^2 is not the identity"):
+        _dihedral_action(kg.graph, a, complement_automorphism(kg))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_relations_without_a_single_orbit_raise(n):
+    kg, _, _ = _translations(n)
+    identity = tuple(range(kg.vertex_count))
+    with pytest.raises(VerificationError, match="does not act transitively"):
+        _dihedral_action(kg.graph, identity, identity)
