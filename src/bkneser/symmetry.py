@@ -4,12 +4,12 @@ open-question explorations.
 The diameter takes one BFS per vertex orbit of a group of automorphisms, so
 one BFS on a vertex-transitive graph.
 
-The transitivity report checks each generator as an automorphism, then reads
-each level off its own orbit set: vertex, arc and edge orbits from the orbit
-functions of ``perms``, and the distance level from the suborbits of vertex 0
-when the group is transitive and refinement certifies them, else from the
-partition of all ordered pairs into orbits, taking each orbit's distance from
-one BFS row per orbit representative.
+The transitivity report checks each generator as an automorphism and counts
+the vertex orbits.  When the group is transitive and refinement certifies the
+suborbits of vertex 0, it reads the arc, edge and distance levels off those
+suborbits and one Schreier vector from 0; else it walks every arc, every edge
+and every ordered pair, taking each pair orbit's distance from one BFS row
+per orbit representative.
 
 Every test here takes the acting group as an argument instead of recomputing
 it, so the same check can run against both the induced-map generators and the
@@ -78,19 +78,54 @@ class TransitivityReport(NamedTuple):
         }
 
 
-def _suborbit_distances(graph: Graph, group: PermutationGroup) -> Optional[list[int]]:
+def _suborbit_distances(graph: Graph, fixing: list[tuple[int, ...]]) -> Optional[list[int]]:
     """Each suborbit's distance from vertex 0, or None when the suborbits are not certified.
 
-    The certificate is the one ``transitivity_report`` states.
+    ``fixing`` lists the generators that fix 0; the certificate is the one
+    ``transitivity_report`` states.
     """
     n = graph.vertex_count
-    fixing = [g for g in group.generators if g[0] == 0]
     suborbits = orbit_partition(range(n), fixing)
     cells = refine(graph, [(0,), tuple(range(1, n))] if n > 1 else [(0,)])
     if len(cells) != len(suborbits):
         return None
     row = graph.bfs_distances(0)
     return [row[orb[0]] for orb in suborbits]
+
+
+def _arc_and_edge_orbits(
+    graph: Graph, group: PermutationGroup, fixing: list[tuple[int, ...]]
+) -> tuple[int, int]:
+    """The arc and edge orbit counts of a transitive group with certified suborbits.
+
+    ``fixing`` lists the generators that fix 0; the argument is the one
+    ``transitivity_report`` states.
+    """
+    n, gens = graph.vertex_count, group.generators
+    arcs = orbits_on_ordered_pairs(
+        PermutationGroup(fixing, n), [(0, w) for w in graph.neighbours[0]]
+    )
+    # the Schreier vector from 0: gens[via[v]] maps parent[v] to v
+    parent, via = [-1] * n, [0] * n
+    parent[0] = 0
+    queue = [0]
+    for u in queue:
+        for i, g in enumerate(gens):
+            v = g[u]
+            if parent[v] < 0:
+                parent[v], via[v] = u, i
+                queue.append(v)
+    inverses = [inverse(g) for g in gens]
+    arc_orbit = {w: i for i, orb in enumerate(arcs) for _, w in orb}
+    classes = set()
+    for i, orb in enumerate(arcs):
+        # h^-1(0) for the h = g_m...g_1 read off the tree path 0 -> w
+        w, x = orb[0][1], 0
+        while w:
+            x = inverses[via[w]][x]
+            w = parent[w]
+        classes.add(frozenset((i, arc_orbit[x])))
+    return len(arcs), len(classes)
 
 
 def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityReport:
@@ -116,27 +151,42 @@ def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityRe
     one's.  Refinement commutes with automorphisms, so the cells of the
     equitable refinement of [{0}, the rest] are unions of Aut_0-orbits.  Hence
     cells <= Aut_0-orbits <= G_0-orbits <= H-orbits in number, and when the
-    two ends are equal the H-orbits are the suborbits.  The suborbits at
-    distance 1 are then the arc orbits, and a different count raises.
+    two ends are equal the H-orbits are the suborbits.
+
+    The arcs and edges then follow from the suborbits too (Sims, "Graphs and
+    finite permutation groups", Math. Z. 95, 1967).  Every arc orbit holds an
+    arc (0, w), so the arc orbits are the orbits of H on the arcs out of 0,
+    the suborbits inside N(0); the suborbits at distance 1 must be as many,
+    or the report raises.  An edge orbit is an arc orbit joined with the
+    orbit of its reverse arcs.  If h in G maps 0 to w, then h^-1 maps the
+    reverse arc (w, 0) to (0, h^-1(0)), so the arc orbit of (0, w) is paired
+    with the suborbit of h^-1(0), and the edge orbits are the classes of
+    this pairing.  One Schreier vector gives each h: a BFS from 0 over the
+    generators of G records, for each vertex v, its parent u and a generator
+    g with g(u) = v, so the tree path 0 -> w spells h = g_m...g_1, and
+    h^-1(0) is one walk up the tree, applying g_m^-1 first.
 
     Otherwise (G is not transitive, or its generators fixing 0 generate too
     little of G_0, or refinement cannot separate the suborbits) the report
-    partitions all V^2 ordered pairs and reads each orbit's distance off one
-    BFS row per representative.  That path is the oracle for the first.
+    walks all arcs, all edges and all V^2 ordered pairs, and reads each pair
+    orbit's distance off one BFS row per representative.  That path is the
+    oracle for the first.
     """
     if not graph.is_connected():
         raise DisconnectedError("transitivity report needs a connected graph")
     check_generators(graph, group.generators)
     vertex_orbits = len(orbits_on_vertices(group))
-    arc_orbits = len(orbits_on_ordered_pairs(group, graph.arcs()))
-    edge_orbits = len(orbits_on_unordered_pairs(group, graph.edges()))
-    orbit_distance = _suborbit_distances(graph, group) if vertex_orbits == 1 else None
+    fixing = [g for g in group.generators if g[0] == 0]
+    orbit_distance = _suborbit_distances(graph, fixing) if vertex_orbits == 1 else None
     if orbit_distance is not None:
+        arc_orbits, edge_orbits = _arc_and_edge_orbits(graph, group, fixing)
         if orbit_distance.count(1) != arc_orbits:
             raise StructureError(
                 f"{orbit_distance.count(1)} suborbits at distance 1, but {arc_orbits} arc orbits"
             )
     else:
+        arc_orbits = len(orbits_on_ordered_pairs(group, graph.arcs()))
+        edge_orbits = len(orbits_on_unordered_pairs(group, graph.edges()))
         reps = [orb[0] for orb in orbits_on_ordered_pairs(group)]
         rows = {u: graph.bfs_distances(u) for u in {u for u, _ in reps}}
         orbit_distance = [rows[u][v] for u, v in reps]
@@ -343,13 +393,22 @@ class Question2Row(NamedTuple):
 
 
 def feasible_parameters(n_max: int, k_max: Optional[int] = None) -> list[tuple[int, int]]:
-    """All (n, k) with 3 <= n <= n_max, k >= 1, n >= 2k + 1."""
+    """All (n, k) with 3 <= n <= n_max, k >= 1, n >= 2k + 1.
+
+    Bounds that admit no such (n, k) raise ``DomainError``.
+    """
     out = []
     for n in range(3, n_max + 1):
         for k in range(1, (n - 1) // 2 + 1):
             if k_max is not None and k > k_max:
                 break
             out.append((n, k))
+    if not out:
+        raise DomainError(
+            f"no feasible (n, k) with n <= {n_max}"
+            + ("" if k_max is None else f" and k <= {k_max}")
+            + "; feasible means k >= 1 and n >= 2k + 1"
+        )
     return out
 
 

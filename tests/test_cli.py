@@ -272,6 +272,17 @@ def test_explore_question1_caveat(capsys):
     assert row52["regular_subgroup_order"] is None
 
 
+@pytest.mark.parametrize("question", ["1", "2"])
+@pytest.mark.parametrize("bound", [["--kmax", "0"], ["--kmax", "-1"], ["--nmax", "2"]],
+                         ids=["kmax0", "kmax-1", "nmax2"])
+def test_explore_bounds_without_a_feasible_pair_exit_2(capsys, question, bound):
+    # like --k 0 elsewhere, a bound that admits no feasible (n, k) is a domain
+    # error, not an empty table
+    code, out, err = run_cli(capsys, "explore", "--question", question, *bound)
+    assert (code, out) == (2, "")
+    assert "error: no feasible (n, k)" in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "props", "--n", "3")[0] == 2  # missing --k
     assert run_cli(capsys, "nonsense")[0] == 2

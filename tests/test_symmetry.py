@@ -492,6 +492,57 @@ def test_coarse_refinement_falls_back_to_the_pair_path(monkeypatch):
     assert (report.pair_orbits, report.distance_values) == (4, 3)
 
 
+def doyle_holt_graph():
+    """Vertices (x, y) of Z_9 x Z_3 as 3x + y, with (x, y) ~ (4x +- 1, y + 1)."""
+    edges = {tuple(sorted((3 * x + y, 3 * ((4 * x + s) % 9) + (y + 1) % 3)))
+             for x in range(9) for y in range(3) for s in (1, -1)}
+    return Graph.from_edges(27, sorted(edges))
+
+
+def prism_graph():
+    """Two triangles joined by a matching: two edge orbits, each arc orbit self-paired."""
+    return Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                (0, 3), (1, 4), (2, 5)])
+
+
+def test_certified_arc_and_edge_orbits_match_the_pair_walks(corpus, monkeypatch):
+    # the certified path counts arc orbits out of 0 and pairs them through a
+    # Schreier vector; the oracle walks every arc and every edge
+    calls = spy_on_the_pair_path(monkeypatch)
+    cases = [(name, g, automorphism_group(g)) for name, g in corpus.items() if g.is_connected()]
+    for n, k in feasible_parameters(10):
+        kg = build_bipartite_kneser(n, k)
+        group = PermutationGroup(known_generators(kg) + stabilizer_generators(kg),
+                                 kg.vertex_count)
+        cases.append((f"H({n},{k})", kg.graph, group))
+    cases.append(("doyle_holt", doyle_holt_graph(), automorphism_group(doyle_holt_graph())))
+    cases.append(("prism", prism_graph(), automorphism_group(prism_graph())))
+    # no generator fixes 0: the arc orbits come from an empty generator list
+    cases.append(("K2 under <(0 1)>", complete_graph(2), PermutationGroup([(1, 0)], 2)))
+    for name, graph, group in cases:
+        report = transitivity_report(graph, group)
+        assert report.arc_orbits == len(orbits_on_ordered_pairs(group, graph.arcs())), name
+        assert report.edge_orbits == len(orbits_on_unordered_pairs(group, graph.edges())), name
+        # every vertex-transitive case here has its suborbits certified; the
+        # paths, star3, star4 and K23 are not transitive and walk
+        assert (calls == []) == report.vertex_transitive, name
+        calls.clear()
+
+
+def test_doyle_holt_pairing_merges_two_arc_orbits(monkeypatch):
+    # the Doyle-Holt graph is half-arc-transitive: its two arc orbits are
+    # paired, the reverse of each arc lying in the other, so one edge orbit
+    calls = spy_on_the_pair_path(monkeypatch)
+    graph = doyle_holt_graph()
+    aut = automorphism_group(graph)
+    assert aut.order == 54
+    report = transitivity_report(graph, aut)
+    assert calls == []
+    assert (report.arc_orbits, report.edge_orbits) == (2, 1)
+    assert report.vertex_transitive and report.edge_transitive
+    assert not report.arc_transitive
+
+
 def test_suborbit_and_arc_counts_must_agree(monkeypatch):
     # a second arc orbit, injected, contradicts the one suborbit at distance 1
     original = symmetry.orbits_on_ordered_pairs
