@@ -4,10 +4,18 @@ Data goes to stdout, diagnostics to stderr.  Exit codes: 0 all assertions
 passed, 1 a verified claim failed, 2 usage, domain or I/O error, or out of
 memory, 3 internal error (any other exception, a bug; its traceback goes to
 stderr).  The only environment knob is KNESER_ORDER_CAP, which overrides the
-cap on every group enumeration: the closure of the known generators, and the
+cap on every group enumeration: the Sym image in ``aut --method both``, the
+closure of the known generators in ``aut --method generators``, and the
 engine's group when its order certificate does not close or its elements are
-needed.  An order the engine proves is not capped, so ``aut --method engine``
-is not either.
+needed.  An order the engine proves is not capped, so
+``aut --method engine`` is not either.
+
+``aut --method both``, the default, checks the engine's group against
+Sym([n]) x Z_2 by enumerating only the n! elements of the Sym image S, with
+``verify_direct_product``: the known generators generate S ∪ αS, where α is
+complementation, so each engine generator g is tested as g in S or α∘g in S.
+``aut --method generators`` enumerates all 2·n! elements of the known
+generators' group, and is the oracle for the first.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .symmetry import (
     explore_question2,
     question2_table,
     transitivity_report,
+    verify_direct_product,
 )
 
 
@@ -91,25 +100,25 @@ def cmd_props(args: argparse.Namespace) -> int:
 def cmd_aut(args: argparse.Namespace) -> int:
     cap = _order_cap()
     kg = build_bipartite_kneser(args.n, args.k)
-    groups = []  # the engine's group first, so "both" reports its generators
-    if args.method != "generators":
-        groups.append(automorphism_group(kg.graph, order_cap=cap))
-    if args.method != "engine":
+    if args.method == "generators":
         known = known_generators(kg)
         check_generators(kg.graph, known)
-        groups.append(group_closure(known, order_cap=cap))
-    group = groups[0]
+        group = group_closure(known, order_cap=cap)
+    else:
+        group = automorphism_group(kg.graph, order_cap=cap)
     payload: dict = {"order": group.order}
-    if len(groups) == 2:
-        closure = groups[1]
+    if args.method == "both":
+        product = verify_direct_product(kg, order_cap=cap)
         # When every engine generator lies in <known>, <engine> <= <known>,
         # and equal orders make the two groups equal.  The known generators
         # are verified automorphisms, so <known> <= Aut; a certified engine
         # order is |Aut|, and then both groups are all of Aut.
-        if group.order != closure.order or not all(g in closure for g in group.generators):
+        if group.order != product.product_order or not all(
+            product.contains(g) for g in group.generators
+        ):
             raise VerificationError(
                 f"engine group (order {group.order}) differs from the "
-                f"closure of the known generators (order {closure.order})"
+                f"group of the known generators (order {product.product_order})"
             )
         payload["agree"] = True
     payload["generators"] = [format_cycles(g) for g in group.generators]

@@ -4,12 +4,17 @@ open-question explorations.
 The diameter takes one BFS per vertex orbit of a group of automorphisms, so
 one BFS on a vertex-transitive graph.
 
-The transitivity report checks each generator as an automorphism and counts
-the vertex orbits.  When the group is transitive and refinement certifies the
-suborbits of vertex 0, it reads the arc, edge and distance levels off those
-suborbits and one Schreier vector from 0; else it walks every arc, every edge
-and every ordered pair, taking each pair orbit's distance from one BFS row
-per orbit representative.
+The transitivity report checks each generator as an automorphism and builds
+one Schreier vector from vertex 0; the group is transitive when it reaches
+every vertex, and only otherwise are the vertex orbits counted.  When the
+group is transitive and refinement certifies the suborbits of vertex 0, the
+report reads the arc, edge and distance levels off those suborbits and the
+Schreier vector; else it walks every arc, every edge and every ordered pair,
+taking each pair orbit's distance from one BFS row per orbit representative.
+
+The direct-product check enumerates only the n! elements of the Sym image S:
+complementation α is shown to lie outside S, to be an involution and to
+commute with S's generators, which makes the known generators' group S ∪ αS.
 
 Every test here takes the acting group as an argument instead of recomputing
 it, so the same check can run against both the induced-map generators and the
@@ -20,7 +25,7 @@ silent choice.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .autgroup import automorphism_group, refine
 from .errors import (
@@ -40,6 +45,7 @@ from .perms import (
     closure_images,
     commutes,
     complement_automorphism,
+    compose,
     group_closure,
     inverse,
     is_semiregular,
@@ -93,29 +99,42 @@ def _suborbit_distances(graph: Graph, fixing: list[tuple[int, ...]]) -> Optional
     return [row[orb[0]] for orb in suborbits]
 
 
-def _arc_and_edge_orbits(
-    graph: Graph, group: PermutationGroup, fixing: list[tuple[int, ...]]
-) -> tuple[int, int]:
-    """The arc and edge orbit counts of a transitive group with certified suborbits.
+def _schreier_vector(group: PermutationGroup) -> tuple[list[int], list[int], int]:
+    """The Schreier vector from vertex 0, and the size of the orbit of 0.
 
-    ``fixing`` lists the generators that fix 0; the argument is the one
-    ``transitivity_report`` states.
+    ``generators[via[v]]`` maps ``parent[v]`` to v for each v in the orbit;
+    ``parent`` is -1 off it.
     """
-    n, gens = graph.vertex_count, group.generators
-    arcs = orbits_on_ordered_pairs(
-        PermutationGroup(fixing, n), [(0, w) for w in graph.neighbours[0]]
-    )
-    # the Schreier vector from 0: gens[via[v]] maps parent[v] to v
+    n = group.degree
     parent, via = [-1] * n, [0] * n
     parent[0] = 0
     queue = [0]
-    for u in queue:
-        for i, g in enumerate(gens):
+    for u in queue:  # the list is the BFS queue: appends are visited too
+        for i, g in enumerate(group.generators):
             v = g[u]
             if parent[v] < 0:
                 parent[v], via[v] = u, i
                 queue.append(v)
-    inverses = [inverse(g) for g in gens]
+    return parent, via, len(queue)
+
+
+def _arc_and_edge_orbits(
+    graph: Graph,
+    group: PermutationGroup,
+    fixing: list[tuple[int, ...]],
+    parent: list[int],
+    via: list[int],
+) -> tuple[int, int]:
+    """The arc and edge orbit counts of a transitive group with certified suborbits.
+
+    ``fixing`` lists the generators that fix 0, and ``parent`` and ``via``
+    are the Schreier vector from 0; the argument is the one
+    ``transitivity_report`` states.
+    """
+    arcs = orbits_on_ordered_pairs(
+        PermutationGroup(fixing, graph.vertex_count), [(0, w) for w in graph.neighbours[0]]
+    )
+    inverses = [inverse(g) for g in group.generators]
     arc_orbit = {w: i for i, orb in enumerate(arcs) for _, w in orb}
     classes = set()
     for i, orb in enumerate(arcs):
@@ -136,7 +155,10 @@ def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityRe
     and edge levels count the orbits of G on the vertices, the arcs and the
     edges.  Automorphisms preserve distance, so each orbit of G on the
     ordered pairs has one distance, and G is distance-transitive when there
-    are as many pair orbits as distance values.
+    are as many pair orbits as distance values.  The Schreier vector from 0
+    (below) is built first: its BFS visits the orbit of 0, so when it reaches
+    every vertex G has one vertex orbit, and only otherwise are the vertex
+    orbits counted.
 
     When G is transitive the pair orbits are read off the suborbits, the
     orbits of the stabilizer G_0 of vertex 0 (Wielandt, *Finite Permutation
@@ -175,11 +197,12 @@ def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityRe
     if not graph.is_connected():
         raise DisconnectedError("transitivity report needs a connected graph")
     check_generators(graph, group.generators)
-    vertex_orbits = len(orbits_on_vertices(group))
+    parent, via, reached = _schreier_vector(group)
+    vertex_orbits = 1 if reached == graph.vertex_count else len(orbits_on_vertices(group))
     fixing = [g for g in group.generators if g[0] == 0]
     orbit_distance = _suborbit_distances(graph, fixing) if vertex_orbits == 1 else None
     if orbit_distance is not None:
-        arc_orbits, edge_orbits = _arc_and_edge_orbits(graph, group, fixing)
+        arc_orbits, edge_orbits = _arc_and_edge_orbits(graph, group, fixing, parent, via)
         if orbit_distance.count(1) != arc_orbits:
             raise StructureError(
                 f"{orbit_distance.count(1)} suborbits at distance 1, but {arc_orbits} arc orbits"
@@ -234,25 +257,49 @@ class DirectProductReport(NamedTuple):
     k: int
     sym_closure_order: int
     product_order: int
-    aut_order: int
+    aut_order: Optional[int]
+    sym_group: PermutationGroup
+    complement: tuple[int, ...]
+
+    def contains(self, images: Sequence[int]) -> bool:
+        """True iff the vertex map lies in <known> = S ∪ αS: it or α∘it is in S.
+
+        α is an involution, so α∘g is in S exactly when g is in αS.
+        """
+        return images in self.sym_group or compose(self.complement, images) in self.sym_group
 
 
-def verify_direct_product(kg: KneserGraph, aut_order: int) -> DirectProductReport:
+def verify_direct_product(
+    kg: KneserGraph,
+    aut_order: Optional[int] = None,
+    order_cap: int = DEFAULT_ORDER_CAP,
+) -> DirectProductReport:
     """Check the four steps behind Aut = Sym([n]) x Z_2 on a concrete graph.
 
-    f_(1 2), f_(1 2 ... n) and complementation are first checked to be
+    f_(1 2), f_(1 2 ... n) and complementation α are first checked to be
     automorphisms; then
-    (a) the induced Sym generators close to a group of order n!;
-    (b) complementation lies outside that group;
-    (c) complementation commutes with both generators, hence with all of it;
-    (d) adjoining it doubles the order to 2 n!, matching the engine's count.
+    (a) the induced Sym generators close to a group S of order n!, under
+        ``order_cap``;
+    (b) α lies outside S;
+    (c) α is an involution and commutes with both generators, hence with all
+        of S;
+    (d) the known generators generate S ∪ αS, of order 2 n!, which must match
+        ``aut_order`` when one is given.
+
+    Step (d) needs no second closure.  α centralizes S, so αS = Sα, and
+    α∘α = id; hence (αs)(αt) = st, s(αt) = α(st) and (αs)t = α(st), so
+    S ∪ αS is closed under composition.  It is a group holding f_(1 2),
+    f_(1 2 ... n) and α, and every element of it is a product of them, so it
+    is <known>.  By (b) the cosets S and αS are disjoint, so its order is
+    2 |S|, and S ∩ <α> = {id} with α central makes it S x <α>.  A map g lies
+    in it exactly when g or α∘g lies in S, which ``contains`` tests.
     """
     n = kg.n
     f_swap, f_cycle = sym_generators(kg)
     alpha = complement_automorphism(kg)
     check_generators(kg.graph, (f_swap, f_cycle, alpha))
 
-    sym_group = group_closure([f_swap, f_cycle])
+    sym_group = group_closure([f_swap, f_cycle], order_cap=order_cap)
     n_factorial = math.factorial(n)
     if sym_group.order != n_factorial:
         raise StructureError(
@@ -261,23 +308,23 @@ def verify_direct_product(kg: KneserGraph, aut_order: int) -> DirectProductRepor
         )
     if alpha in sym_group:
         raise StructureError("step (b): complementation lies inside the Sym image")
+    if compose(alpha, alpha) != tuple(range(len(alpha))):
+        raise StructureError("step (c): complementation is not an involution")
     if not (commutes(alpha, f_swap) and commutes(alpha, f_cycle)):
         raise StructureError("step (c): complementation fails to commute with a generator")
-    product = group_closure([f_swap, f_cycle, alpha])
-    if product.order != 2 * n_factorial:
+    product_order = 2 * sym_group.order
+    if aut_order is not None and product_order != aut_order:
         raise StructureError(
-            f"step (d): product closure has order {product.order}, expected {2 * n_factorial}"
-        )
-    if product.order != aut_order:
-        raise StructureError(
-            f"step (d): engine reports |Aut| = {aut_order}, closure gives {product.order}"
+            f"step (d): engine reports |Aut| = {aut_order}, the product has order {product_order}"
         )
     return DirectProductReport(
         n=n,
         k=kg.k,
         sym_closure_order=sym_group.order,
-        product_order=product.order,
+        product_order=product_order,
         aut_order=aut_order,
+        sym_group=sym_group,
+        complement=alpha,
     )
 
 

@@ -1,10 +1,11 @@
+import hashlib
 import importlib
 import json
 from pathlib import Path
 
 import pytest
 
-from bkneser import autgroup, cli, dihedral, perms
+from bkneser import autgroup, cli, dihedral, perms, symmetry
 from bkneser.graphs import Graph
 from bkneser.kneser import build_bipartite_kneser, verify_family_counts
 from bkneser.perms import known_generators, stabilizer_generators
@@ -369,9 +370,12 @@ def test_aut_generator_outside_the_closure_exits_1(capsys, monkeypatch):
     from bkneser.perms import PermutationGroup
 
     def fake_engine(graph, order_cap=100_000):
-        # the right order, 12, but the swap of vertices 0 and 1 is no automorphism of H(3,1)
+        # the right order, 12, and complementation is a member, but the swap
+        # of vertices 0 and 1 is no automorphism of H(3,1)
+        complement = (3, 4, 5, 0, 1, 2)
         swap = (1, 0, *range(2, graph.vertex_count))
-        return PermutationGroup(generators=(swap,), degree=graph.vertex_count, order=12)
+        return PermutationGroup(generators=(complement, swap), degree=graph.vertex_count,
+                                order=12)
 
     monkeypatch.setattr(cli, "automorphism_group", fake_engine)
     code, _, err = run_cli(capsys, "aut", "--n", "3", "--k", "1", "--method", "both")
@@ -387,11 +391,45 @@ def test_aut_engine_is_not_capped_by_the_group_order(capsys):
 
 
 def test_aut_both_is_capped_by_the_oracle_closure(capsys):
-    # the closure of the known generators still enumerates 2 * 9! elements
+    # the Sym image alone has 9! = 362,880 elements, above the default cap
     code, out, err = run_cli(capsys, "aut", "--n", "9", "--k", "2")
     assert code == 2
     assert out == ""
     assert "group closure exceeded the cap of 100000 elements" in err
+
+
+# the sha256 of the ``aut --n 8 --k 3`` stdout that perfbench/expected.json pins
+AUT_83_SHA256 = "72032c8f46f79b4d3c9652d9e26dfc4c9e478b476e6ebfd81f05d174fec747bb"
+
+
+def test_aut_both_is_capped_at_the_sym_image(capsys, monkeypatch):
+    # --method both enumerates the 8! elements of the Sym image, not all 2 * 8!
+    monkeypatch.setenv("KNESER_ORDER_CAP", "40320")
+    code, out, err = run_cli(capsys, "aut", "--n", "8", "--k", "3")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == AUT_83_SHA256
+
+    monkeypatch.setenv("KNESER_ORDER_CAP", "40319")
+    code, out, err = run_cli(capsys, "aut", "--n", "8", "--k", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: group closure exceeded the cap of 40319 elements\n"
+
+
+def test_aut_both_makes_one_closure_of_n_factorial(capsys, monkeypatch):
+    sizes = []
+    original = perms.closure_images
+
+    def spy(generator_images, degree, order_cap):
+        elements = original(generator_images, degree, order_cap)
+        sizes.append(len(elements))
+        return elements
+
+    for module in (perms, autgroup, symmetry):
+        monkeypatch.setattr(module, "closure_images", spy)
+    for method, expected in (("both", [5040]), ("generators", [10080])):
+        assert run_cli(capsys, "aut", "--n", "7", "--k", "3", "--method", method)[0] == 0
+        assert sizes == expected, method
+        sizes.clear()
 
 
 def test_unwritable_out_path_exits_2(capsys, tmp_path):

@@ -29,8 +29,14 @@ from bkneser import (
     transitivity_report,
     verify_direct_product,
 )
-from bkneser import autgroup, symmetry
-from bkneser.errors import DisconnectedError, DomainError, NeedEnumerationError, StructureError
+from bkneser import autgroup, perms, symmetry
+from bkneser.errors import (
+    DisconnectedError,
+    DomainError,
+    NeedEnumerationError,
+    OrderCapExceeded,
+    StructureError,
+)
 from bkneser.perms import is_semiregular
 from bkneser.subsets import binomial
 from bkneser.symmetry import SEARCH_CAVEAT, feasible_parameters, question2_table
@@ -240,6 +246,70 @@ def test_verify_direct_product_checks_its_maps_on_the_graph():
         verify_direct_product(switched, 240)
 
 
+def swap_vertices(vertex_count, u, v):
+    images = list(range(vertex_count))
+    images[u], images[v] = v, u
+    return tuple(images)
+
+
+@pytest.mark.parametrize("n, k", feasible_parameters(7))
+def test_direct_product_membership_matches_the_full_closure(n, k):
+    # <known> = S ∪ αS is read off S alone; the oracle enumerates all 2 n! elements
+    kg = build_bipartite_kneser(n, k)
+    report = verify_direct_product(kg)
+    full = group_closure(known_generators(kg))
+    assert report.product_order == 2 * report.sym_closure_order == full.order
+    assert report.sym_group.order == math.factorial(n)
+    assert report.aut_order is None
+    assert all(report.contains(g) for g in sorted(full.elements))
+    engine = automorphism_group(kg.graph)
+    assert all(report.contains(g) and g in full for g in engine.generators)
+    # a transposition of two vertices is no automorphism, and neither is α after it
+    for u, v in ((0, 1), (0, kg.side_size), (1, kg.vertex_count - 1)):
+        swap = swap_vertices(kg.vertex_count, u, v)
+        for g in (swap, compose(report.complement, swap)):
+            assert g not in full
+            assert not report.contains(g)
+
+
+def test_verify_direct_product_makes_one_closure_of_n_factorial(monkeypatch):
+    sizes = []
+    original = perms.closure_images
+
+    def spy(generator_images, degree, order_cap):
+        elements = original(generator_images, degree, order_cap)
+        sizes.append(len(elements))
+        return elements
+
+    monkeypatch.setattr(perms, "closure_images", spy)
+    report = verify_direct_product(build_bipartite_kneser(6, 2), 1440)
+    assert sizes == [720]
+    assert (report.product_order, report.aut_order) == (1440, 1440)
+
+
+def test_verify_direct_product_is_capped_at_the_sym_image():
+    kg = build_bipartite_kneser(6, 2)
+    assert verify_direct_product(kg, order_cap=720).product_order == 1440
+    with pytest.raises(OrderCapExceeded, match="cap of 719 elements"):
+        verify_direct_product(kg, order_cap=719)
+
+
+def test_verify_direct_product_rejects_a_complementation_inside_sym(monkeypatch):
+    monkeypatch.setattr(symmetry, "complement_automorphism", lambda kg: sym_generators(kg)[0])
+    with pytest.raises(StructureError, match=r"step \(b\)"):
+        verify_direct_product(build_bipartite_kneser(5, 2))
+
+
+def test_verify_direct_product_rejects_a_non_involution(monkeypatch):
+    # α∘f_(1 2 ... n) is an automorphism outside S, but its square is f_cycle^2
+    def alpha_after_cycle(kg):
+        return compose(complement_automorphism(kg), sym_generators(kg)[1])
+
+    monkeypatch.setattr(symmetry, "complement_automorphism", alpha_after_cycle)
+    with pytest.raises(StructureError, match=r"step \(c\): .* not an involution"):
+        verify_direct_product(build_bipartite_kneser(5, 2))
+
+
 def test_alpha_conjugation_fixes_sym_elements():
     # elementwise commutation: conjugating by complementation is the identity
     kg = build_bipartite_kneser(4, 1)
@@ -424,6 +494,31 @@ def test_transitivity_report_counts_match_direct_orbits(corpus):
         assert report.pair_orbits == len(pair_orbs)
         assert report.distance_values == distinct
         assert report.distance_transitive == (len(pair_orbs) == distinct)
+
+
+def test_transitive_groups_take_the_vertex_orbit_count_off_the_schreier_vector(
+    corpus, monkeypatch
+):
+    # one BFS from vertex 0 reaches every vertex of a transitive group, so the
+    # vertex orbits are counted only when it does not
+    calls = []
+    original = symmetry.orbits_on_vertices
+
+    def spy(group):
+        calls.append(group.degree)
+        return original(group)
+
+    monkeypatch.setattr(symmetry, "orbits_on_vertices", spy)
+    cases = [(g, automorphism_group(g)) for g in corpus.values() if g.is_connected()]
+    for n, k in feasible_parameters(8):
+        kg = build_bipartite_kneser(n, k)
+        cases.append((kg.graph, known_group(kg)))
+    for graph, group in cases:
+        report = transitivity_report(graph, group)
+        expected = len(original(group))
+        assert report.vertex_orbits == expected
+        assert calls == ([] if expected == 1 else [graph.vertex_count])
+        calls.clear()
 
 
 def spy_on_the_pair_path(monkeypatch):
