@@ -3,12 +3,7 @@ algebraic properties: transitivity, connectivity, automorphism groups, and
 the dihedral Cayley structure of H(n, 1)."""
 
 from .autgroup import are_isomorphic, automorphism_group
-from .connectivity import (
-    local_vertex_connectivity,
-    max_flow,
-    menger_certificate,
-    vertex_connectivity,
-)
+from .connectivity import max_flow, menger_certificate, vertex_connectivity
 from .dihedral import (
     build_cayley_graph,
     dihedral_inverse,
@@ -34,7 +29,6 @@ from .perms import (
     orbits_on_ordered_pairs,
     orbits_on_unordered_pairs,
     orbits_on_vertices,
-    stabilizer,
     stabilizer_generators,
     sym_generators,
 )
@@ -77,7 +71,6 @@ __all__ = [
     "inverse",
     "known_generators",
     "left_regular_subgroup",
-    "local_vertex_connectivity",
     "max_flow",
     "menger_certificate",
     "orbit",
@@ -86,7 +79,6 @@ __all__ = [
     "orbits_on_vertices",
     "rank_subset",
     "reflection_connection_set",
-    "stabilizer",
     "stabilizer_generators",
     "sym_generators",
     "transitivity_report",

@@ -4,18 +4,19 @@ Data goes to stdout, diagnostics to stderr.  Exit codes: 0 all assertions
 passed, 1 a verified claim failed, 2 usage, domain or I/O error, or out of
 memory, 3 internal error (any other exception, a bug; its traceback goes to
 stderr).  The only environment knob is KNESER_ORDER_CAP, which overrides the
-cap on every group enumeration: the Sym image in ``aut --method both``, the
-closure of the known generators in ``aut --method generators``, and the
-engine's group when its order certificate does not close or its elements are
-needed.  An order the engine proves is not capped, so
-``aut --method engine`` is not either.
+cap on every group enumeration: the stabilizer of vertex 0 in the Sym image
+in ``aut --method both``, the closure of the known generators in
+``aut --method generators``, and the engine's group when its order
+certificate does not close or its elements are needed.  An order the engine
+proves is not capped, so ``aut --method engine`` is not either.
 
 ``aut --method both``, the default, checks the engine's group against
-Sym([n]) x Z_2 by enumerating only the n! elements of the Sym image S, with
-``verify_direct_product``: the known generators generate S ∪ αS, where α is
-complementation, so each engine generator g is tested as g in S or α∘g in S.
-``aut --method generators`` enumerates all 2·n! elements of the known
-generators' group, and is the oracle for the first.
+Sym([n]) x Z_2 with ``verify_direct_product``, which holds the Sym image S
+as the orbit of vertex 0 and its stabilizer, and enumerates only the
+stabilizer's k!(n-k)! elements: the known generators generate S ∪ αS, where
+α is complementation, so each engine generator g is tested as g in S or
+α∘g in S.  ``aut --method generators`` enumerates all 2·n! elements of the
+known generators' group, and is the oracle for the first.
 """
 
 from __future__ import annotations

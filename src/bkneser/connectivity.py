@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import AdjacencyError, DomainError, VerificationError
+from .errors import DomainError, VerificationError
 from .graphs import Graph, _check_vertex
 from .perms import is_graph_automorphism, orbit_partition
 
@@ -103,16 +103,6 @@ def max_flow(graph: Graph, u: int, v: int) -> MaxFlowResult:
     return MaxFlowResult(value=len(ends), cut_capacity=cut, paths=paths)
 
 
-def local_vertex_connectivity(graph: Graph, u: int, v: int) -> int:
-    """Minimum number of other vertices whose removal separates u from v."""
-    value = max_flow(graph, u, v).value  # validates the pair first
-    if graph.has_edge(u, v):
-        raise AdjacencyError(
-            f"vertices {u} and {v} are adjacent; no vertex cut separates them"
-        )
-    return value
-
-
 def vertex_connectivity(graph: Graph, stabilizer: Sequence[Sequence[int]] = ()) -> int:
     """kappa(G): 0 when disconnected, m-1 for K_m, else the least number of
     vertices whose removal disconnects the graph.
@@ -166,7 +156,8 @@ def vertex_connectivity(graph: Graph, stabilizer: Sequence[Sequence[int]] = ()) 
 def menger_certificate(graph: Graph, u: int, v: int) -> list[list[int]]:
     """Internally disjoint u-v paths witnessing the local connectivity.
 
-    Non-adjacent pairs get exactly local_vertex_connectivity(u, v) paths.
+    Non-adjacent pairs get exactly kappa(u, v) paths, the least number of
+    other vertices whose removal separates u from v.
     Adjacent pairs get the direct edge first, then the disjoint paths that
     avoid it.  The flow paths are sorted by their first interior vertex.
     Every path is re-verified edge by edge and pairwise interior-disjointness

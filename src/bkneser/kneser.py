@@ -88,6 +88,7 @@ class KneserGraph(NamedTuple):
 
 def build_bipartite_kneser(n: int, k: int, allow_null: bool = False) -> KneserGraph:
     """Construct H(n, k); rejects n = 2k unless allow_null, and n < 2k always."""
+    n, k = as_int(n, "n"), as_int(k, "k")
     if k < 1 or n <= k:
         raise DomainError(f"H(n, k) needs n > k >= 1, got ({n}, {k})")
     if n < 2 * k:

@@ -501,16 +501,6 @@ def orbits_on_unordered_pairs(
     ]
 
 
-def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
-    """The subgroup of elements fixing ``point``; needs full enumeration."""
-    point = _check_point(point, group.degree)
-    if group.elements is None:
-        raise NeedEnumerationError("stabilizer needs a fully enumerated group")
-    fixed = sorted(g for g in group.elements if g[point] == point)
-    return PermutationGroup(generators=tuple(tuple(g) for g in fixed),
-                            degree=group.degree, elements=frozenset(fixed))
-
-
 def sym_generators(kg: KneserGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """f over the canonical Sym([n]) generators (1 2) and (1 2 ... n)."""
     n = kg.n

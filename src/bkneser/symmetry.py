@@ -12,7 +12,9 @@ report reads the arc, edge and distance levels off those suborbits and the
 Schreier vector; else it walks every arc, every edge and every ordered pair,
 taking each pair orbit's distance from one BFS row per orbit representative.
 
-The direct-product check enumerates only the n! elements of the Sym image S:
+The direct-product check holds the Sym image S as one level of a stabilizer
+chain, the orbit of vertex 0 with a Schreier tree and the stabilizer of 0
+closed from Schreier generators, so it enumerates k!(n-k)! elements, not n!:
 complementation α is shown to lie outside S, to be an involution and to
 commute with S's generators, which makes the known generators' group S ∪ αS.
 
@@ -99,11 +101,11 @@ def _suborbit_distances(graph: Graph, fixing: list[tuple[int, ...]]) -> Optional
     return [row[orb[0]] for orb in suborbits]
 
 
-def _schreier_vector(group: PermutationGroup) -> tuple[list[int], list[int], int]:
-    """The Schreier vector from vertex 0, and the size of the orbit of 0.
+def _schreier_vector(group: PermutationGroup) -> tuple[list[int], list[int], list[int]]:
+    """The Schreier vector from vertex 0, and the orbit of 0 in BFS order.
 
     ``generators[via[v]]`` maps ``parent[v]`` to v for each v in the orbit;
-    ``parent`` is -1 off it.
+    ``parent`` is -1 off it.  Each point of the orbit comes after its parent.
     """
     n = group.degree
     parent, via = [-1] * n, [0] * n
@@ -115,7 +117,7 @@ def _schreier_vector(group: PermutationGroup) -> tuple[list[int], list[int], int
             if parent[v] < 0:
                 parent[v], via[v] = u, i
                 queue.append(v)
-    return parent, via, len(queue)
+    return parent, via, queue
 
 
 def _arc_and_edge_orbits(
@@ -197,8 +199,8 @@ def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityRe
     if not graph.is_connected():
         raise DisconnectedError("transitivity report needs a connected graph")
     check_generators(graph, group.generators)
-    parent, via, reached = _schreier_vector(group)
-    vertex_orbits = 1 if reached == graph.vertex_count else len(orbits_on_vertices(group))
+    parent, via, orbit0 = _schreier_vector(group)
+    vertex_orbits = 1 if len(orbit0) == graph.vertex_count else len(orbits_on_vertices(group))
     fixing = [g for g in group.generators if g[0] == 0]
     orbit_distance = _suborbit_distances(graph, fixing) if vertex_orbits == 1 else None
     if orbit_distance is not None:
@@ -252,13 +254,53 @@ def diameter_by_orbits(graph: Graph, group: PermutationGroup) -> int:
     return max(max(graph.bfs_distances(orb[0])) for orb in orbits_on_vertices(group))
 
 
+class _SymImage:
+    """The Sym image S, held as one level of a stabilizer chain at vertex 0.
+
+    The level is the orbit of 0 under S, one representative u_x with
+    u_x(0) = x for each orbit point x, and the stabilizer S_0 of 0,
+    enumerated from its Schreier generators; ``verify_direct_product`` gives
+    the argument.  ``order`` is |orbit|·|S_0|, and ``images in level`` asks
+    whether a map lies in S: g does exactly when x = g(0) is in the orbit and
+    u_x^-1∘g lies in S_0.
+    """
+
+    __slots__ = ("stabilizer", "order", "_inverse_tables")
+
+    def __init__(self, generators: Sequence[tuple[int, ...]], degree: int, order_cap: int) -> None:
+        parent, via, orbit0 = _schreier_vector(PermutationGroup(generators, degree))
+        reps = {0: tuple(range(degree))}
+        for x in orbit0[1:]:  # BFS order: u_x = g∘u_parent, and the parent came first
+            reps[x] = compose(generators[via[x]], reps[parent[x]])
+        inverses = {x: inverse(u) for x, u in reps.items()}
+        schreier = dict.fromkeys(
+            compose(inverses[s[x]], compose(s, u)) for x, u in reps.items() for s in generators
+        )
+        schreier.pop(reps[0], None)  # the identity generates nothing
+        self.stabilizer = group_closure(schreier, order_cap=order_cap, degree=degree)
+        self.order = len(orbit0) * self.stabilizer.order
+        # a point past the degree maps to 255, which no image string of degree < 256 holds
+        pad = bytes([255]) * (256 - degree)
+        self._inverse_tables = {x: bytes(u) + pad for x, u in inverses.items()}
+
+    def __contains__(self, images: Sequence[int]) -> bool:
+        """True iff the map is an element of S; a map that is no image string is not one."""
+        try:
+            g = bytes(tuple(images))  # tuple() first: bytes(5) is five zero bytes
+        except (TypeError, ValueError):
+            return False
+        if not g or g[0] not in self._inverse_tables:  # g(0) lies outside the orbit of 0
+            return False
+        return g.translate(self._inverse_tables[g[0]]) in self.stabilizer.elements
+
+
 class DirectProductReport(NamedTuple):
     n: int
     k: int
     sym_closure_order: int
     product_order: int
     aut_order: Optional[int]
-    sym_group: PermutationGroup
+    sym_group: _SymImage
     complement: tuple[int, ...]
 
     def contains(self, images: Sequence[int]) -> bool:
@@ -278,13 +320,27 @@ def verify_direct_product(
 
     f_(1 2), f_(1 2 ... n) and complementation α are first checked to be
     automorphisms; then
-    (a) the induced Sym generators close to a group S of order n!, under
-        ``order_cap``;
+    (a) the induced Sym generators generate a group S of order n!; only the
+        stabilizer of vertex 0 in S is enumerated, under ``order_cap``;
     (b) α lies outside S;
     (c) α is an involution and commutes with both generators, hence with all
         of S;
     (d) the known generators generate S ∪ αS, of order 2 n!, which must match
         ``aut_order`` when one is given.
+
+    Steps (a) and (b) hold S as one level of a stabilizer chain (Sims,
+    "Computational methods in the study of permutation groups", in
+    *Computational Problems in Abstract Algebra*, 1970).  A
+    BFS from 0 over the two generators gives the orbit O of 0 and its
+    Schreier tree, and the tree path 0 -> x spells a u_x in S with
+    u_x(0) = x, u_0 the identity.  By Schreier's lemma S_0, the stabilizer of
+    0 in S, is generated by the maps u_{s(x)}^-1∘s∘u_x for x in O and s a
+    generator; each fixes 0, and they are closed under the cap.  By the
+    orbit-stabilizer theorem |S| = |O|·|S_0|, which step (a) compares with
+    n!.  The cosets u_x S_0 are the elements of S mapping 0 to x, so g lies
+    in S exactly when g(0) is in O and u_{g(0)}^-1∘g lies in S_0; step (b)
+    and ``contains`` test membership so.  On H(n,k), S_0 is the image of
+    Sym(k) x Sym(n-k), of k!(n-k)! elements, where S has n!.
 
     Step (d) needs no second closure.  α centralizes S, so αS = Sα, and
     α∘α = id; hence (αs)(αt) = st, s(αt) = α(st) and (αs)t = α(st), so
@@ -299,11 +355,11 @@ def verify_direct_product(
     alpha = complement_automorphism(kg)
     check_generators(kg.graph, (f_swap, f_cycle, alpha))
 
-    sym_group = group_closure([f_swap, f_cycle], order_cap=order_cap)
+    sym_group = _SymImage((f_swap, f_cycle), kg.vertex_count, order_cap)
     n_factorial = math.factorial(n)
     if sym_group.order != n_factorial:
         raise StructureError(
-            f"step (a): induced Sym closure has order {sym_group.order}, "
+            f"step (a): induced Sym image has order {sym_group.order}, "
             f"expected {n_factorial}"
         )
     if alpha in sym_group:

@@ -19,16 +19,21 @@ checks the coset closure, cap included.  The regular-subgroup scans are the
 two-phase search (cyclic subgroups first, then pairs), kept to pin the order
 in which the single pair scan finds its subgroup, and the pair scan over
 every row, kept to check that scanning only the least element of each
-conjugacy class finds the same subgroup.
+conjugacy class finds the same subgroup.  The stabilizer filters every
+element of a fully enumerated group, and checks the one level of a
+stabilizer chain that ``verify_direct_product`` closes from Schreier
+generators.  The local connectivity is one max-flow, after checking that
+the pair is not adjacent.
 """
 
 import json
 from collections import deque
 from itertools import combinations, permutations
 
-from bkneser.connectivity import local_vertex_connectivity
+from bkneser.connectivity import max_flow
 from bkneser.dihedral import dihedral_label, dihedral_multiply
 from bkneser.errors import (
+    AdjacencyError,
     IsomorphismError,
     NeedEnumerationError,
     OrderCapExceeded,
@@ -38,6 +43,7 @@ from bkneser.graphs import Graph
 from bkneser.perms import (
     DEFAULT_ORDER_CAP,
     PermutationGroup,
+    _check_point,
     closure_images,
     element_order,
     inverse,
@@ -105,6 +111,16 @@ def brute_vertex_connectivity(graph):
             if not _connected_after_removal(adj, set(cut), n):
                 return size
     return n - 1
+
+
+def local_vertex_connectivity(graph, u, v):
+    """Minimum number of other vertices whose removal separates u from v."""
+    value = max_flow(graph, u, v).value  # validates the pair first
+    if graph.has_edge(u, v):
+        raise AdjacencyError(
+            f"vertices {u} and {v} are adjacent; no vertex cut separates them"
+        )
+    return value
 
 
 def all_pairs_vertex_connectivity(graph):
@@ -262,6 +278,16 @@ def two_phase_regular_subgroup(group, vertex_count):
             if len(elements) == vertex_count and transitive([g, h]):
                 return elements
     return None
+
+
+def stabilizer(group, point):
+    """The subgroup of elements fixing ``point``, filtered from the full enumeration."""
+    point = _check_point(point, group.degree)
+    if group.elements is None:
+        raise NeedEnumerationError("stabilizer needs a fully enumerated group")
+    fixed = sorted(g for g in group.elements if g[point] == point)
+    return PermutationGroup(generators=tuple(tuple(g) for g in fixed),
+                            degree=group.degree, elements=frozenset(fixed))
 
 
 def is_regular_action(group, vertex_count):

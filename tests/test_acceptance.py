@@ -27,14 +27,18 @@ from bkneser import (
     menger_certificate,
     orbit,
     orbits_on_ordered_pairs,
-    stabilizer,
     stabilizer_generators,
     verify_direct_product,
     verify_family_counts,
     vertex_connectivity,
 )
 from bkneser.perms import is_graph_automorphism
-from oracles import brute_force_automorphism_order, brute_vertex_connectivity, is_regular_action
+from oracles import (
+    brute_force_automorphism_order,
+    brute_vertex_connectivity,
+    is_regular_action,
+    stabilizer,
+)
 
 
 def _report(number, label, ok, elapsed, bound):

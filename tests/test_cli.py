@@ -291,7 +291,9 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_order_cap_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("KNESER_ORDER_CAP", "10")
+    # the one closure of `aut --method both` is the stabilizer of vertex 0 in
+    # the Sym image, 3! = 6 elements on H(4,1)
+    monkeypatch.setenv("KNESER_ORDER_CAP", "5")
     code, _, err = run_cli(capsys, "aut", "--n", "4", "--k", "1")
     assert code == 2
     assert "cap" in err
@@ -391,8 +393,9 @@ def test_aut_engine_is_not_capped_by_the_group_order(capsys):
 
 
 def test_aut_both_is_capped_by_the_oracle_closure(capsys):
-    # the Sym image alone has 9! = 362,880 elements, above the default cap
-    code, out, err = run_cli(capsys, "aut", "--n", "9", "--k", "2")
+    # the stabilizer of vertex 0 in the Sym image has 2! 9! = 725,760
+    # elements, above the default cap
+    code, out, err = run_cli(capsys, "aut", "--n", "11", "--k", "2")
     assert code == 2
     assert out == ""
     assert "group closure exceeded the cap of 100000 elements" in err
@@ -403,19 +406,28 @@ AUT_83_SHA256 = "72032c8f46f79b4d3c9652d9e26dfc4c9e478b476e6ebfd81f05d174fec747b
 
 
 def test_aut_both_is_capped_at_the_sym_image(capsys, monkeypatch):
-    # --method both enumerates the 8! elements of the Sym image, not all 2 * 8!
-    monkeypatch.setenv("KNESER_ORDER_CAP", "40320")
+    # --method both enumerates only the stabilizer of vertex 0 in the Sym
+    # image, 3! 5! = 720 elements, not its 8! nor all 2 * 8!
+    monkeypatch.setenv("KNESER_ORDER_CAP", "720")
     code, out, err = run_cli(capsys, "aut", "--n", "8", "--k", "3")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == AUT_83_SHA256
 
-    monkeypatch.setenv("KNESER_ORDER_CAP", "40319")
+    monkeypatch.setenv("KNESER_ORDER_CAP", "719")
     code, out, err = run_cli(capsys, "aut", "--n", "8", "--k", "3")
     assert (code, out) == (2, "")
-    assert err == "error: group closure exceeded the cap of 40319 elements\n"
+    assert err == "error: group closure exceeded the cap of 719 elements\n"
 
 
-def test_aut_both_makes_one_closure_of_n_factorial(capsys, monkeypatch):
+def test_aut_both_h92_runs_under_the_default_cap(capsys):
+    # 9! = 362,880 is above the default cap, but only the stabilizer of
+    # vertex 0, 2! 7! = 10,080 elements, is enumerated
+    code, out, err = run_cli(capsys, "aut", "--n", "9", "--k", "2")
+    assert (code, err) == (0, "")
+    assert out.startswith('{"order":725760,"agree":true,"generators":[')
+
+
+def test_aut_both_makes_one_closure_of_the_stabilizer(capsys, monkeypatch):
     sizes = []
     original = perms.closure_images
 
@@ -426,7 +438,8 @@ def test_aut_both_makes_one_closure_of_n_factorial(capsys, monkeypatch):
 
     for module in (perms, autgroup, symmetry):
         monkeypatch.setattr(module, "closure_images", spy)
-    for method, expected in (("both", [5040]), ("generators", [10080])):
+    # both: the stabilizer of vertex 0 in the Sym image, 3! 4! = 144 elements
+    for method, expected in (("both", [144]), ("generators", [10080])):
         assert run_cli(capsys, "aut", "--n", "7", "--k", "3", "--method", method)[0] == 0
         assert sizes == expected, method
         sizes.clear()

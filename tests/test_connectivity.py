@@ -7,16 +7,20 @@ from bkneser import (
     automorphism_group,
     build_bipartite_kneser,
     cli,
-    local_vertex_connectivity,
     max_flow,
     menger_certificate,
-    stabilizer,
     stabilizer_generators,
     vertex_connectivity,
 )
 from bkneser.errors import AdjacencyError, DomainError
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
-from oracles import all_pairs_vertex_connectivity, brute_vertex_connectivity, edge_dict
+from oracles import (
+    all_pairs_vertex_connectivity,
+    brute_vertex_connectivity,
+    edge_dict,
+    local_vertex_connectivity,
+    stabilizer,
+)
 
 
 def engine_stabilizer(graph):

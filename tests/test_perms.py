@@ -21,7 +21,6 @@ from bkneser import (
     orbits_on_ordered_pairs,
     orbits_on_unordered_pairs,
     orbits_on_vertices,
-    stabilizer,
     sym_generators,
 )
 from bkneser.autgroup import automorphism_group
@@ -43,7 +42,7 @@ from bkneser.perms import (
 from bkneser.symmetry import feasible_parameters
 from bkneser import perms
 from conftest import complete_graph, cycle_graph, mask, path_graph, two_switched
-from oracles import bfs_closure_images, dict_closure, is_regular_action
+from oracles import bfs_closure_images, dict_closure, is_regular_action, stabilizer
 
 
 def random_permutation(rng, n):

@@ -38,13 +38,24 @@ def test_binomial_rejects_negative():
     lambda kg: binomial(5, "2"),
     lambda kg: kg.vertex_of_subset(3.0),
     lambda kg: kg.subset_of_vertex(1.0),
+    lambda kg: build_bipartite_kneser(5.0, 2),
+    lambda kg: build_bipartite_kneser(5, 2.0),
 ], ids=["rank-mask", "rank-n", "rank-k", "unrank-rank", "unrank-k", "format",
-        "binomial-n", "binomial-k", "vertex-of-subset", "subset-of-vertex"])
+        "binomial-n", "binomial-k", "vertex-of-subset", "subset-of-vertex",
+        "build-n", "build-k"])
 def test_non_int_values_raise_domain_error(call):
     # operator.index rejects each of these; none may escape as a raw TypeError,
     # an AttributeError or a silently accepted float
     with pytest.raises(DomainError):
         call(build_bipartite_kneser(5, 2))
+
+
+def test_builder_names_its_own_non_int_argument():
+    # checked where n and k enter, not by the binomial the builder calls
+    with pytest.raises(DomainError, match=r"^n must be an int, got 5\.0$"):
+        build_bipartite_kneser(5.0, 2)
+    with pytest.raises(DomainError, match=r"^k must be an int, got 2\.0$"):
+        build_bipartite_kneser(5, 2.0)
 
 
 def test_binomial_pascal_rule_and_comb():

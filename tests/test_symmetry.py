@@ -49,7 +49,7 @@ from conftest import (
     star_graph,
     two_switched,
 )
-from oracles import every_row_regular_subgroup, two_phase_regular_subgroup
+from oracles import every_row_regular_subgroup, stabilizer, two_phase_regular_subgroup
 
 
 def known_group(kg):
@@ -272,7 +272,30 @@ def test_direct_product_membership_matches_the_full_closure(n, k):
             assert not report.contains(g)
 
 
-def test_verify_direct_product_makes_one_closure_of_n_factorial(monkeypatch):
+@pytest.mark.parametrize("n, k", feasible_parameters(7))
+def test_sym_image_chain_level_matches_the_full_closure(n, k):
+    # S is held as the orbit of vertex 0 and its stabilizer, closed from the
+    # Schreier generators; the oracle enumerates all n! elements of S
+    kg = build_bipartite_kneser(n, k)
+    level = verify_direct_product(kg).sym_group
+    full = group_closure(sym_generators(kg))
+    assert level.order == full.order == math.factorial(n)
+    assert all(g[0] == 0 for g in level.stabilizer.generators)
+    assert level.stabilizer.elements == stabilizer(full, 0).elements
+    assert level.stabilizer.order == math.factorial(k) * math.factorial(n - k)
+    # every element is a member; α after one maps 0 off the orbit, a vertex
+    # swap after one keeps 0 in it, and neither is a member
+    alpha = complement_automorphism(kg)
+    swap = swap_vertices(kg.vertex_count, 1, kg.vertex_count - 1)
+    for g in sorted(full.elements):
+        g = tuple(g)
+        assert g in level
+        assert compose(alpha, g) not in level
+        assert compose(swap, g) not in level
+
+
+def test_verify_direct_product_makes_one_closure_of_the_stabilizer(monkeypatch):
+    # the one closure is the stabilizer of vertex 0 in S, 2! 4! = 48 elements, not 6! = 720
     sizes = []
     original = perms.closure_images
 
@@ -283,15 +306,24 @@ def test_verify_direct_product_makes_one_closure_of_n_factorial(monkeypatch):
 
     monkeypatch.setattr(perms, "closure_images", spy)
     report = verify_direct_product(build_bipartite_kneser(6, 2), 1440)
-    assert sizes == [720]
+    assert sizes == [48]
     assert (report.product_order, report.aut_order) == (1440, 1440)
 
 
 def test_verify_direct_product_is_capped_at_the_sym_image():
+    # the cap bounds the one closure, the 48 elements of the stabilizer of vertex 0 in S
     kg = build_bipartite_kneser(6, 2)
-    assert verify_direct_product(kg, order_cap=720).product_order == 1440
-    with pytest.raises(OrderCapExceeded, match="cap of 719 elements"):
-        verify_direct_product(kg, order_cap=719)
+    assert verify_direct_product(kg, order_cap=48).product_order == 1440
+    with pytest.raises(OrderCapExceeded, match="cap of 47 elements"):
+        verify_direct_product(kg, order_cap=47)
+
+
+def test_verify_direct_product_rejects_a_sym_image_of_the_wrong_order(monkeypatch):
+    # f_(1 2) twice generates a group of order 2: its orbit of vertex 0 and
+    # stabilizer multiply to 2, not 5! = 120
+    monkeypatch.setattr(symmetry, "sym_generators", lambda kg: (sym_generators(kg)[0],) * 2)
+    with pytest.raises(StructureError, match=r"^step \(a\): induced Sym image has order 2, "):
+        verify_direct_product(build_bipartite_kneser(5, 2))
 
 
 def test_verify_direct_product_rejects_a_complementation_inside_sym(monkeypatch):
@@ -653,7 +685,8 @@ def test_suborbit_and_arc_counts_must_agree(monkeypatch):
 
 
 HASH_SEED_PROBE = """
-from bkneser import automorphism_group, build_bipartite_kneser, find_regular_subgroup, stabilizer
+from bkneser import automorphism_group, build_bipartite_kneser, find_regular_subgroup
+from oracles import stabilizer
 aut = automorphism_group(build_bipartite_kneser(5, 1).graph)
 search = find_regular_subgroup(aut, 10)
 print(search.candidates_checked, search.subgroup.generators)
@@ -664,11 +697,12 @@ print(stabilizer(aut, 0).generators)
 def test_results_do_not_depend_on_the_hash_seed():
     # element sets hash bytes, whose hashes change with PYTHONHASHSEED; every
     # loop over one must sort it first
-    src = str(Path(__file__).parent.parent / "src")
+    here = Path(__file__).parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
     outputs = []
     for seed in ("0", "1"):
         env = {**os.environ, "PYTHONHASHSEED": seed,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+               "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         done = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE], env=env,
                               capture_output=True, text=True, check=True)
         outputs.append(done.stdout)
