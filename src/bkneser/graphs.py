@@ -9,9 +9,11 @@ builder makes are stored without a second copy.  Labels given as a list, or
 any mutable or one-pass input, are copied to a tuple; any other sequence is
 kept as given, so a view that formats each label when it is read costs
 nothing until a writer reads it.  Graphs are treated as immutable after
-construction; every query is pure.  The writers stream JSON and DOT one
-vertex's edges at a time, and the DOT writer escapes each label's
-backslashes and double quotes.
+construction; every query is pure.  The writers format each vertex's edges
+with one join and write JSON and DOT in blocks of a little over 64 KB, so a
+handle that is not buffered makes few system calls and the whole document is
+never held; the DOT writer escapes each label's backslashes and double
+quotes.
 """
 
 from __future__ import annotations
@@ -168,49 +170,78 @@ class Graph:
                 return None
         return tuple(sorted(sides[0])), tuple(sorted(sides[1]))
 
-    def _edge_rows(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Each vertex u with a neighbour above it, and those neighbours."""
+    def _edge_rows(self) -> Iterator[tuple[int, Iterator[str]]]:
+        """Each vertex u with a neighbour above it, and those neighbours in decimal."""
+        names = list(map(str, range(self.vertex_count)))  # each vertex converted once
         for u, row in enumerate(self.neighbours):
             above = row[bisect_left(row, u):]
             if above:
-                yield u, above
+                yield u, map(names.__getitem__, above)
 
     def write_json(self, handle: TextIO) -> None:
         """Write {"vertex_count", "edges", "labels"} as one compact JSON line.
 
-        The edges are those of ``edges``, written one vertex's row at a time.
+        The edges are those of ``edges``.  Each vertex's row of edges is
+        formatted by one join, and the rows go to ``handle`` in blocks of a
+        little over 64 KB, so the whole document is never held at once.
         """
-        handle.write(f'{{"vertex_count":{self.vertex_count},"edges":[')
+        _write_blocks(handle, self._json_pieces())
+
+    def _json_pieces(self) -> Iterator[str]:
+        yield f'{{"vertex_count":{self.vertex_count},"edges":['
         separator = ""
         for u, above in self._edge_rows():
-            handle.write(separator + ",".join([f"[{u},{v}]" for v in above]))
+            yield f"{separator}[{u}," + f"],[{u},".join(above) + "]"
             separator = ","
-        handle.write("]")
+        yield "]"
         if self.labels is not None:
-            handle.write(',"labels":' + json.dumps(list(self.labels), separators=(",", ":")))
-        handle.write("}\n")
+            yield ',"labels":' + json.dumps(list(self.labels), separators=(",", ":"))
+        yield "}\n"
 
     def write_dot(self, handle: TextIO) -> None:
         """Write the graph in DOT, each vertex with its quoted label, then each edge.
 
         A backslash or a double quote in a label is escaped, so the quoted
-        string ends where the label does.
+        string ends where the label does.  The text goes to ``handle`` in
+        blocks, as in ``write_json``.
         """
-        handle.write("graph G {\n")
+        _write_blocks(handle, self._dot_pieces())
+
+    def _dot_pieces(self) -> Iterator[str]:
+        yield "graph G {\n"
         if self.labels is not None:
-            handle.writelines(f'  {v} [label="{label.translate(_DOT_ESCAPES)}"];\n'
-                              for v, label in enumerate(self.labels))
+            for v, label in enumerate(self.labels):
+                yield f'  {v} [label="{label.translate(_DOT_ESCAPES)}"];\n'
         else:
-            handle.writelines(f"  {v};\n" for v in range(self.vertex_count))
+            yield "".join(map("  {};\n".format, range(self.vertex_count)))
         for u, above in self._edge_rows():
-            handle.write("".join([f"  {u} -- {v};\n" for v in above]))
-        handle.write("}\n")
+            yield f"  {u} -- " + f";\n  {u} -- ".join(above) + ";\n"
+        yield "}\n"
 
     def __repr__(self) -> str:
         return f"Graph(vertices={self.vertex_count}, edges={self.edge_count})"
 
 
 _DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"'})
+_BLOCK = 1 << 16
+
+
+def _write_blocks(handle: TextIO, pieces: Iterable[str]) -> None:
+    """Write the pieces in order, joined into blocks that each pass 64 KB but the last.
+
+    An unbuffered handle makes each write a system call, so a block holds
+    many rows; memory stays bounded by one block and the largest piece.
+    """
+    block: list[str] = []
+    size = 0
+    for piece in pieces:
+        block.append(piece)
+        size += len(piece)
+        if size > _BLOCK:
+            handle.write("".join(block))
+            block.clear()
+            size = 0
+    handle.write("".join(block))
 
 
 def _check_count(vertex_count: int) -> int:

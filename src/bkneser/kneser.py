@@ -21,12 +21,15 @@ one list, so every row that names a vertex shares one int object for it.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import combinations
-from typing import Iterator, NamedTuple
+from itertools import chain, combinations
+from operator import getitem
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .errors import CardinalityError, DomainError, FamilyInvariantError, NullGraphError, as_int
 from .graphs import Graph
 from .subsets import binomial, format_subset, rank_subset, unrank_subset
+
+_T = TypeVar("_T")
 
 
 class _SubsetLabels(Sequence):
@@ -44,7 +47,28 @@ class _SubsetLabels(Sequence):
         return format_subset(self.masks[index])
 
     def __iter__(self) -> Iterator[str]:
-        return map(format_subset, self.masks)
+        """Each label joined from the names of its mask's bytes, read off per-byte tables."""
+        width = max(self.masks, default=0).bit_length()
+        tables = _byte_tables(
+            width, "", lambda names, x: f"{names},{x + 1}" if names else str(x + 1))
+        for mask in self.masks:
+            names = map(getitem, tables, mask.to_bytes(len(tables), "little"))
+            yield "{" + ",".join(filter(None, names)) + "}"
+
+
+def _byte_tables(n: int, empty: _T, add: Callable[[_T, int], _T]) -> list[list[_T]]:
+    """For each byte j of an n-bit mask, one entry per byte value b.
+
+    The entry is ``empty`` with ``add`` applied once for each element x
+    (from 0) whose bit is set in byte j of value b, in ascending order.
+    """
+    tables = []
+    for j in range((n + 7) // 8):
+        table = [empty]
+        for x in range(8 * j, 8 * j + 8):
+            table += [add(entry, x) for entry in table]  # the values with bit x - 8j set
+        tables.append(table)
+    return tables
 
 
 class KneserGraph(NamedTuple):
@@ -103,11 +127,14 @@ def build_bipartite_kneser(n: int, k: int, allow_null: bool = False) -> KneserGr
         rows = [()] * (2 * side)
     else:
         # ranks[r]: the k-subsets disjoint from subset r, from the k-combinations
-        # of r's complement bits, which come out in lex order
+        # of r's complement bits, which come out in lex order; the bits are
+        # read off per-byte tables
         rank_of = {m: r for r, m in enumerate(masks)}
+        bits = _byte_tables(n, (), lambda entry, x: entry + (1 << x,))
         ranks = []
         for a in masks:
-            outside = [1 << x for x in range(n) if not a >> x & 1]
+            outside = chain.from_iterable(
+                map(getitem, bits, (full ^ a).to_bytes(len(bits), "little")))
             ranks.append(tuple(map(rank_of.__getitem__, map(sum, combinations(outside, k)))))
         shifted = list(range(side, 2 * side))
         rows = [tuple(map(shifted.__getitem__, row)) for row in ranks] + ranks

@@ -72,7 +72,7 @@ def unrank_subset(rank: int, n: int, k: int) -> int:
     candidate = 1
     remaining = k
     while remaining > 0:
-        block = binomial(n - candidate, remaining - 1)
+        block = math.comb(n - candidate, remaining - 1)  # both >= 0: n and k passed the checks
         if rank < block:
             mask |= 1 << (candidate - 1)
             remaining -= 1

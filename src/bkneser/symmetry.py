@@ -433,7 +433,9 @@ def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> Regular
     a pair with an element that is not semiregular never generates a regular
     subgroup, and dropping it keeps the surviving pairs in their order: the
     first hit is the pair the unpruned scan finds.  A semiregular element's
-    order is its cycle length, which divides the degree.
+    order is its cycle length, which divides the degree.  The candidates
+    are tested only as far as the scan reads them, so a hit in the first
+    row leaves the later elements untested.
 
     Only the rows of elements that are least in their conjugacy class are
     scanned.  Let (g*, h*) be the first pair the full scan accepts.
@@ -464,14 +466,27 @@ def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> Regular
         raise StructureError("a generator of the group is not one of its elements")
     conjugations = [_Conjugation(x) for x in generators]
 
-    candidates = [g for g in sorted(group.elements) if is_semiregular(g)]
+    unread = filter(is_semiregular, sorted(group.elements))
+    candidates: list[bytes] = []
+
+    def candidates_from(i: int) -> Iterator[bytes]:
+        # the list grows from ``unread`` only as far as some row reads it
+        while True:
+            if i == len(candidates):
+                h = next(unread, None)
+                if h is None:
+                    return
+                candidates.append(h)
+            yield candidates[i]
+            i += 1
+
     seen: set[bytes] = set()
     checked = 0
-    for i, g in enumerate(candidates):
+    for i, g in enumerate(candidates_from(0)):
         if g in seen:
             continue
         seen.update(orbit_partition([g], conjugations)[0])
-        for h in candidates[i:]:
+        for h in candidates_from(i):
             checked += 1
             if len(orbit_partition([0], [g, h])[0]) != vertex_count:
                 continue

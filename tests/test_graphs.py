@@ -227,12 +227,38 @@ def test_writers_match_their_oracles(corpus):
     cases = dict(corpus)
     cases["H52"] = build_bipartite_kneser(5, 2).graph
     cases["H42-null"] = build_bipartite_kneser(4, 2, allow_null=True).graph
+    # several 64 KB blocks, and labels whose masks span 1, 2 and 3 bytes
+    for n, k in [(12, 5), (7, 3), (14, 6), (17, 1)]:
+        cases[f"H{n}{k}"] = build_bipartite_kneser(n, k).graph
     cases["P3-quoted-labels"] = Graph.from_edges(
         3, [(0, 1), (1, 2)], labels=['say "hi"', "back\\slash", '\\"'])
     assert cases["K4"].labels is None and cases["H31"].labels is not None
     for name, g in cases.items():
         assert written(g.write_json) == json_text(g), name
         assert written(g.write_dot) == dot_text(g), name
+
+
+class _RecordingHandle:
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (12, 5), (14, 6)])
+def test_writers_write_in_blocks_of_64_kb(n, k):
+    g = build_bipartite_kneser(n, k).graph
+    for write, oracle in [(g.write_json, json_text), (g.write_dot, dot_text)]:
+        handle = _RecordingHandle()
+        write(handle)
+        expected = oracle(g)
+        assert "".join(handle.calls) == expected
+        assert len(handle.calls) <= math.ceil(len(expected) / 65536) + 2
+        # each block but the last passes 64 KB, and none holds a whole
+        # 1.1-1.5 MB document of H(14,6)
+        assert all(len(call) > 65536 for call in handle.calls[:-1])
+        assert max(map(len, handle.calls)) < 4 * 65536
 
 
 def test_edgeless_json_has_an_empty_edge_list():

@@ -38,7 +38,7 @@ def test_build_small_examples():
 
 def test_builder_matches_the_mask_and_append_oracle():
     feasible = [(n, k) for n in range(3, 12) for k in range(1, (n - 1) // 2 + 1)]
-    for n, k in feasible:
+    for n, k in feasible + [(17, 1), (20, 2)]:  # masks of 3 bytes
         kg = build_bipartite_kneser(n, k)
         assert (kg.graph.neighbours, kg.masks) == mask_and_append_kneser(n, k), (n, k)
     for k in range(1, 5):
@@ -66,6 +66,17 @@ def test_labels_are_formatted_only_when_read(monkeypatch):
     labels = kg.graph.labels
     assert len(labels) == kg.vertex_count and labels[0] == "{1,2}" and labels[-1] == "{1,2,3}"
     assert list(labels) == [format_subset(m) for m in kg.masks]
+
+
+def test_label_iteration_matches_format_subset():
+    feasible = [(n, k) for n in range(3, 13) for k in range(1, (n - 1) // 2 + 1)]
+    for n, k in feasible + [(17, 1), (20, 2)]:
+        masks = build_bipartite_kneser(n, k).masks
+        assert list(kneser._SubsetLabels(masks)) == [format_subset(m) for m in masks], (n, k)
+    # the empty mask, and masks whose low or middle bytes are empty
+    masks = (0, 1, 1 << 40, 1 << 16 | 1, (1 << 24) - 1)
+    assert list(kneser._SubsetLabels(masks)) == [format_subset(m) for m in masks]
+    assert list(kneser._SubsetLabels(())) == []
 
 
 def test_repr_leaves_out_the_masks():

@@ -113,6 +113,13 @@ def test_rank_unrank_round_trip_6_2():
         assert rank_subset(unrank_subset(r, 6, 2), 6, 2) == r
 
 
+def test_unrank_inverts_rank_on_every_built_family():
+    feasible = [(n, k) for n in range(3, 13) for k in range(1, (n - 1) // 2 + 1)]
+    for n, k in feasible + [(17, 1), (20, 2)]:
+        for r in range(binomial(n, k)):
+            assert rank_subset(unrank_subset(r, n, k), n, k) == r, (n, k, r)
+
+
 def test_rank_matches_lexicographic_enumeration():
     # itertools.combinations enumerates k-subsets in exactly lexicographic
     # order of sorted element lists: the independent ordering oracle.

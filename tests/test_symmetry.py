@@ -410,6 +410,20 @@ def test_find_regular_subgroup_matches_the_scan_over_every_row():
     assert found is not None and pruned >= 3  # H(7,2) is Cayley; the cube, Petersen, H(5,2) pruned
 
 
+def test_find_regular_subgroup_tests_candidates_only_as_far_as_it_reads(monkeypatch):
+    tested = []
+    monkeypatch.setattr(symmetry, "is_semiregular", lambda p: tested.append(p) or is_semiregular(p))
+    for n, k in [(7, 1), (5, 2)]:
+        aut = automorphism_group(build_bipartite_kneser(n, k).graph)
+        tested.clear()
+        search = find_regular_subgroup(aut, 2 * binomial(n, k))
+        assert tested == sorted(aut.elements)[:len(tested)], (n, k)  # in order, each once
+        if search.subgroup is None:  # H(5,2): every row is scanned to its end
+            assert len(tested) == aut.order
+        else:  # H(7,1): Z_14 is found in the identity row, before the last elements
+            assert len(tested) < aut.order
+
+
 def test_find_regular_subgroup_needs_its_generators_among_its_elements():
     group = PermutationGroup([(1, 0, 2)], 3, elements=frozenset([bytes(range(3))]))
     with pytest.raises(StructureError, match="not one of its elements"):
