@@ -2,7 +2,7 @@
 algebraic properties: transitivity, connectivity, automorphism groups, and
 the dihedral Cayley structure of H(n, 1)."""
 
-from .autgroup import are_isomorphic, automorphism_group
+from .autgroup import automorphism_group
 from .connectivity import max_flow, menger_certificate, vertex_connectivity
 from .dihedral import (
     build_cayley_graph,
@@ -48,7 +48,6 @@ __all__ = [
     "Graph",
     "KneserGraph",
     "PermutationGroup",
-    "are_isomorphic",
     "automorphism_group",
     "binomial",
     "build_bipartite_kneser",

@@ -65,14 +65,13 @@ from functools import partial
 from itertools import accumulate, groupby
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import IsomorphismError, SizeLimitError, StructureError
+from .errors import SizeLimitError, StructureError
 from .graphs import Graph
 from .perms import (
     DEFAULT_ORDER_CAP,
     PermutationGroup,
     closure_images,
     is_graph_automorphism,
-    is_isomorphism,
     orbit_partition,
 )
 
@@ -283,37 +282,3 @@ def automorphism_group(graph: Graph, order_cap: int = DEFAULT_ORDER_CAP) -> Perm
         return PermutationGroup(tuple(gen_images), n, order=upper, order_cap=order_cap)
     elements = closure_images(gen_images, n, order_cap)
     return PermutationGroup(tuple(gen_images), n, elements=elements)
-
-
-def are_isomorphic(g1: Graph, g2: Graph) -> Optional[tuple[int, ...]]:
-    """An adjacency-preserving bijection V(G1) -> V(G2), or None.
-
-    Runs the automorphism search on the disjoint union extended by two apex
-    vertices (one joined to each side), with the two-cell initial partition
-    {graph vertices}, {apexes}.  The graphs are isomorphic exactly when some
-    automorphism swaps the apexes, and its restriction to the first side is
-    the bijection.  The apexes keep the reduction valid for disconnected
-    inputs as well.
-    """
-    if g1.vertex_count != g2.vertex_count:
-        return None
-    if g1.edge_count != g2.edge_count:
-        return None
-    if sorted(g1.degree_sequence()) != sorted(g2.degree_sequence()):
-        return None
-
-    m = g1.vertex_count
-    a1, a2 = 2 * m, 2 * m + 1
-    edges = g1.edges() + [(u + m, v + m) for u, v in g2.edges()]
-    edges += [(v, a1) for v in range(m)] + [(v + m, a2) for v in range(m)]
-    union = Graph.from_edges(2 * m + 2, edges)
-    gens, _, _ = _search(union, [tuple(range(2 * m)), (a1, a2)])
-    # Every generator keeps the apex cell {a1, a2}, so the apex orbit is
-    # {a1, a2} exactly when some generator moves a1; that one is the witness.
-    swap = next((g for g in gens if g[a1] != a1), None)
-    if swap is None:
-        return None
-    mapping = tuple(swap[v] - m for v in range(m))
-    if not is_isomorphism(g1, g2, mapping):
-        raise IsomorphismError("the apex witness does not restrict to an isomorphism")
-    return mapping

@@ -17,6 +17,7 @@ chain, the orbit of vertex 0 with a Schreier tree and the stabilizer of 0
 closed from Schreier generators, so it enumerates k!(n-k)! elements, not n!:
 complementation α is shown to lie outside S, to be an involution and to
 commute with S's generators, which makes the known generators' group S ∪ αS.
+A search engine's group given to it must be S ∪ αS, by order and generators.
 
 Every test here takes the acting group as an argument instead of recomputing
 it, so the same check can run against both the induced-map generators and the
@@ -101,18 +102,19 @@ def _suborbit_distances(graph: Graph, fixing: list[tuple[int, ...]]) -> Optional
     return [row[orb[0]] for orb in suborbits]
 
 
-def _schreier_vector(group: PermutationGroup) -> tuple[list[int], list[int], list[int]]:
+def _schreier_vector(
+    generators: Sequence[tuple[int, ...]], degree: int
+) -> tuple[list[int], list[int], list[int]]:
     """The Schreier vector from vertex 0, and the orbit of 0 in BFS order.
 
     ``generators[via[v]]`` maps ``parent[v]`` to v for each v in the orbit;
     ``parent`` is -1 off it.  Each point of the orbit comes after its parent.
     """
-    n = group.degree
-    parent, via = [-1] * n, [0] * n
+    parent, via = [-1] * degree, [0] * degree
     parent[0] = 0
     queue = [0]
     for u in queue:  # the list is the BFS queue: appends are visited too
-        for i, g in enumerate(group.generators):
+        for i, g in enumerate(generators):
             v = g[u]
             if parent[v] < 0:
                 parent[v], via[v] = u, i
@@ -199,7 +201,7 @@ def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityRe
     if not graph.is_connected():
         raise DisconnectedError("transitivity report needs a connected graph")
     check_generators(graph, group.generators)
-    parent, via, orbit0 = _schreier_vector(group)
+    parent, via, orbit0 = _schreier_vector(group.generators, group.degree)
     vertex_orbits = 1 if len(orbit0) == graph.vertex_count else len(orbits_on_vertices(group))
     fixing = [g for g in group.generators if g[0] == 0]
     orbit_distance = _suborbit_distances(graph, fixing) if vertex_orbits == 1 else None
@@ -268,7 +270,7 @@ class _SymImage:
     __slots__ = ("stabilizer", "order", "_inverse_tables")
 
     def __init__(self, generators: Sequence[tuple[int, ...]], degree: int, order_cap: int) -> None:
-        parent, via, orbit0 = _schreier_vector(PermutationGroup(generators, degree))
+        parent, via, orbit0 = _schreier_vector(generators, degree)
         reps = {0: tuple(range(degree))}
         for x in orbit0[1:]:  # BFS order: u_x = g∘u_parent, and the parent came first
             reps[x] = compose(generators[via[x]], reps[parent[x]])
@@ -297,9 +299,7 @@ class _SymImage:
 class DirectProductReport(NamedTuple):
     n: int
     k: int
-    sym_closure_order: int
     product_order: int
-    aut_order: Optional[int]
     sym_group: _SymImage
     complement: tuple[int, ...]
 
@@ -313,7 +313,7 @@ class DirectProductReport(NamedTuple):
 
 def verify_direct_product(
     kg: KneserGraph,
-    aut_order: Optional[int] = None,
+    engine: Optional[PermutationGroup] = None,
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> DirectProductReport:
     """Check the four steps behind Aut = Sym([n]) x Z_2 on a concrete graph.
@@ -325,8 +325,9 @@ def verify_direct_product(
     (b) α lies outside S;
     (c) α is an involution and commutes with both generators, hence with all
         of S;
-    (d) the known generators generate S ∪ αS, of order 2 n!, which must match
-        ``aut_order`` when one is given.
+    (d) the known generators generate S ∪ αS, of order 2 n!, which must be
+        the group ``engine`` when one is given: equal orders, and each
+        generator of ``engine`` in S ∪ αS.
 
     Steps (a) and (b) hold S as one level of a stabilizer chain (Sims,
     "Computational methods in the study of permutation groups", in
@@ -349,14 +350,18 @@ def verify_direct_product(
     is <known>.  By (b) the cosets S and αS are disjoint, so its order is
     2 |S|, and S ∩ <α> = {id} with α central makes it S x <α>.  A map g lies
     in it exactly when g or α∘g lies in S, which ``contains`` tests.
+
+    Nor does the comparison with ``engine``: with every generator of
+    ``engine`` in S ∪ αS, <engine> <= S ∪ αS, and equal orders make the two
+    equal.  S ∪ αS <= Aut, as its generators are verified automorphisms, so
+    when the engine's order is certified, both groups are all of Aut.
     """
-    n = kg.n
     f_swap, f_cycle = sym_generators(kg)
     alpha = complement_automorphism(kg)
     check_generators(kg.graph, (f_swap, f_cycle, alpha))
 
     sym_group = _SymImage((f_swap, f_cycle), kg.vertex_count, order_cap)
-    n_factorial = math.factorial(n)
+    n_factorial = math.factorial(kg.n)
     if sym_group.order != n_factorial:
         raise StructureError(
             f"step (a): induced Sym image has order {sym_group.order}, "
@@ -368,20 +373,16 @@ def verify_direct_product(
         raise StructureError("step (c): complementation is not an involution")
     if not (commutes(alpha, f_swap) and commutes(alpha, f_cycle)):
         raise StructureError("step (c): complementation fails to commute with a generator")
-    product_order = 2 * sym_group.order
-    if aut_order is not None and product_order != aut_order:
+    report = DirectProductReport(kg.n, kg.k, 2 * sym_group.order, sym_group, alpha)
+    if engine is not None and (
+        engine.order != report.product_order
+        or not all(report.contains(g) for g in engine.generators)
+    ):
         raise StructureError(
-            f"step (d): engine reports |Aut| = {aut_order}, the product has order {product_order}"
+            f"engine group (order {engine.order}) differs from the "
+            f"group of the known generators (order {report.product_order})"
         )
-    return DirectProductReport(
-        n=n,
-        k=kg.k,
-        sym_closure_order=sym_group.order,
-        product_order=product_order,
-        aut_order=aut_order,
-        sym_group=sym_group,
-        complement=alpha,
-    )
+    return report
 
 
 # find_regular_subgroup scans the subgroups <g, h>, so a miss says nothing

@@ -4,10 +4,14 @@ Distances come from a dictionary BFS, connectivity from exhaustive cut
 enumeration, isomorphism from a direct scan over all bijections,
 automorphism counts from a scan over all vertex permutations, and group
 elements from a dictionary BFS by right multiplication; none of these
-shares logic with the implementation under test.  The other oracles are
-earlier versions of the code, kept to check what replaced them.  The
-mask-and-append builder finds each k-subset's (n-k)-supersets by adding bits
-to its mask and appends every edge to both rows; the writers' oracles build
+shares logic with the implementation under test.  The isomorphism test runs
+the engine's search on the disjoint union of the two graphs with an apex
+joined to each, and checks the H(n,1) isomorphism and the dihedral Cayley
+graphs independently of the maps that build them; nothing in the package
+calls it.  The other oracles are earlier versions of the code, kept to
+check what replaced them.  The mask-and-append builder finds each
+k-subset's (n-k)-supersets by adding bits to its mask and appends every
+edge to both rows; the writers' oracles build
 the whole text at once, JSON through ``json.dumps``, DOT with each label's
 backslashes and then its double quotes escaped by ``str.replace``.  The
 all-pairs connectivity loop solves a flow for every non-adjacent pair and
@@ -30,6 +34,7 @@ import json
 from collections import deque
 from itertools import combinations, permutations
 
+from bkneser.autgroup import _search
 from bkneser.connectivity import max_flow
 from bkneser.dihedral import dihedral_label, dihedral_multiply
 from bkneser.errors import (
@@ -48,6 +53,7 @@ from bkneser.perms import (
     element_order,
     inverse,
     is_graph_automorphism,
+    is_isomorphism,
     is_semiregular,
     orbit,
     orbit_partition,
@@ -156,6 +162,40 @@ def brute_isomorphism(g1, g2):
             if g1.edge_count == g2.edge_count:
                 return p
     return None
+
+
+def are_isomorphic(g1, g2):
+    """An adjacency-preserving bijection V(G1) -> V(G2), or None.
+
+    Runs the automorphism search on the disjoint union extended by two apex
+    vertices (one joined to each side), with the two-cell initial partition
+    {graph vertices}, {apexes}.  The graphs are isomorphic exactly when some
+    automorphism swaps the apexes, and its restriction to the first side is
+    the bijection.  The apexes keep the reduction valid for disconnected
+    inputs as well.
+    """
+    if g1.vertex_count != g2.vertex_count:
+        return None
+    if g1.edge_count != g2.edge_count:
+        return None
+    if sorted(g1.degree_sequence()) != sorted(g2.degree_sequence()):
+        return None
+
+    m = g1.vertex_count
+    a1, a2 = 2 * m, 2 * m + 1
+    edges = g1.edges() + [(u + m, v + m) for u, v in g2.edges()]
+    edges += [(v, a1) for v in range(m)] + [(v + m, a2) for v in range(m)]
+    union = Graph.from_edges(2 * m + 2, edges)
+    gens, _, _ = _search(union, [tuple(range(2 * m)), (a1, a2)])
+    # Every generator keeps the apex cell {a1, a2}, so the apex orbit is
+    # {a1, a2} exactly when some generator moves a1; that one is the witness.
+    swap = next((g for g in gens if g[a1] != a1), None)
+    if swap is None:
+        return None
+    mapping = tuple(swap[v] - m for v in range(m))
+    if not is_isomorphism(g1, g2, mapping):
+        raise IsomorphismError("the apex witness does not restrict to an isomorphism")
+    return mapping
 
 
 def brute_force_automorphism_order(graph, limit=8):

@@ -171,7 +171,7 @@ def test_criterion_6_automorphism_group_h_n_1():
             problems.append((n, "engine", engine.order))
         if closure.order != engine.order:
             problems.append((n, "closure", closure.order))
-        verify_direct_product(kg, engine.order)  # raises StructureError on failure
+        verify_direct_product(kg, engine)  # raises StructureError on failure
     elapsed = time.monotonic() - start
     ok = not problems and elapsed < 120.0
     _report(6, "Aut(H(n,1)) = 2 n! with direct-product structure, n = 3..6",
@@ -185,7 +185,7 @@ def test_criterion_7_middle_levels_h52():
     kg = build_bipartite_kneser(5, 2)
     engine = automorphism_group(kg.graph)
     ok_order = engine.order == 240 == 2 * math.factorial(5)
-    verify_direct_product(kg, engine.order)
+    verify_direct_product(kg, engine)
     elapsed = time.monotonic() - start
     ok = ok_order and elapsed < 60.0
     _report(7, "Aut(H(5,2)) = 240 with direct-product structure", ok, elapsed, 60)

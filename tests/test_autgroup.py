@@ -6,7 +6,6 @@ import pytest
 
 from bkneser import (
     Graph,
-    are_isomorphic,
     automorphism_group,
     build_bipartite_kneser,
     explicit_iso_Hn1,
@@ -24,7 +23,12 @@ from bkneser.perms import (
 )
 from bkneser.symmetry import feasible_parameters
 from conftest import complete_graph, cycle_graph, star_graph
-from oracles import brute_force_automorphism_order, brute_isomorphism, full_round_refinement
+from oracles import (
+    are_isomorphic,
+    brute_force_automorphism_order,
+    brute_isomorphism,
+    full_round_refinement,
+)
 
 
 def random_graph(rng, n, p):

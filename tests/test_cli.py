@@ -365,7 +365,8 @@ def test_aut_disagreement_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "automorphism_group", fake_engine)
     code, _, err = run_cli(capsys, "aut", "--n", "3", "--k", "1", "--method", "both")
     assert code == 1
-    assert "differs" in err
+    assert err == ("claim failed: engine group (order 1) differs from the "
+                   "group of the known generators (order 12)\n")
 
 
 def test_aut_generator_outside_the_closure_exits_1(capsys, monkeypatch):
@@ -382,7 +383,8 @@ def test_aut_generator_outside_the_closure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "automorphism_group", fake_engine)
     code, _, err = run_cli(capsys, "aut", "--n", "3", "--k", "1", "--method", "both")
     assert code == 1
-    assert "differs" in err
+    assert err == ("claim failed: engine group (order 12) differs from the "
+                   "group of the known generators (order 12)\n")
 
 
 def test_aut_engine_is_not_capped_by_the_group_order(capsys):

@@ -3,7 +3,6 @@ from itertools import product
 import pytest
 
 from bkneser import (
-    are_isomorphic,
     build_cayley_graph,
     complement_automorphism,
     dihedral_inverse,
@@ -18,7 +17,12 @@ from bkneser.dihedral import _dihedral_action
 from bkneser.errors import ConnectionSetError, DomainError, StructureError, VerificationError
 from bkneser.perms import is_graph_automorphism
 from conftest import mask
-from oracles import edge_list_cayley_graph, is_regular_action, translation_left_regular_subgroup
+from oracles import (
+    are_isomorphic,
+    edge_list_cayley_graph,
+    is_regular_action,
+    translation_left_regular_subgroup,
+)
 
 # a^i b^s is the int i + n*s
 IDENTITY = 0

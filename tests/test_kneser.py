@@ -3,7 +3,6 @@ import pytest
 from bkneser import kneser
 from bkneser import (
     KneserGraph,
-    are_isomorphic,
     binomial,
     build_bipartite_kneser,
     format_subset,
@@ -16,7 +15,7 @@ from bkneser.errors import (
     NullGraphError,
 )
 from conftest import cycle_graph, mask
-from oracles import mask_and_append_kneser
+from oracles import are_isomorphic, mask_and_append_kneser
 
 
 def test_build_small_examples():

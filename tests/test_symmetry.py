@@ -216,34 +216,43 @@ def test_diameter_by_orbits_checks_its_input():
         diameter_by_orbits(star_graph(2), rotation)
 
 
+def differs(engine_order, product_order):
+    # the whole message, as ``aut`` prints it after "claim failed: "
+    return (
+        f"^engine group \\(order {engine_order}\\) differs from the "
+        f"group of the known generators \\(order {product_order}\\)$"
+    )
+
+
 def test_verify_direct_product_h_n_1():
     for n in range(3, 7):
         kg = build_bipartite_kneser(n, 1)
         aut = automorphism_group(kg.graph)
-        report = verify_direct_product(kg, aut.order)
-        assert report.sym_closure_order == math.factorial(n)
+        report = verify_direct_product(kg, aut)
+        assert report.sym_group.order == math.factorial(n)
         assert report.product_order == 2 * math.factorial(n) == aut.order
 
 
 def test_verify_direct_product_h52():
     kg = build_bipartite_kneser(5, 2)
     aut = automorphism_group(kg.graph)
-    report = verify_direct_product(kg, aut.order)
+    report = verify_direct_product(kg, aut)
     assert report.product_order == 240
 
 
 def test_verify_direct_product_detects_bad_order():
     kg = build_bipartite_kneser(4, 1)
     aut = automorphism_group(kg.graph)
-    with pytest.raises(StructureError, match=r"step \(d\)"):
-        verify_direct_product(kg, aut.order + 1)
+    wrong = PermutationGroup(aut.generators, kg.vertex_count, order=aut.order + 1)
+    with pytest.raises(StructureError, match=differs(aut.order + 1, aut.order)):
+        verify_direct_product(kg, wrong)
 
 
 def test_verify_direct_product_checks_its_maps_on_the_graph():
     # a 2-switch keeps every count, and the closures alone would still pass
     switched = two_switched(build_bipartite_kneser(5, 2))
     with pytest.raises(StructureError, match="not an automorphism"):
-        verify_direct_product(switched, 240)
+        verify_direct_product(switched)
 
 
 def swap_vertices(vertex_count, u, v):
@@ -258,18 +267,40 @@ def test_direct_product_membership_matches_the_full_closure(n, k):
     kg = build_bipartite_kneser(n, k)
     report = verify_direct_product(kg)
     full = group_closure(known_generators(kg))
-    assert report.product_order == 2 * report.sym_closure_order == full.order
+    assert report.product_order == 2 * report.sym_group.order == full.order
     assert report.sym_group.order == math.factorial(n)
-    assert report.aut_order is None
     assert all(report.contains(g) for g in sorted(full.elements))
     engine = automorphism_group(kg.graph)
     assert all(report.contains(g) and g in full for g in engine.generators)
+    assert verify_direct_product(kg, engine).product_order == engine.order
     # a transposition of two vertices is no automorphism, and neither is α after it
     for u, v in ((0, 1), (0, kg.side_size), (1, kg.vertex_count - 1)):
         swap = swap_vertices(kg.vertex_count, u, v)
         for g in (swap, compose(report.complement, swap)):
             assert g not in full
             assert not report.contains(g)
+
+
+@pytest.mark.parametrize("n, k", feasible_parameters(7))
+def test_verify_direct_product_rejects_an_engine_group_of_the_wrong_order(n, k):
+    # the Sym image alone: each generator lies in S ∪ αS, but its order is n!
+    kg = build_bipartite_kneser(n, k)
+    sym = PermutationGroup(sym_generators(kg), kg.vertex_count, order=math.factorial(n))
+    with pytest.raises(StructureError, match=differs(math.factorial(n), 2 * math.factorial(n))):
+        verify_direct_product(kg, sym)
+
+
+@pytest.mark.parametrize("n, k", feasible_parameters(7))
+def test_verify_direct_product_rejects_an_engine_generator_outside_the_product(n, k):
+    # the fake engine of the CLI test, on H(3,1) and beyond: the order 2 n! and
+    # complementation are right, but the swap of vertices 0 and 1 is no
+    # automorphism, so it lies outside S ∪ αS
+    kg = build_bipartite_kneser(n, k)
+    swap = swap_vertices(kg.vertex_count, 0, 1)
+    order = 2 * math.factorial(n)
+    fake = PermutationGroup((complement_automorphism(kg), swap), kg.vertex_count, order=order)
+    with pytest.raises(StructureError, match=differs(order, order)):
+        verify_direct_product(kg, fake)
 
 
 @pytest.mark.parametrize("n, k", feasible_parameters(7))
@@ -304,10 +335,12 @@ def test_verify_direct_product_makes_one_closure_of_the_stabilizer(monkeypatch):
         sizes.append(len(elements))
         return elements
 
+    kg = build_bipartite_kneser(6, 2)
+    engine = automorphism_group(kg.graph)  # certified, so its order needs no closure
     monkeypatch.setattr(perms, "closure_images", spy)
-    report = verify_direct_product(build_bipartite_kneser(6, 2), 1440)
+    report = verify_direct_product(kg, engine)
     assert sizes == [48]
-    assert (report.product_order, report.aut_order) == (1440, 1440)
+    assert (report.product_order, engine.order) == (1440, 1440)
 
 
 def test_verify_direct_product_is_capped_at_the_sym_image():
