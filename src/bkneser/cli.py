@@ -3,9 +3,17 @@
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 all assertions
 passed, 1 a verified claim failed, 2 usage, domain or I/O error, or out of
 memory, 3 internal error (any other exception, a bug; its traceback goes to
-stderr).  The only environment knob is KNESER_ORDER_CAP, which overrides the
-cap on every group enumeration: the stabilizer of vertex 0 in the Sym image
-in ``aut --method both``, the closure of the known generators in
+stderr).  A failed write or final flush of stdout (a full disk, a closed
+pipe or a closed stdout) is an I/O error.
+
+``main()``, the console entry point, flushes stdout and stderr itself and
+ends the process with ``os._exit``, skipping interpreter teardown, except
+under a profiler or tracer; library code calls ``run()``, which returns the
+exit code and leaves the process alone.
+
+The only environment knob is KNESER_ORDER_CAP, which overrides the cap on
+every group enumeration: the stabilizer of vertex 0 in the Sym image in
+``aut --method both``, the closure of the known generators in
 ``aut --method generators``, and the engine's group when its order
 certificate does not close or its elements are needed.  An order the engine
 proves is not capped, so ``aut --method engine`` is not either.
@@ -23,6 +31,7 @@ generators' group, and is the oracle for the first.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -68,15 +77,22 @@ def _order_cap() -> int:
     return cap
 
 
+def _stdout():
+    """``sys.stdout``; Python sets it to None when fd 1 is closed, an I/O error here."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
+    return sys.stdout
+
+
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+    _stdout().write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     kg = build_bipartite_kneser(args.n, args.k, allow_null=args.allow_null)
     write = kg.graph.write_dot if args.format == "dot" else kg.graph.write_json
     if args.out is None:
-        write(sys.stdout)
+        write(_stdout())
     else:
         with open(args.out, "w", encoding="utf-8") as handle:
             write(handle)
@@ -180,7 +196,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         nmax = args.nmax if args.nmax is not None else 6
         rows = explore_question2(nmax, args.kmax, order_cap=cap)
         if args.format == "text":
-            sys.stdout.write(question2_table(rows))
+            _stdout().write(question2_table(rows))
         else:
             payload = {
                 "question": 2,
@@ -201,11 +217,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "caveat": SEARCH_CAVEAT,
         }
         if args.format == "text":
+            out = _stdout()
             for row in rows:
-                sys.stdout.write(
-                    f"H({row.n},{row.k}): |Aut|={row.aut_order} {row.verdict}\n"
-                )
-            sys.stdout.write(payload["caveat"] + "\n")
+                out.write(f"H({row.n},{row.k}): |Aut|={row.aut_order} {row.verdict}\n")
+            out.write(payload["caveat"] + "\n")
         else:
             _emit(payload)
     return 0
@@ -291,8 +306,58 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
 
+def _flush(code: int) -> int:
+    """Flush stdout and stderr, and return the exit code with a failure mapped to 2.
+
+    A failed flush is an I/O error.  A nonzero code from the command stands,
+    and codes 2 and 3 have already printed their own line, often for the same
+    failed write, so only codes 0 and 1 add an ``error:`` line.
+    """
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        if code < 2 and sys.stderr is not None:
+            try:
+                sys.stderr.write(f"error: {exc}\n")
+            except OSError:
+                pass  # stderr fails too: the exit code is all that is left
+        code = code or 2
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        code = code or 2
+    return code
+
+
+def _observed() -> bool:
+    """Whether a profiler or tracer is attached (through sys.monitoring from 3.12 on)."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(monitoring.get_tool(i) for i in range(6))
+
+
 def main() -> None:
-    sys.exit(run())
+    """The console entry point: ``run()``, one flush, then the end of the process.
+
+    The process ends with ``os._exit``, so no ``atexit`` hook runs and no
+    module, object or final garbage collection is torn down; by then stdout
+    and stderr are flushed, and ``--out`` files are closed by their commands.
+    A write to stderr that fails while ``run()`` reports an error exits 2.
+    Under a profiler or tracer (``python -m cProfile -m bkneser.cli ...``)
+    it ends with ``sys.exit`` instead, so the tool's exit-time report
+    prints.  Library code and tests call ``run()``, which returns the code.
+    """
+    try:
+        code = run()
+    except OSError:  # stderr failed too, as run() reported an error on it
+        code = 2
+    code = _flush(code)
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -9,11 +9,13 @@ Two families matter to callers:
   failed (a count mismatch, a broken isomorphism, a structure assertion).
   The CLI maps these to exit code 1.
 
-The CLI also maps ``OSError`` (an unwritable ``--out`` path, say) and
-``MemoryError`` (an instance too large for the machine, reported as "out of
-memory" without a traceback) to exit code 2.  Any other exception escaping a
-command is a bug: the CLI reports it as an internal error, prints the
-traceback to stderr and exits with code 3.
+The CLI also maps ``OSError`` (an unwritable ``--out`` path, a full disk, a
+closed pipe or a closed stdout, in a command's writes or in the final flush
+of stdout that ``cli.main`` makes) and ``MemoryError`` (an instance too
+large for the machine, reported as "out of memory" without a traceback) to
+exit code 2.  Any other exception escaping a command is a bug: the CLI
+reports it as an internal error, prints the traceback to stderr and exits
+with code 3.
 
 ``as_int`` checks an integer argument where it enters, so that a float or a
 string raises ``DomainError`` instead of a raw ``TypeError`` further in.

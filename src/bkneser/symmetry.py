@@ -133,7 +133,8 @@ def _arc_and_edge_orbits(
 
     ``fixing`` lists the generators that fix 0, and ``parent`` and ``via``
     are the Schreier vector from 0; the argument is the one
-    ``transitivity_report`` states.
+    ``transitivity_report`` states.  A vector that misses a vertex on a walk
+    raises ``StructureError``.
     """
     arcs = orbits_on_ordered_pairs(
         PermutationGroup(fixing, graph.vertex_count), [(0, w) for w in graph.neighbours[0]]
@@ -144,9 +145,13 @@ def _arc_and_edge_orbits(
     for i, orb in enumerate(arcs):
         # h^-1(0) for the h = g_m...g_1 read off the tree path 0 -> w
         w, x = orb[0][1], 0
-        while w:
+        while w > 0:  # parent is -1 off the orbit, so a missed vertex stops the walk
             x = inverses[via[w]][x]
             w = parent[w]
+        if w < 0:
+            raise StructureError(
+                f"the Schreier vector from 0 does not reach vertex {orb[0][1]}"
+            )
         classes.add(frozenset((i, arc_orbit[x])))
     return len(arcs), len(classes)
 

@@ -1,6 +1,12 @@
+import errno
 import hashlib
 import importlib
+import io
 import json
+import os
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -493,3 +499,136 @@ def test_console_scripts_resolve_to_callables():
         for part in attribute.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+SRC = str(Path(__file__).parent.parent / "src")
+PROPS_H52 = b'{"vertices":20,"edges":30,"degree":3,"bipartition":[10,10],"diameter":5}'
+
+
+def cli_env(unbuffered=False):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONUNBUFFERED", "KNESER_ORDER_CAP")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def spawn_cli(argv, unbuffered=False, stdout=subprocess.PIPE, prefix=("-m", "bkneser.cli")):
+    """Run the CLI as its own process; stdout is a pipe unless a file is given."""
+    return subprocess.run([sys.executable, *prefix, *argv], env=cli_env(unbuffered),
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+PROCESS_JOBS = pytest.mark.parametrize(
+    "argv", [["build", "--n", "12", "--k", "5"], ["props", "--n", "5", "--k", "2"]],
+    ids=["build", "props"])
+
+
+@PROCESS_JOBS
+@BUFFERING
+def test_process_stdout_matches_run(capsys, tmp_path, argv, unbuffered):
+    # main() flushes and ends the process itself: nothing written may be lost,
+    # through a pipe or to a file, whether stdout is buffered or not
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    expected = expected.encode()
+    piped = spawn_cli(argv, unbuffered)
+    assert (piped.returncode, piped.stderr, piped.stdout) == (0, b"", expected)
+    target = tmp_path / "out"
+    with open(target, "wb") as handle:
+        to_file = spawn_cli(argv, unbuffered, stdout=handle)
+    assert (to_file.returncode, to_file.stderr) == (0, b"")
+    assert target.read_bytes() == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["props", "--n", "12", "--k", "5"],
+                                  ["build", "--n", "12", "--k", "5"]],  # several 64 KB blocks
+                         ids=["props", "build"])
+@BUFFERING
+def test_a_full_stdout_exits_2(argv, unbuffered):
+    # buffered, props fails only in the final flush, and build in a write and
+    # again in the flush; either way one error line, not Python's
+    # "Exception ignored" at teardown and exit 120
+    with open("/dev/full", "wb") as full:
+        done = spawn_cli(argv, unbuffered, stdout=full)
+    assert (done.returncode, done.stderr) == (2, b"error: [Errno 28] No space left on device\n")
+
+
+def leave_after_10_bytes(stderr, unbuffered=False):
+    """The exit code of `bkneser build --n 12 --k 5 | head -c 10` (about 200 KB)."""
+    proc = subprocess.Popen([sys.executable, "-m", "bkneser.cli", "build", "--n", "12",
+                             "--k", "5"], env=cli_env(unbuffered), stdout=subprocess.PIPE,
+                            stderr=stderr)
+    with proc.stdout:
+        assert len(proc.stdout.read(10)) == 10
+    return proc.wait(timeout=120)
+
+
+@BUFFERING
+def test_a_closed_pipe_exits_2(tmp_path, unbuffered):
+    err = tmp_path / "err"
+    with open(err, "wb") as handle:
+        assert leave_after_10_bytes(handle, unbuffered) == 2
+    assert err.read_bytes() == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failing_stderr_exits_2():
+    # the error line itself cannot be written, as in `bkneser ... 2>&1 | head -c 10`
+    assert leave_after_10_bytes(subprocess.STDOUT) == 2
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "bkneser.cli", "build", "--n", "5",
+                               "--k", "0"], env=cli_env(), stderr=full, timeout=120)
+    assert done.returncode == 2
+
+
+class UnflushableStream(io.StringIO):
+    def flush(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("code, exit_code, lines", [(0, 2, 1), (1, 1, 1), (2, 2, 0), (3, 3, 0)])
+def test_a_failed_flush_keeps_a_nonzero_code(capsys, monkeypatch, code, exit_code, lines):
+    # codes 2 and 3 have printed their own line already, often for the same write
+    monkeypatch.setattr(sys, "stdout", UnflushableStream())
+    assert cli._flush(code) == exit_code
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n" * lines
+
+
+def test_a_closed_stdout_exits_2(capsys, monkeypatch):
+    # Python sets sys.stdout to None when fd 1 is closed at startup
+    command = " ".join(map(shlex.quote, [sys.executable, "-m", "bkneser.cli",
+                                         "props", "--n", "5", "--k", "2"]))
+    done = subprocess.run(command + " >&-", shell=True, env=cli_env(), stderr=subprocess.PIPE,
+                          timeout=120)
+    assert (done.returncode, done.stderr) == (2, b"error: [Errno 9] stdout is closed\n")
+    monkeypatch.setattr(sys, "stdout", None)
+    for argv in (["build", "--n", "5", "--k", "2"],
+                 ["explore", "--question", "2", "--nmax", "3", "--format", "text"],
+                 ["explore", "--question", "1", "--nmax", "3", "--format", "text"]):
+        assert cli.run(argv) == 2, argv
+        assert capsys.readouterr().err == "error: [Errno 9] stdout is closed\n", argv
+
+
+def test_main_skips_atexit_hooks():
+    # main() ends the process with os._exit once its output is flushed
+    probe = ("import atexit, sys; atexit.register(sys.stderr.write, 'teardown\\n'); "
+             "from bkneser.cli import main; main()")
+    done = spawn_cli(["props", "--n", "5", "--k", "2"], prefix=("-c", probe))
+    assert done.returncode == 0
+    assert done.stderr == b""
+    assert done.stdout == PROPS_H52 + b"\n"
+
+
+def test_main_under_a_profiler_still_prints_its_report():
+    # cProfile prints its table at exit, so main() must not end the process early
+    done = spawn_cli(["props", "--n", "5", "--k", "2"],
+                     prefix=("-m", "cProfile", "-m", "bkneser.cli"))
+    assert done.returncode == 0
+    lines = done.stdout.decode().splitlines()
+    assert lines[0] == PROPS_H52.decode()
+    assert any("function calls" in line for line in lines)
+    assert any(line.strip().startswith("Ordered by:") for line in lines)

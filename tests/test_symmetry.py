@@ -717,6 +717,22 @@ def test_doyle_holt_pairing_merges_two_arc_orbits(monkeypatch):
     assert not report.arc_transitive
 
 
+def test_a_schreier_vector_that_misses_a_vertex_raises():
+    # parent is -1 off the orbit; the walk up the tree stops there and raises,
+    # where reading parent[-1] would walk on from the last vertex's parent
+    kg = build_bipartite_kneser(5, 2)
+    group = PermutationGroup(known_generators(kg) + stabilizer_generators(kg), kg.vertex_count)
+    fixing = [g for g in group.generators if g[0] == 0]
+    parent, via, _ = symmetry._schreier_vector(group.generators, group.degree)
+    arcs = orbits_on_ordered_pairs(PermutationGroup(fixing, group.degree),
+                                   [(0, w) for w in kg.graph.neighbours[0]])
+    missed = arcs[0][0][1]
+    parent[missed] = -1
+    with pytest.raises(StructureError,
+                       match=f"^the Schreier vector from 0 does not reach vertex {missed}$"):
+        symmetry._arc_and_edge_orbits(kg.graph, group, fixing, parent, via)
+
+
 def test_suborbit_and_arc_counts_must_agree(monkeypatch):
     # a second arc orbit, injected, contradicts the one suborbit at distance 1
     original = symmetry.orbits_on_ordered_pairs
