@@ -263,9 +263,9 @@ def automorphism_group(graph: Graph, order_cap: int = DEFAULT_ORDER_CAP) -> Perm
 
     A search past ``WORK_LIMIT`` raises ``SizeLimitError``; every emitted
     generator is re-verified against the adjacency.  The order is the base-path
-    certificate's when its bounds meet, and the group is then enumerated
-    only when its elements are read, under ``order_cap``; otherwise the
-    group is enumerated here, under ``order_cap``.
+    certificate's when its bounds meet, and the group then carries that
+    order and no elements; otherwise the group is enumerated here, under
+    ``order_cap``, the only use of the cap.
     """
     n = graph.vertex_count
     gen_images, base, sizes = _search(graph, [tuple(range(n))])
@@ -279,6 +279,6 @@ def automorphism_group(graph: Graph, order_cap: int = DEFAULT_ORDER_CAP) -> Perm
             "this is a bug"
         )
     if lower == upper:
-        return PermutationGroup(tuple(gen_images), n, order=upper, order_cap=order_cap)
+        return PermutationGroup(tuple(gen_images), n, order=upper)
     elements = closure_images(gen_images, n, order_cap)
     return PermutationGroup(tuple(gen_images), n, elements=elements)

@@ -14,9 +14,10 @@ exit code and leaves the process alone.
 The only environment knob is KNESER_ORDER_CAP, which overrides the cap on
 every group enumeration: the stabilizer of vertex 0 in the Sym image in
 ``aut --method both``, the closure of the known generators in
-``aut --method generators``, and the engine's group when its order
-certificate does not close or its elements are needed.  An order the engine
-proves is not capped, so ``aut --method engine`` is not either.
+``aut --method generators``, the engine's group when its order certificate
+does not close, and the automorphism group that ``explore --question 1``
+searches.  An order the engine proves is not capped, so
+``aut --method engine`` is not either.
 
 ``aut --method both``, the default, hands the engine's group to
 ``verify_direct_product``, which compares it with Sym([n]) x Z_2: it holds
@@ -219,7 +220,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
         if args.format == "text":
             out = _stdout()
             for row in rows:
-                out.write(f"H({row.n},{row.k}): |Aut|={row.aut_order} {row.verdict}\n")
+                # a row skipped by the work limit has no order; one skipped at the cap has
+                order = "" if row.aut_order is None else f" |Aut|={row.aut_order}"
+                reason = "" if row.skip_reason is None else f": {row.skip_reason}"
+                out.write(f"H({row.n},{row.k}):{order} {row.verdict}{reason}\n")
             out.write(payload["caveat"] + "\n")
         else:
             _emit(payload)

@@ -48,10 +48,6 @@ class DisconnectedError(DomainError):
     """The operation requires a connected graph."""
 
 
-class AdjacencyError(DomainError):
-    """Local vertex connectivity was requested across an edge."""
-
-
 class ConnectionSetError(DomainError):
     """A Cayley connection set contains the identity or is not inverse-closed."""
 

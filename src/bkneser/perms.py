@@ -35,9 +35,9 @@ each coset representative is new.  Hashing of ``bytes`` differs from
 process to process, so a loop over an element set sorts it first.  Image
 strings of one length sort as the tuples of their bytes do, so the identity
 comes first.  A group whose order was proved without enumeration, as
-``autgroup.automorphism_group`` proves it, carries that order and is
-enumerated only when a consumer needs its elements, under the cap it was
-built with.
+``autgroup.automorphism_group`` proves it, carries that order and no
+elements; a consumer that needs them calls ``group_closure`` under its own
+cap.
 
 Orbits come from one primitive, ``orbit_partition``: a BFS over generator
 image tables on integer points.  Vertex, ordered-pair and unordered-pair
@@ -235,14 +235,15 @@ class PermutationGroup:
     string, ``bytes(images)``; ``images in group`` asks whether a map is an
     element, and equal enumerated groups have equal ``elements``.
 
-    A group built with ``order`` (an order proved without enumeration) is
-    enumerated by ``closure_images`` the first time its elements are read,
-    under ``order_cap``, and a closure of another size raises
-    ``StructureError``.  A group built from generators alone has no order and
-    no elements until ``group_closure`` enumerates it.
+    The group is a plain value: reading ``order``, ``elements`` or ``in``
+    never runs a closure.  A group built with ``order`` alone (an order
+    proved without enumeration) has no elements, and one built from
+    generators alone has neither: ``group_closure`` enumerates either, under
+    its caller's cap.  ``in`` needs the elements and ``order`` needs one of
+    the two; without it each raises ``NeedEnumerationError``.
     """
 
-    __slots__ = ("generators", "degree", "_elements", "_order", "_order_cap")
+    __slots__ = ("generators", "degree", "elements", "_order")
 
     def __init__(
         self,
@@ -250,39 +251,17 @@ class PermutationGroup:
         degree: int,
         elements: Optional[frozenset[bytes]] = None,
         order: Optional[int] = None,
-        order_cap: int = DEFAULT_ORDER_CAP,
     ) -> None:
         self.generators = tuple(generators)
         self.degree = _check_degree(degree)
         _check_permutations(self.generators, self.degree)
-        self._elements = elements
+        self.elements = elements
         self._order = order
-        self._order_cap = order_cap
-
-    @property
-    def elements(self) -> Optional[frozenset[bytes]]:
-        """The element set, enumerated here on first use when the order is known; else None.
-
-        An order above the cap raises ``OrderCapExceeded`` before any closure
-        runs, with the message the closure itself would give.
-        """
-        if self._elements is None and self._order is not None:
-            if self._order > self._order_cap:
-                raise _cap_exceeded(self._order_cap)
-            elements = closure_images(self.generators, self.degree, self._order_cap)
-            if len(elements) != self._order:
-                raise StructureError(
-                    f"the generators close to {len(elements)} elements, "
-                    f"but the group's order is {self._order}"
-                )
-            self._elements = elements
-        return self._elements
 
     def _enumerated(self) -> frozenset[bytes]:
-        elements = self.elements
-        if elements is None:
+        if self.elements is None:
             raise NeedEnumerationError("group has not been enumerated; use group_closure")
-        return elements
+        return self.elements
 
     @property
     def order(self) -> int:

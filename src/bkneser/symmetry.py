@@ -44,6 +44,7 @@ from .kneser import KneserGraph, build_bipartite_kneser
 from .perms import (
     DEFAULT_ORDER_CAP,
     PermutationGroup,
+    _cap_exceeded,
     check_generators,
     closure_images,
     commutes,
@@ -601,18 +602,28 @@ def explore_question1(
     k_max: Optional[int] = None,
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> list[Question1Row]:
-    """Bounded Cayley-ness evidence: search Aut(H(n,k)) for a regular subgroup."""
+    """Bounded Cayley-ness evidence: search Aut(H(n,k)) for a regular subgroup.
+
+    The search reads the elements of Aut, and the engine's group holds its
+    order, so Aut is enumerated here from its generators, under
+    ``order_cap``.  A row whose order is above the cap is skipped, with that
+    order, before any closure runs, and a closure of another size than the
+    order raises ``StructureError``.
+    """
     rows = []
     for kg, aut, skip in _automorphism_groups(n_max, k_max, order_cap):
-        if aut is not None:
-            try:
-                # the search enumerates Aut first, under the cap
-                search = find_regular_subgroup(aut, kg.vertex_count)
-            except OrderCapExceeded as exc:
-                aut, skip = None, str(exc)
-        if aut is None:
-            rows.append(Question1Row(kg.n, kg.k, kg.vertex_count, None, None, "skipped", skip))
+        if aut is None or aut.order > order_cap:
+            order = None if aut is None else aut.order
+            skip = skip or str(_cap_exceeded(order_cap))
+            rows.append(Question1Row(kg.n, kg.k, kg.vertex_count, order, None, "skipped", skip))
             continue
+        enumerated = group_closure(aut.generators, order_cap, aut.degree)
+        if enumerated.order != aut.order:
+            raise StructureError(
+                f"the engine's generators close to {enumerated.order} elements, "
+                f"but its order is {aut.order}"
+            )
+        search = find_regular_subgroup(enumerated, kg.vertex_count)
         if search.subgroup is not None:
             verdict = "regular subgroup found: Cayley graph (regular-action criterion)"
             order = search.subgroup.order

@@ -27,7 +27,8 @@ conjugacy class finds the same subgroup.  The stabilizer filters every
 element of a fully enumerated group, and checks the one level of a
 stabilizer chain that ``verify_direct_product`` closes from Schreier
 generators.  The local connectivity is one max-flow, after checking that
-the pair is not adjacent.
+the pair is not adjacent; an adjacent pair raises ``AdjacencyError``, a
+``DomainError`` that only this oracle uses.
 """
 
 import json
@@ -38,7 +39,7 @@ from bkneser.autgroup import _search
 from bkneser.connectivity import max_flow
 from bkneser.dihedral import dihedral_label, dihedral_multiply
 from bkneser.errors import (
-    AdjacencyError,
+    DomainError,
     IsomorphismError,
     NeedEnumerationError,
     OrderCapExceeded,
@@ -117,6 +118,10 @@ def brute_vertex_connectivity(graph):
             if not _connected_after_removal(adj, set(cut), n):
                 return size
     return n - 1
+
+
+class AdjacencyError(DomainError):
+    """Local vertex connectivity was requested across an edge."""
 
 
 def local_vertex_connectivity(graph, u, v):

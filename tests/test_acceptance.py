@@ -149,7 +149,8 @@ def test_criterion_5_cayley_isomorphism():
     for n in range(3, 11):
         iso = explicit_iso_Hn1(n)  # raises IsomorphismError on any failure
         subgroup = left_regular_subgroup(iso)
-        if not is_regular_action(subgroup, 2 * n):
+        enumerated = group_closure(subgroup.generators)
+        if enumerated.order != subgroup.order or not is_regular_action(enumerated, 2 * n):
             problems.append((n, "not regular"))
     elapsed = time.monotonic() - start
     ok = not problems and elapsed < 10.0

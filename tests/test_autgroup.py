@@ -14,7 +14,12 @@ from bkneser import (
 )
 from bkneser import autgroup
 from bkneser.autgroup import _lower_bound, refine
-from bkneser.errors import OrderCapExceeded, SizeLimitError, StructureError
+from bkneser.errors import (
+    NeedEnumerationError,
+    OrderCapExceeded,
+    SizeLimitError,
+    StructureError,
+)
 from bkneser.perms import (
     closure_images,
     complement_automorphism,
@@ -211,7 +216,7 @@ def test_engine_order_matches_known_generators():
         engine = automorphism_group(kg.graph)
         closure = group_closure(known_generators(kg))
         assert engine.order == closure.order
-        assert set(engine.elements) == set(closure.elements)
+        assert set(group_closure(engine.generators).elements) == set(closure.elements)
 
 
 def test_group_orders_match_sympy():
@@ -285,15 +290,19 @@ def test_lower_bound_counts_only_generators_fixing_the_prefix():
     assert _lower_bound([swap01], [0, 1], 4) == 2
 
 
-def test_certified_group_is_enumerated_on_first_use():
+def test_certified_group_is_enumerated_by_an_explicit_closure():
     kg = build_bipartite_kneser(4, 1)
     engine = automorphism_group(kg.graph, order_cap=10)  # the order needs no closure
     assert engine.order == 48
+    assert engine.elements is None
+    with pytest.raises(NeedEnumerationError):
+        complement_automorphism(kg) in engine
     with pytest.raises(OrderCapExceeded, match="cap of 10 elements"):
-        engine.elements
-    engine = automorphism_group(kg.graph)
-    assert complement_automorphism(kg) in engine
-    assert engine.elements == group_closure(known_generators(kg)).elements
+        group_closure(engine.generators, order_cap=10)
+    enumerated = group_closure(engine.generators)
+    assert enumerated.order == engine.order
+    assert complement_automorphism(kg) in enumerated
+    assert enumerated.elements == group_closure(known_generators(kg)).elements
 
 
 def test_isomorphic_h31_c6_matches_direct_search():

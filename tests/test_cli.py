@@ -279,6 +279,41 @@ def test_explore_question1_caveat(capsys):
     assert row52["regular_subgroup_order"] is None
 
 
+def test_explore_question1_rows_skipped_at_the_cap_keep_their_order(capsys, monkeypatch):
+    # the engine certifies |Aut(H(5,k))| = 240; only the enumeration for the
+    # search is capped, so the row keeps the order and the text names the reason
+    monkeypatch.setenv("KNESER_ORDER_CAP", "100")
+    code, out, _ = run_cli(capsys, "explore", "--question", "1", "--nmax", "5")
+    assert code == 0
+    rows = {(r["n"], r["k"]): r for r in json.loads(out)["rows"]}
+    assert rows[(4, 1)]["aut_order"] == 48 and rows[(4, 1)]["regular_subgroup_order"] == 8
+    for key in ((5, 1), (5, 2)):
+        assert rows[key]["aut_order"] == 240
+        assert rows[key]["verdict"] == "skipped"
+        assert rows[key]["skip_reason"] == "group closure exceeded the cap of 100 elements"
+    code, out, _ = run_cli(capsys, "explore", "--question", "1", "--nmax", "5",
+                           "--format", "text")
+    assert code == 0 and "None" not in out
+    assert out.splitlines()[2:4] == [
+        f"H(5,{k}): |Aut|=240 skipped: group closure exceeded the cap of 100 elements"
+        for k in (1, 2)
+    ]
+
+
+def test_explore_question1_text_gives_a_work_limit_skip_no_order(capsys, monkeypatch):
+    # H(3,1) needs 12 units of work per node, H(5,2) 50
+    monkeypatch.setattr(autgroup, "WORK_LIMIT", 200)
+    code, out, _ = run_cli(capsys, "explore", "--question", "1", "--nmax", "5",
+                           "--format", "text")
+    assert code == 0 and "None" not in out
+    skipped = [line for line in out.splitlines() if "skipped" in line]
+    assert skipped and out.startswith("H(3,1): |Aut|=12 regular subgroup found")
+    for line in skipped:
+        head, reason = line.split(": skipped: ")
+        assert head.startswith("H(") and "|Aut|" not in head, line
+        assert reason.endswith("exceeds the work limit of 200"), line
+
+
 @pytest.mark.parametrize("question", ["1", "2"])
 @pytest.mark.parametrize("bound", [["--kmax", "0"], ["--kmax", "-1"], ["--nmax", "2"]],
                          ids=["kmax0", "kmax-1", "nmax2"])

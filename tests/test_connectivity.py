@@ -7,14 +7,16 @@ from bkneser import (
     automorphism_group,
     build_bipartite_kneser,
     cli,
+    group_closure,
     max_flow,
     menger_certificate,
     stabilizer_generators,
     vertex_connectivity,
 )
-from bkneser.errors import AdjacencyError, DomainError
+from bkneser.errors import DomainError
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 from oracles import (
+    AdjacencyError,
     all_pairs_vertex_connectivity,
     brute_vertex_connectivity,
     edge_dict,
@@ -26,7 +28,10 @@ from oracles import (
 def engine_stabilizer(graph):
     """Every automorphism fixing the least vertex of minimum degree."""
     degrees = graph.degree_sequence()
-    return stabilizer(automorphism_group(graph), degrees.index(min(degrees))).generators
+    engine = automorphism_group(graph)
+    aut = group_closure(engine.generators, degree=engine.degree)
+    assert aut.order == engine.order
+    return stabilizer(aut, degrees.index(min(degrees))).generators
 
 
 def random_graph(rng, n, p):

@@ -9,6 +9,7 @@ from bkneser import (
     dihedral_label,
     dihedral_multiply,
     explicit_iso_Hn1,
+    group_closure,
     induced_automorphism,
     left_regular_subgroup,
     reflection_connection_set,
@@ -195,14 +196,16 @@ def test_left_regular_subgroup_properties():
         iso = explicit_iso_Hn1(n)
         subgroup = left_regular_subgroup(iso)
         assert subgroup.order == 2 * n
-        assert is_regular_action(subgroup, 2 * n)
-        for perm in subgroup.elements:
+        enumerated = group_closure(subgroup.generators)
+        assert enumerated.order == subgroup.order
+        assert is_regular_action(enumerated, 2 * n)
+        for perm in enumerated.elements:
             assert is_graph_automorphism(iso.kneser.graph, perm)
 
 
 def test_identity_translation_is_identity_permutation():
     iso = explicit_iso_Hn1(4)
-    subgroup = left_regular_subgroup(iso)
+    subgroup = group_closure(left_regular_subgroup(iso).generators)
     identity = tuple(range(8))
     assert identity in subgroup
 
@@ -213,7 +216,7 @@ def test_left_regular_subgroup_matches_the_translation_oracle():
         subgroup, oracle = left_regular_subgroup(iso), translation_left_regular_subgroup(iso)
         assert subgroup.generators == oracle.generators, n
         assert subgroup.order == oracle.order == 2 * n, n
-        assert subgroup.elements == oracle.elements, n
+        assert group_closure(subgroup.generators).elements == oracle.elements, n
 
 
 def _translations(n):

@@ -376,31 +376,52 @@ def test_stabilizer_needs_enumeration():
         group.order
 
 
-def test_group_with_an_order_is_enumerated_on_first_use():
+def test_group_with_an_order_has_no_elements_until_closed():
     group = PermutationGroup(generators=((1, 2, 0),), degree=3, order=3)
-    assert group.order == 3 and (2, 0, 1) in group and stabilizer(group, 0).order == 1
+    assert group.order == 3 and group.elements is None
+    with pytest.raises(NeedEnumerationError):
+        (2, 0, 1) in group
+    with pytest.raises(NeedEnumerationError):
+        stabilizer(group, 0)
+    closed = group_closure(group.generators, degree=group.degree)
+    assert closed.order == 3 and (2, 0, 1) in closed and stabilizer(closed, 0).order == 1
     with pytest.raises(OrderCapExceeded, match="cap of 2 elements"):
-        PermutationGroup(generators=((1, 2, 0),), degree=3, order=3, order_cap=2).elements
+        group_closure(group.generators, order_cap=2)
     wrong = PermutationGroup(generators=((1, 0, 2),), degree=3, order=6)
-    assert wrong.order == 6  # taken on trust until the elements are read
-    with pytest.raises(StructureError, match="close to 2 elements"):
-        wrong.elements
+    assert wrong.order == 6  # taken on trust: reading it runs no closure
+    assert group_closure(wrong.generators).order == 2
 
 
-def test_order_above_the_cap_raises_before_any_closure(monkeypatch):
-    # Aut(H(9,1)) has order 2 * 9! = 725,760; the order alone exceeds the cap
+def test_reading_a_group_runs_no_closure(monkeypatch):
+    # order, elements and in read what the group holds; none of them closes it
+    kg = build_bipartite_kneser(4, 1)
+    engine = automorphism_group(kg.graph)  # a certified order, no elements
+    cycle = (1, 2, 0)
+    enumerated = group_closure([cycle])
+
     def no_closure(*args, **kwargs):
-        raise AssertionError("the closure ran")
+        raise AssertionError("a closure ran")
 
     monkeypatch.setattr(perms, "closure_images", no_closure)
-    kg = build_bipartite_kneser(9, 1)
-    group = PermutationGroup(known_generators(kg), kg.vertex_count,
-                             order=2 * math.factorial(9), order_cap=100_000)
-    with pytest.raises(OrderCapExceeded) as raised:
-        group.elements
-    assert str(raised.value) == "group closure exceeded the cap of 100000 elements"
-    with pytest.raises(OrderCapExceeded):
-        known_generators(kg)[0] in group
+    kinds = [
+        (PermutationGroup([cycle], 3), cycle, None, None),
+        (PermutationGroup([cycle], 3, order=3), cycle, 3, None),
+        (enumerated, cycle, 3, True),
+        (engine, complement_automorphism(kg), 48, None),
+    ]
+    for group, member, order, contains in kinds:
+        if order is None:
+            with pytest.raises(NeedEnumerationError):
+                group.order
+        else:
+            assert group.order == order
+        if contains is None:
+            with pytest.raises(NeedEnumerationError):
+                member in group
+            assert group.elements is None  # still: no read filled it in
+        else:
+            assert (member in group) is contains
+            assert group.elements is enumerated.elements
 
 
 @pytest.mark.parametrize("make", [

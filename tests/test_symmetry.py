@@ -386,9 +386,15 @@ def test_alpha_conjugation_fixes_sym_elements():
         assert compose(compose(alpha, kappa), inverse(alpha)) == kappa
 
 
+def enumerated_aut(graph):
+    """Aut(graph) from the engine, enumerated by an explicit closure of its generators."""
+    engine = automorphism_group(graph)
+    return group_closure(engine.generators, degree=engine.degree)
+
+
 def test_find_regular_subgroup_h41():
     kg = build_bipartite_kneser(4, 1)
-    aut = automorphism_group(kg.graph)
+    aut = enumerated_aut(kg.graph)
     result = find_regular_subgroup(aut, kg.vertex_count)
     assert result.subgroup is not None
     assert result.subgroup.order == 8
@@ -396,7 +402,7 @@ def test_find_regular_subgroup_h41():
 
 def test_find_regular_subgroup_h52_none():
     kg = build_bipartite_kneser(5, 2)
-    aut = automorphism_group(kg.graph)
+    aut = enumerated_aut(kg.graph)
     result = find_regular_subgroup(aut, kg.vertex_count)
     assert result.subgroup is None
     assert "not a proof" in SEARCH_CAVEAT
@@ -404,7 +410,7 @@ def test_find_regular_subgroup_h52_none():
 
 def test_find_regular_subgroup_k2():
     k2 = complete_graph(2)
-    aut = automorphism_group(k2)
+    aut = enumerated_aut(k2)
     result = find_regular_subgroup(aut, 2)
     assert result.subgroup is not None and result.subgroup.order == 2
 
@@ -412,10 +418,10 @@ def test_find_regular_subgroup_k2():
 def test_find_regular_subgroup_matches_the_two_phase_scan():
     # the identity row of the pair scan replaces the cyclic pass, in the same order
     rotation = tuple((i + 1) % 6 for i in range(6))
-    cases = [(group_closure([rotation]), 6), (automorphism_group(Graph(1, [()])), 1)]
+    cases = [(group_closure([rotation]), 6), (enumerated_aut(Graph(1, [()])), 1)]
     for n, k in feasible_parameters(5) + [(6, 1), (7, 1)]:
         kg = build_bipartite_kneser(n, k)
-        cases.append((automorphism_group(kg.graph), kg.vertex_count))
+        cases.append((enumerated_aut(kg.graph), kg.vertex_count))
     for group, vertex_count in cases:
         subgroup = find_regular_subgroup(group, vertex_count).subgroup
         found = None if subgroup is None else subgroup.elements
@@ -428,10 +434,10 @@ def test_find_regular_subgroup_matches_the_scan_over_every_row():
     # cyclic regular group, so its hit is not in the identity row
     cube = Graph.from_edges(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
     cases = [(cube, 8), (petersen_graph(), 10), (complete_bipartite(2, 3), 5)]
-    cases = [(automorphism_group(g), count) for g, count in cases]
+    cases = [(enumerated_aut(g), count) for g, count in cases]
     for n, k in feasible_parameters(6) + [(7, 1), (7, 2)]:
         kg = build_bipartite_kneser(n, k)
-        cases.append((automorphism_group(kg.graph), kg.vertex_count))
+        cases.append((enumerated_aut(kg.graph), kg.vertex_count))
     pruned = 0
     for group, vertex_count in cases:
         search = find_regular_subgroup(group, vertex_count)
@@ -447,7 +453,7 @@ def test_find_regular_subgroup_tests_candidates_only_as_far_as_it_reads(monkeypa
     tested = []
     monkeypatch.setattr(symmetry, "is_semiregular", lambda p: tested.append(p) or is_semiregular(p))
     for n, k in [(7, 1), (5, 2)]:
-        aut = automorphism_group(build_bipartite_kneser(n, k).graph)
+        aut = enumerated_aut(build_bipartite_kneser(n, k).graph)
         tested.clear()
         search = find_regular_subgroup(aut, 2 * binomial(n, k))
         assert tested == sorted(aut.elements)[:len(tested)], (n, k)  # in order, each once
@@ -467,8 +473,10 @@ def test_find_regular_subgroup_preconditions():
     kg = build_bipartite_kneser(3, 1)
     with pytest.raises(NeedEnumerationError):
         find_regular_subgroup(known_group(kg), 6)  # not enumerated
+    with pytest.raises(NeedEnumerationError):
+        find_regular_subgroup(automorphism_group(kg.graph), 6)  # a certified order only
     with pytest.raises(DomainError, match="degree 6"):
-        find_regular_subgroup(automorphism_group(kg.graph), 3)
+        find_regular_subgroup(enumerated_aut(kg.graph), 3)
 
 
 def test_regular_subgroups_found_are_semiregular():
@@ -476,7 +484,7 @@ def test_regular_subgroups_found_are_semiregular():
     rows = 0
     for n, k in feasible_parameters(5) + [(6, 1), (7, 1)]:
         kg = build_bipartite_kneser(n, k)
-        subgroup = find_regular_subgroup(automorphism_group(kg.graph), kg.vertex_count).subgroup
+        subgroup = find_regular_subgroup(enumerated_aut(kg.graph), kg.vertex_count).subgroup
         if subgroup is None:
             continue
         rows += 1
@@ -515,12 +523,47 @@ def test_explore_question2_at_n9():
 
 
 def test_explore_question1_skips_groups_above_the_cap():
-    # the search enumerates Aut, so a group above the cap is a skipped row
+    # the search enumerates Aut, so a group above the cap is a skipped row,
+    # which keeps the order the engine certified
     rows = {(r.n, r.k): r for r in explore_question1(5, order_cap=100)}
     assert rows[(4, 1)].aut_order == 48 and rows[(4, 1)].regular_subgroup_order == 8
     for key in ((5, 1), (5, 2)):
         assert rows[key].verdict == "skipped"
         assert rows[key].skip_reason == "group closure exceeded the cap of 100 elements"
+        assert rows[key].aut_order == 240
+        assert rows[key].regular_subgroup_order is None
+
+
+def test_explore_question1_skips_an_order_above_the_cap_before_any_closure(monkeypatch):
+    # Aut(H(9,1)) has order 2 * 9! = 725,760; the order alone exceeds the cap
+    def no_closure_on_h91(generator_images, degree, order_cap):
+        if degree == 18:
+            raise AssertionError("the closure ran")
+        return closure_images(generator_images, degree, order_cap)
+
+    closure_images = perms.closure_images
+    for module in (perms, autgroup, symmetry):
+        monkeypatch.setattr(module, "closure_images", no_closure_on_h91)
+    rows = explore_question1(9, k_max=1, order_cap=100_000)
+    assert [(r.n, r.verdict) for r in rows if r.verdict == "skipped"] == [(9, "skipped")]
+    h91 = rows[-1]
+    assert h91.aut_order == 2 * math.factorial(9)
+    assert h91.skip_reason == "group closure exceeded the cap of 100000 elements"
+    assert rows[-2].aut_order == 2 * math.factorial(8)  # H(8,1) is enumerated and searched
+    assert rows[-2].regular_subgroup_order == 16
+
+
+@pytest.mark.parametrize("claimed", [6, 24], ids=["below", "above"])
+def test_explore_question1_rejects_a_closure_of_another_size(monkeypatch, claimed):
+    # Aut(H(3,1)) has 12 elements; a certified order that differs is a bug
+    def misordered(graph, order_cap):
+        engine = automorphism_group(graph, order_cap)
+        return PermutationGroup(engine.generators, engine.degree, order=claimed)
+
+    monkeypatch.setattr(symmetry, "automorphism_group", misordered)
+    message = f"close to 12 elements, but its order is {claimed}"
+    with pytest.raises(StructureError, match=message):
+        explore_question1(3)
 
 
 def test_explore_question1_smoke():
@@ -748,9 +791,10 @@ def test_suborbit_and_arc_counts_must_agree(monkeypatch):
 
 
 HASH_SEED_PROBE = """
-from bkneser import automorphism_group, build_bipartite_kneser, find_regular_subgroup
+from bkneser import automorphism_group, build_bipartite_kneser, find_regular_subgroup, group_closure
 from oracles import stabilizer
-aut = automorphism_group(build_bipartite_kneser(5, 1).graph)
+engine = automorphism_group(build_bipartite_kneser(5, 1).graph)
+aut = group_closure(engine.generators, degree=engine.degree)
 search = find_regular_subgroup(aut, 10)
 print(search.candidates_checked, search.subgroup.generators)
 print(stabilizer(aut, 0).generators)
