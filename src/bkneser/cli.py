@@ -93,10 +93,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     kg = build_bipartite_kneser(args.n, args.k, allow_null=args.allow_null)
     write = kg.graph.write_dot if args.format == "dot" else kg.graph.write_json
     if args.out is None:
-        write(_stdout())
+        write(_stdout(), kg.labels())
     else:
         with open(args.out, "w", encoding="utf-8") as handle:
-            write(handle)
+            write(handle, kg.labels())
     return 0
 
 

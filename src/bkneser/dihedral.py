@@ -77,7 +77,8 @@ def reflection_connection_set(n: int) -> tuple[int, ...]:
 def build_cayley_graph(n: int, omega: Iterable[int]) -> Graph:
     """Cay(D_2n, omega): x ~ y iff x^{-1} y in omega; |omega|-regular on 2n vertices.
 
-    omega must be a connection set: identity-free and inverse-closed.
+    omega must be a connection set: identity-free and inverse-closed.  The
+    graph holds no labels; ``dihedral_label`` names vertex x.
     """
     omega = set(omega)
     _check(n, *omega)
@@ -90,7 +91,7 @@ def build_cayley_graph(n: int, omega: Iterable[int]) -> Graph:
             )
     # x's |omega| neighbours are distinct and not x; Graph checks the symmetry
     rows = [[_multiply(x, w, n) for w in omega] for x in range(2 * n)]
-    return Graph(2 * n, rows, labels=[dihedral_label(x, n) for x in range(2 * n)])
+    return Graph(2 * n, rows)
 
 
 class CayleyIsomorphism(NamedTuple):

@@ -5,15 +5,14 @@ neighbours per vertex, which every reader (BFS, flows, refinement, the
 isomorphism check) walks directly.  The constructor takes the rows from any
 iterable, one pass, and checks them once, where they enter, in O(E).  A row
 given as an ascending tuple of plain ints is kept as given, so the rows a
-builder makes are stored without a second copy.  Labels given as a list, or
-any mutable or one-pass input, are copied to a tuple; any other sequence is
-kept as given, so a view that formats each label when it is read costs
-nothing until a writer reads it.  Graphs are treated as immutable after
-construction; every query is pure.  The writers format each vertex's edges
-with one join and write JSON and DOT in blocks of a little over 64 KB, so a
-handle that is not buffered makes few system calls and the whole document is
-never held; the DOT writer escapes each label's backslashes and double
-quotes.
+builder makes are stored without a second copy.  Graphs are treated as
+immutable after construction; every query is pure.  A graph holds no
+labels: the two writers take them as an argument, read them into a list
+once and check their count before any write.  The writers format each
+vertex's edges with one join and write JSON and DOT in blocks of a little
+over 64 KB, so a handle that is not buffered makes few system calls and the
+whole document is never held; the DOT writer escapes each label's
+backslashes and double quotes.
 """
 
 from __future__ import annotations
@@ -22,26 +21,20 @@ import json
 import math
 import operator
 from bisect import bisect_left
-from collections.abc import MutableSequence, Sequence
 from typing import Iterable, Iterator, Optional, TextIO
 
 from .errors import DisconnectedError, DomainError, as_int
 
 
 class Graph:
-    """Simple undirected graph: vertex count, neighbour tuples, optional labels.
+    """Simple undirected graph: vertex count and neighbour tuples.
 
     ``neighbours[v]`` lists v's neighbours in ascending order.
     """
 
-    __slots__ = ("vertex_count", "neighbours", "labels")
+    __slots__ = ("vertex_count", "neighbours")
 
-    def __init__(
-        self,
-        vertex_count: int,
-        neighbours: Iterable[Iterable[int]],
-        labels: Optional[Sequence[str]] = None,
-    ):
+    def __init__(self, vertex_count: int, neighbours: Iterable[Iterable[int]]):
         """Check each row: ints in range, no self-loop, no repeat, and symmetric."""
         vertex_count = _check_count(vertex_count)
         try:
@@ -49,12 +42,6 @@ class Graph:
         except TypeError:
             raise DomainError("neighbours must be an iterable of rows") from None
         self.vertex_count = vertex_count
-        if labels is not None and (isinstance(labels, MutableSequence)
-                                   or not isinstance(labels, Sequence)):
-            labels = tuple(labels)  # copied; a tuple, or a view, is kept as given
-        self.labels = labels
-        if self.labels is not None and len(self.labels) != vertex_count:
-            raise DomainError("labels length does not match vertex count")
         # earlier[w] gathers each v < w whose row holds w, in ascending order,
         # so when w is reached they must be exactly w's neighbours below w
         earlier: list[list[int]] = [[] for _ in range(vertex_count)]
@@ -75,7 +62,7 @@ class Graph:
                 row = tuple(ordered)
             if row and (row[0] < 0 or row[-1] >= vertex_count):
                 raise DomainError(f"the row of vertex {v} refers outside the vertex set")
-            if len(set(row)) != len(row):
+            if any(map(operator.eq, row, row[1:])):  # sorted, so a repeat is adjacent
                 raise DomainError(f"the row of vertex {v} lists a neighbour twice")
             cut = bisect_left(row, v)
             if row[cut:cut + 1] == (v,):
@@ -91,12 +78,7 @@ class Graph:
         self.neighbours: tuple[tuple[int, ...], ...] = tuple(rows)
 
     @classmethod
-    def from_edges(
-        cls,
-        vertex_count: int,
-        edges: Iterable[tuple[int, int]],
-        labels: Optional[Sequence[str]] = None,
-    ) -> "Graph":
+    def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """The graph on the given edges; an edge listed twice counts once."""
         vertex_count = _check_count(vertex_count)
         rows: list[set[int]] = [set() for _ in range(vertex_count)]
@@ -104,7 +86,7 @@ class Graph:
             u, v = _check_vertex(u, vertex_count), _check_vertex(v, vertex_count)
             rows[u].add(v)
             rows[v].add(u)
-        return cls(vertex_count, rows, labels)
+        return cls(vertex_count, rows)
 
     def has_edge(self, u: int, v: int) -> bool:
         n = self.vertex_count
@@ -178,39 +160,49 @@ class Graph:
             if above:
                 yield u, map(names.__getitem__, above)
 
-    def write_json(self, handle: TextIO) -> None:
+    def _read_labels(self, labels: Optional[Iterable[str]]) -> Optional[list[str]]:
+        """The labels as a list, read once; a count other than V raises ``DomainError``."""
+        if labels is None:
+            return None
+        labels = list(labels)
+        if len(labels) != self.vertex_count:
+            raise DomainError("labels length does not match vertex count")
+        return labels
+
+    def write_json(self, handle: TextIO, labels: Optional[Iterable[str]] = None) -> None:
         """Write {"vertex_count", "edges", "labels"} as one compact JSON line.
 
-        The edges are those of ``edges``.  Each vertex's row of edges is
+        The edges are those of ``edges``; "labels" is written only when labels
+        are given, one string per vertex.  Each vertex's row of edges is
         formatted by one join, and the rows go to ``handle`` in blocks of a
         little over 64 KB, so the whole document is never held at once.
         """
-        _write_blocks(handle, self._json_pieces())
+        _write_blocks(handle, self._json_pieces(self._read_labels(labels)))
 
-    def _json_pieces(self) -> Iterator[str]:
+    def _json_pieces(self, labels: Optional[list[str]]) -> Iterator[str]:
         yield f'{{"vertex_count":{self.vertex_count},"edges":['
         separator = ""
         for u, above in self._edge_rows():
             yield f"{separator}[{u}," + f"],[{u},".join(above) + "]"
             separator = ","
         yield "]"
-        if self.labels is not None:
-            yield ',"labels":' + json.dumps(list(self.labels), separators=(",", ":"))
+        if labels is not None:
+            yield ',"labels":' + json.dumps(labels, separators=(",", ":"))
         yield "}\n"
 
-    def write_dot(self, handle: TextIO) -> None:
-        """Write the graph in DOT, each vertex with its quoted label, then each edge.
+    def write_dot(self, handle: TextIO, labels: Optional[Iterable[str]] = None) -> None:
+        """Write the graph in DOT, each vertex with its quoted label if given, then each edge.
 
         A backslash or a double quote in a label is escaped, so the quoted
-        string ends where the label does.  The text goes to ``handle`` in
-        blocks, as in ``write_json``.
+        string ends where the label does.  The labels are checked as in
+        ``write_json``, and the text goes to ``handle`` in blocks.
         """
-        _write_blocks(handle, self._dot_pieces())
+        _write_blocks(handle, self._dot_pieces(self._read_labels(labels)))
 
-    def _dot_pieces(self) -> Iterator[str]:
+    def _dot_pieces(self, labels: Optional[list[str]]) -> Iterator[str]:
         yield "graph G {\n"
-        if self.labels is not None:
-            for v, label in enumerate(self.labels):
+        if labels is not None:
+            for v, label in enumerate(labels):
                 yield f'  {v} [label="{label.translate(_DOT_ESCAPES)}"];\n'
         else:
             yield "".join(map("  {};\n".format, range(self.vertex_count)))

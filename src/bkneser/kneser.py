@@ -4,10 +4,10 @@ Vertices 0 .. C(n,k)-1 are the k-subsets in lexicographic order; vertex
 C(n,k)+r is the (n-k)-subset whose complement has lex rank r.  This pairing
 makes complementation the fixed index shift i <-> i + C(n,k), which the
 symmetry modules rely on.  ``KneserGraph.masks`` holds the subset of each
-vertex as an int mask (see ``subsets``); the labels and the induced maps
-f_theta read it, and the graph holds only its neighbour tuples.  The graph's
-labels are a view over the masks that formats each label when it is read,
-so only a writer (``build``) pays for them.
+vertex as an int mask (see ``subsets``); the induced maps f_theta read it,
+and the graph holds only its neighbour tuples.  ``KneserGraph.labels``
+formats the "{1,3}" label of each vertex from its mask when it is iterated,
+so only a writer (``build``) pays for the labels.
 
 A k-set A lies inside the (n-k)-set [n]-B exactly when A and B are
 disjoint, so H(n, k) is the Kneser graph K(n, k) times K_2: vertex r and
@@ -20,40 +20,15 @@ one list, so every row that names a vertex shares one int object for it.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import chain, combinations
 from operator import getitem
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .errors import CardinalityError, DomainError, FamilyInvariantError, NullGraphError, as_int
 from .graphs import Graph
-from .subsets import binomial, format_subset, rank_subset, unrank_subset
+from .subsets import binomial, rank_subset, unrank_subset
 
 _T = TypeVar("_T")
-
-
-class _SubsetLabels(Sequence):
-    """The label of each vertex, "{1,3}", formatted from its subset mask when it is read."""
-
-    __slots__ = ("masks",)
-
-    def __init__(self, masks: tuple[int, ...]) -> None:
-        self.masks = masks
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __getitem__(self, index: int) -> str:
-        return format_subset(self.masks[index])
-
-    def __iter__(self) -> Iterator[str]:
-        """Each label joined from the names of its mask's bytes, read off per-byte tables."""
-        width = max(self.masks, default=0).bit_length()
-        tables = _byte_tables(
-            width, "", lambda names, x: f"{names},{x + 1}" if names else str(x + 1))
-        for mask in self.masks:
-            names = map(getitem, tables, mask.to_bytes(len(tables), "little"))
-            yield "{" + ",".join(filter(None, names)) + "}"
 
 
 def _byte_tables(n: int, empty: _T, add: Callable[[_T, int], _T]) -> list[list[_T]]:
@@ -72,6 +47,8 @@ def _byte_tables(n: int, empty: _T, add: Callable[[_T, int], _T]) -> list[list[_
 
 
 class KneserGraph(NamedTuple):
+    """H(n, k): its graph, and the subset mask of each vertex in the canonical indexing."""
+
     n: int
     k: int
     graph: Graph
@@ -109,6 +86,18 @@ class KneserGraph(NamedTuple):
     def vertex_count(self) -> int:
         return self.graph.vertex_count
 
+    def labels(self) -> Iterator[str]:
+        """The label of each vertex in order, "{1,3}", as ``format_subset`` gives it.
+
+        Each label is joined from the names of its mask's bytes, read off
+        per-byte tables, so a label costs one lookup per byte, not per bit.
+        """
+        tables = _byte_tables(
+            self.n, "", lambda names, x: f"{names},{x + 1}" if names else str(x + 1))
+        for mask in self.masks:
+            names = map(getitem, tables, mask.to_bytes(len(tables), "little"))
+            yield "{" + ",".join(filter(None, names)) + "}"
+
 
 def build_bipartite_kneser(n: int, k: int, allow_null: bool = False) -> KneserGraph:
     """Construct H(n, k); rejects n = 2k unless allow_null, and n < 2k always."""
@@ -140,7 +129,7 @@ def build_bipartite_kneser(n: int, k: int, allow_null: bool = False) -> KneserGr
         rows = [tuple(map(shifted.__getitem__, row)) for row in ranks] + ranks
     masks = tuple(masks + [full ^ m for m in masks])
 
-    graph = Graph(2 * side, rows, labels=_SubsetLabels(masks))
+    graph = Graph(2 * side, rows)
     return KneserGraph(n=n, k=k, graph=graph, side_size=side, masks=masks)
 
 

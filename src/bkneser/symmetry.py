@@ -88,6 +88,15 @@ class TransitivityReport(NamedTuple):
         }
 
 
+def _check_degree(graph: Graph, group: PermutationGroup) -> None:
+    """Raise ``DomainError`` unless the group acts on exactly the graph's vertices."""
+    if group.degree != graph.vertex_count:
+        raise DomainError(
+            f"a group of degree {group.degree} does not act on the "
+            f"{graph.vertex_count} vertices of the graph"
+        )
+
+
 def _suborbit_distances(graph: Graph, fixing: list[tuple[int, ...]]) -> Optional[list[int]]:
     """Each suborbit's distance from vertex 0, or None when the suborbits are not certified.
 
@@ -160,8 +169,8 @@ def _arc_and_edge_orbits(
 def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityReport:
     """All four levels, each read off its own orbit set, hierarchy asserted.
 
-    Every generator must be an automorphism of the graph, or the report
-    raises.  Then the whole group G acts by automorphisms.  The vertex, arc
+    The group's degree must be the vertex count (else ``DomainError``) and
+    every generator an automorphism of the graph, or the report raises.  Then the whole group G acts by automorphisms.  The vertex, arc
     and edge levels count the orbits of G on the vertices, the arcs and the
     edges.  Automorphisms preserve distance, so each orbit of G on the
     ordered pairs has one distance, and G is distance-transitive when there
@@ -204,6 +213,7 @@ def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityRe
     orbit's distance off one BFS row per representative.  That path is the
     oracle for the first.
     """
+    _check_degree(graph, group)
     if not graph.is_connected():
         raise DisconnectedError("transitivity report needs a connected graph")
     check_generators(graph, group.generators)
@@ -249,13 +259,15 @@ def transitivity_report(graph: Graph, group: PermutationGroup) -> TransitivityRe
 def diameter_by_orbits(graph: Graph, group: PermutationGroup) -> int:
     """The diameter, from one BFS per vertex orbit of the group.
 
-    Every generator must be an automorphism of the graph, or this raises.
+    The group's degree must be the vertex count (else ``DomainError``) and
+    every generator an automorphism of the graph, or this raises.
     Eccentricity is an automorphism invariant: an automorphism g maps the BFS
     layers from v onto the BFS layers from g(v), so every vertex of an orbit
     has the same eccentricity.  The diameter, the largest eccentricity, is
     then the largest over one representative per orbit, and a transitive
     group needs one BFS where ``Graph.diameter``, the oracle, runs V.
     """
+    _check_degree(graph, group)
     if not graph.is_connected():
         raise DisconnectedError("diameter of a disconnected graph")
     check_generators(graph, group.generators)
@@ -422,14 +434,13 @@ class _Conjugation:
         return self.inverse.translate(g + self.pad).translate(self.table)
 
 
-def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> RegularSubgroupSearch:
-    """Look for a subgroup acting regularly on the vertices.
+def find_regular_subgroup(group: PermutationGroup) -> RegularSubgroupSearch:
+    """Look for a subgroup acting regularly on the vertices, the group's ``degree`` points.
 
-    The group acts on ``vertex_count`` points, its degree.  Scans the
-    subgroups <g, h> for the pairs g <= h of candidate elements of the (fully
-    enumerated) input group, row by row in sorted order (a set's own order
-    changes with the hash seed); a hit certifies that the graph is a Cayley
-    graph, a miss is only evidence.  The identity sorts first, so the first
+    Scans the subgroups <g, h> for the pairs g <= h of candidate elements of
+    the (fully enumerated) input group, row by row in sorted order (a set's
+    own order changes with the hash seed); a hit certifies that the graph is
+    a Cayley graph, a miss is only evidence.  The identity sorts first, so the first
     row, <identity, h> = <h>, visits every cyclic subgroup, the trivial one
     included, in element order before any other pair.
 
@@ -458,16 +469,12 @@ def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> Regular
     element, or ``StructureError`` is raised.
 
     A pair is then tested for transitivity, one orbit BFS, before its
-    closure runs: a transitive group has at least ``vertex_count`` elements,
+    closure runs: a transitive group has at least ``degree`` elements,
     so a closure capped there that completes is the regular subgroup.
     """
     if group.elements is None:
         raise NeedEnumerationError("regular-subgroup search needs a fully enumerated group")
     degree = group.degree
-    if vertex_count != degree:
-        raise DomainError(
-            f"a group of degree {degree} has no regular action on {vertex_count} vertices"
-        )
     generators = [bytes(x) for x in group.generators]
     if not all(x in group.elements for x in generators):
         raise StructureError("a generator of the group is not one of its elements")
@@ -495,13 +502,13 @@ def find_regular_subgroup(group: PermutationGroup, vertex_count: int) -> Regular
         seen.update(orbit_partition([g], conjugations)[0])
         for h in candidates_from(i):
             checked += 1
-            if len(orbit_partition([0], [g, h])[0]) != vertex_count:
+            if len(orbit_partition([0], [g, h])[0]) != degree:
                 continue
             try:
-                elements = closure_images([g, h], degree, order_cap=vertex_count)
+                elements = closure_images([g, h], degree, order_cap=degree)
             except OrderCapExceeded:
                 continue
-            if len(elements) == vertex_count:
+            if len(elements) == degree:
                 subgroup = PermutationGroup((tuple(g), tuple(h)), degree, elements)
                 return RegularSubgroupSearch(subgroup, checked)
     return RegularSubgroupSearch(None, checked)
@@ -623,7 +630,7 @@ def explore_question1(
                 f"the engine's generators close to {enumerated.order} elements, "
                 f"but its order is {aut.order}"
             )
-        search = find_regular_subgroup(enumerated, kg.vertex_count)
+        search = find_regular_subgroup(enumerated)
         if search.subgroup is not None:
             verdict = "regular subgroup found: Cayley graph (regular-action criterion)"
             order = search.subgroup.order

@@ -1,3 +1,4 @@
+import io
 import sys
 from pathlib import Path
 
@@ -13,6 +14,13 @@ from bkneser import Graph, build_bipartite_kneser
 def mask(*elements):
     """The subset {elements} of [n] as a mask: bit i-1 holds element i."""
     return sum(1 << (x - 1) for x in set(elements))
+
+
+def written(write, *args):
+    """The text that a ``Graph.write_*`` method writes, given its other arguments."""
+    handle = io.StringIO()
+    write(handle, *args)
+    return handle.getvalue()
 
 
 def cycle_graph(n):

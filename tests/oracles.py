@@ -368,7 +368,7 @@ def translation_left_regular_subgroup(iso):
 def edge_list_cayley_graph(n, omega):
     """Cay(D_2n, omega) from its edge list; omega must be a connection set."""
     edges = [(x, dihedral_multiply(x, w, n)) for x in range(2 * n) for w in set(omega)]
-    return Graph.from_edges(2 * n, edges, labels=[dihedral_label(x, n) for x in range(2 * n)])
+    return Graph.from_edges(2 * n, edges)
 
 
 def full_round_refinement(graph, cells):
@@ -415,20 +415,20 @@ def mask_and_append_kneser(n, k):
     return tuple(tuple(sorted(row)) for row in rows), tuple(masks)
 
 
-def json_text(graph):
+def json_text(graph, labels=None):
     """The JSON document of ``Graph.write_json``, built as one dict."""
     data = {"vertex_count": graph.vertex_count, "edges": [[u, v] for u, v in graph.edges()]}
-    if graph.labels is not None:
-        data["labels"] = list(graph.labels)
+    if labels is not None:
+        data["labels"] = list(labels)
     return json.dumps(data, separators=(",", ":")) + "\n"
 
 
-def dot_text(graph):
+def dot_text(graph, labels=None):
     """The DOT text of ``Graph.write_dot``, built as one list of lines."""
     lines = ["graph G {"]
     for v in range(graph.vertex_count):
-        if graph.labels is not None:
-            label = graph.labels[v].replace("\\", "\\\\").replace('"', '\\"')
+        if labels is not None:
+            label = labels[v].replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  {v} [label="{label}"];')
         else:
             lines.append(f"  {v};")

@@ -1,20 +1,12 @@
-import io
 import json
 import math
 
 import pytest
 
-from bkneser import Graph, build_bipartite_kneser, max_flow
+from bkneser import Graph, build_bipartite_kneser, format_subset, max_flow
 from bkneser.errors import DisconnectedError, DomainError
-from conftest import complete_graph, cycle_graph, star_graph
+from conftest import complete_graph, cycle_graph, star_graph, written
 from oracles import dot_text, json_text, plain_bfs_distances, plain_diameter
-
-
-def written(write):
-    """The text that a ``Graph.write_*`` method writes."""
-    handle = io.StringIO()
-    write(handle)
-    return handle.getvalue()
 
 
 def test_construction_rejects_self_loops_and_asymmetry():
@@ -71,32 +63,33 @@ def test_edge_list_round_trip(corpus):
         assert Graph.from_edges(g.vertex_count, g.edges()).neighbours == g.neighbours, name
 
 
-@pytest.mark.parametrize("call", [
-    lambda g: Graph(3.0, [(), (), ()]),
-    lambda g: Graph(2, [(1.0,), (0,)]),
-    lambda g: Graph(2, [("a",), (0,)]),
-    lambda g: Graph(2, 5),
-    lambda g: Graph(2, [()]),
-    lambda g: Graph(2, [0b10, 0b01]),  # the adjacency masks of K2, not rows
-    lambda g: Graph(2, [(1, 1), (0, 0)]),  # symmetric counts, so only the repeat is wrong
-    lambda g: Graph(2, [(2,), ()]),
-    lambda g: Graph(2, [(-1,), ()]),
-    lambda g: Graph(2, [(0, 1), (0,)]),
-    lambda g: Graph.from_edges(3, [(0.0, 1)]),
-    lambda g: Graph.from_edges(3.0, [(0, 1)]),
-    lambda g: max_flow(g, 0.0, 2),
-    lambda g: max_flow(g, 0, -1),
-    lambda g: g.has_edge(0, -1),
-    lambda g: g.has_edge(5, 0),
-    lambda g: g.has_edge(-1, 1),  # would read vertex 2's row
-    lambda g: g.has_edge(0, 1.0),
+@pytest.mark.parametrize("call, match", [
+    (lambda g: Graph(3.0, [(), (), ()]), None),
+    (lambda g: Graph(2, [(1.0,), (0,)]), None),
+    (lambda g: Graph(2, [("a",), (0,)]), None),
+    (lambda g: Graph(2, 5), None),
+    (lambda g: Graph(2, [()]), None),
+    (lambda g: Graph(2, [0b10, 0b01]), None),  # the adjacency masks of K2, not rows
+    # symmetric counts, so only the repeat is wrong
+    (lambda g: Graph(2, [(1, 1), (0, 0)]), "^the row of vertex 0 lists a neighbour twice$"),
+    (lambda g: Graph(2, [(2,), ()]), None),
+    (lambda g: Graph(2, [(-1,), ()]), None),
+    (lambda g: Graph(2, [(0, 1), (0,)]), None),
+    (lambda g: Graph.from_edges(3, [(0.0, 1)]), None),
+    (lambda g: Graph.from_edges(3.0, [(0, 1)]), None),
+    (lambda g: max_flow(g, 0.0, 2), None),
+    (lambda g: max_flow(g, 0, -1), None),
+    (lambda g: g.has_edge(0, -1), None),
+    (lambda g: g.has_edge(5, 0), None),
+    (lambda g: g.has_edge(-1, 1), None),  # would read vertex 2's row
+    (lambda g: g.has_edge(0, 1.0), None),
 ], ids=["float-count", "float-neighbour", "str-neighbour", "int-rows", "short-rows",
         "mask-rows", "repeated-neighbour", "neighbour-too-large", "negative-neighbour",
         "self-loop-row", "float-endpoint", "float-edge-count", "float-source", "negative-sink",
         "negative-v", "u-too-large", "negative-u", "float-v"])
-def test_bad_vertices_and_masks_raise_domain_error(call):
+def test_bad_vertices_and_masks_raise_domain_error(call, match):
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=match):
         call(path)
 
 
@@ -191,8 +184,8 @@ def test_degree_sum_is_twice_edges(corpus):
 
 
 def test_json_export_shape():
-    g = Graph.from_edges(3, [(1, 0), (2, 1)], labels=["a", "b", "c"])
-    data = json.loads(written(g.write_json))
+    g = Graph.from_edges(3, [(1, 0), (2, 1)])
+    data = json.loads(written(g.write_json, ["a", "b", "c"]))
     assert data == {
         "vertex_count": 3,
         "edges": [[0, 1], [1, 2]],
@@ -201,41 +194,60 @@ def test_json_export_shape():
 
 
 def test_dot_export_golden():
-    g = Graph.from_edges(2, [(0, 1)], labels=["{1}", "{2}"])
-    assert written(g.write_dot) == (
+    g = Graph.from_edges(2, [(0, 1)])
+    assert written(g.write_dot, ["{1}", "{2}"]) == (
         'graph G {\n  0 [label="{1}"];\n  1 [label="{2}"];\n  0 -- 1;\n}\n'
     )
 
 
 def test_dot_export_escapes_quotes_and_backslashes():
-    g = Graph.from_edges(3, [(0, 1), (1, 2)], labels=['say "hi"', "back\\slash", '\\"'])
-    assert written(g.write_dot) == (
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert written(g.write_dot, ['say "hi"', "back\\slash", '\\"']) == (
         'graph G {\n  0 [label="say \\"hi\\""];\n  1 [label="back\\\\slash"];\n'
         '  2 [label="\\\\\\""];\n  0 -- 1;\n  1 -- 2;\n}\n'
     )
 
 
-def test_labels_given_as_a_list_are_copied():
+def test_writers_take_labels_from_any_iterable():
+    # a graph holds no labels; each writer reads the ones it is given once,
+    # so a one-pass iterator serves both the count check and the write
     labels = ["a", "b"]
-    g = Graph.from_edges(2, [(0, 1)], labels=labels)
-    labels[0] = "changed"
-    assert g.labels == ("a", "b")
-    assert Graph(2, [(1,), (0,)], labels=iter("xy")).labels == ("x", "y")
+    g = Graph.from_edges(2, [(0, 1)])
+    assert not hasattr(g, "labels")
+    for write in (g.write_json, g.write_dot):
+        expected = written(write, labels)
+        assert labels == ["a", "b"]
+        for given in (("a", "b"), iter("ab"), (c for c in "ab"), "ab"):
+            assert written(write, given) == expected
+    assert written(g.write_json, iter("xy")).endswith(',"labels":["x","y"]}\n')
+
+
+@pytest.mark.parametrize("count", [0, 1, 1583, 1585])
+def test_writers_check_the_label_count_before_any_write(count):
+    # H(12,5) has 1584 vertices; its edges and its labels of 64 characters
+    # each pass 64 KB, so a writer that checked the count only after its
+    # last label would have written a block
+    g = build_bipartite_kneser(12, 5).graph
+    for write in (g.write_json, g.write_dot):
+        for labels in (["x" * 64] * count, iter(["x" * 64] * count)):
+            handle = _RecordingHandle()
+            with pytest.raises(DomainError, match="^labels length does not match vertex count$"):
+                write(handle, labels)
+            assert handle.calls == []
 
 
 def test_writers_match_their_oracles(corpus):
-    cases = dict(corpus)
-    cases["H52"] = build_bipartite_kneser(5, 2).graph
-    cases["H42-null"] = build_bipartite_kneser(4, 2, allow_null=True).graph
+    cases = {name: (g, None) for name, g in corpus.items()}
     # several 64 KB blocks, and labels whose masks span 1, 2 and 3 bytes
-    for n, k in [(12, 5), (7, 3), (14, 6), (17, 1)]:
-        cases[f"H{n}{k}"] = build_bipartite_kneser(n, k).graph
-    cases["P3-quoted-labels"] = Graph.from_edges(
-        3, [(0, 1), (1, 2)], labels=['say "hi"', "back\\slash", '\\"'])
-    assert cases["K4"].labels is None and cases["H31"].labels is not None
-    for name, g in cases.items():
-        assert written(g.write_json) == json_text(g), name
-        assert written(g.write_dot) == dot_text(g), name
+    for n, k in [(5, 2), (4, 2), (12, 5), (7, 3), (14, 6), (17, 1)]:
+        kg = build_bipartite_kneser(n, k, allow_null=n == 2 * k)
+        cases[f"H{n}{k}"] = (kg.graph, [format_subset(m) for m in kg.masks])
+    cases["P3-quoted-labels"] = (
+        Graph.from_edges(3, [(0, 1), (1, 2)]), ['say "hi"', "back\\slash", '\\"'])
+    assert cases["K4"][1] is None and cases["H42"][1] is not None
+    for name, (g, labels) in cases.items():
+        assert written(g.write_json, labels) == json_text(g, labels), name
+        assert written(g.write_dot, labels) == dot_text(g, labels), name
 
 
 class _RecordingHandle:
@@ -248,11 +260,12 @@ class _RecordingHandle:
 
 @pytest.mark.parametrize("n, k", [(5, 2), (12, 5), (14, 6)])
 def test_writers_write_in_blocks_of_64_kb(n, k):
-    g = build_bipartite_kneser(n, k).graph
+    kg = build_bipartite_kneser(n, k)
+    g = kg.graph
     for write, oracle in [(g.write_json, json_text), (g.write_dot, dot_text)]:
         handle = _RecordingHandle()
-        write(handle)
-        expected = oracle(g)
+        write(handle, kg.labels())
+        expected = oracle(g, list(kg.labels()))
         assert "".join(handle.calls) == expected
         assert len(handle.calls) <= math.ceil(len(expected) / 65536) + 2
         # each block but the last passes 64 KB, and none holds a whole
@@ -262,8 +275,8 @@ def test_writers_write_in_blocks_of_64_kb(n, k):
 
 
 def test_edgeless_json_has_an_empty_edge_list():
-    g = build_bipartite_kneser(4, 2, allow_null=True).graph
-    text = written(g.write_json)
+    kg = build_bipartite_kneser(4, 2, allow_null=True)
+    text = written(kg.graph.write_json, kg.labels())
     assert text.startswith('{"vertex_count":12,"edges":[],"labels":["{1,2}",')
     assert written(Graph(2, [(), ()]).write_json) == '{"vertex_count":2,"edges":[]}\n'
 

@@ -1,6 +1,6 @@
 import pytest
 
-from bkneser import kneser
+from bkneser import cli
 from bkneser import (
     KneserGraph,
     binomial,
@@ -54,28 +54,50 @@ def test_each_vertex_is_one_int_object_in_every_row():
             assert objects.setdefault(v, v) is v
 
 
-def test_labels_are_formatted_only_when_read(monkeypatch):
-    def no_format(mask):
+def test_labels_are_formatted_only_when_read(monkeypatch, capsys):
+    # only ``build`` reads the labels, once per run; every other command
+    # runs with ``KneserGraph.labels`` raising
+    original = KneserGraph.labels
+    calls = []
+
+    def no_labels(kg):
         raise AssertionError("a label was formatted")
 
-    monkeypatch.setattr(kneser, "format_subset", no_format)
+    def counted(kg):
+        calls.append((kg.n, kg.k))
+        return original(kg)
+
+    monkeypatch.setattr(KneserGraph, "labels", no_labels)
     kg = build_bipartite_kneser(5, 2)
     verify_family_counts(kg)
+    for argv in (["props", "--n", "5", "--k", "2"], ["aut", "--n", "5", "--k", "2"],
+                 ["transitivity", "--n", "5", "--k", "2"],
+                 ["connectivity", "--n", "5", "--k", "2", "--certificate"],
+                 ["cayley-check", "--n", "5"], ["explore", "--question", "1", "--nmax", "5"],
+                 ["explore", "--question", "2", "--nmax", "6"]):
+        assert cli.run(argv) == 0, argv
+    monkeypatch.setattr(KneserGraph, "labels", counted)
+    for form in ("json", "dot"):
+        calls.clear()
+        assert cli.run(["build", "--n", "5", "--k", "2", "--format", form]) == 0
+        assert calls == [(5, 2)], form
+    assert '"labels":["{1,2}",' in capsys.readouterr().out
     monkeypatch.undo()
-    labels = kg.graph.labels
+    labels = list(kg.labels())
     assert len(labels) == kg.vertex_count and labels[0] == "{1,2}" and labels[-1] == "{1,2,3}"
-    assert list(labels) == [format_subset(m) for m in kg.masks]
+    assert labels == [format_subset(m) for m in kg.masks]
 
 
 def test_label_iteration_matches_format_subset():
     feasible = [(n, k) for n in range(3, 13) for k in range(1, (n - 1) // 2 + 1)]
     for n, k in feasible + [(17, 1), (20, 2)]:
-        masks = build_bipartite_kneser(n, k).masks
-        assert list(kneser._SubsetLabels(masks)) == [format_subset(m) for m in masks], (n, k)
-    # the empty mask, and masks whose low or middle bytes are empty
+        kg = build_bipartite_kneser(n, k)
+        assert list(kg.labels()) == [format_subset(m) for m in kg.masks], (n, k)
+    # the empty mask, and masks whose low or middle bytes are empty, as subsets of [41]
     masks = (0, 1, 1 << 40, 1 << 16 | 1, (1 << 24) - 1)
-    assert list(kneser._SubsetLabels(masks)) == [format_subset(m) for m in masks]
-    assert list(kneser._SubsetLabels(())) == []
+    kg = build_bipartite_kneser(3, 1)._replace(n=41, masks=masks)
+    assert list(kg.labels()) == [format_subset(m) for m in masks]
+    assert list(kg._replace(masks=()).labels()) == []
 
 
 def test_repr_leaves_out_the_masks():

@@ -216,6 +216,25 @@ def test_diameter_by_orbits_checks_its_input():
         diameter_by_orbits(star_graph(2), rotation)
 
 
+def test_a_group_of_another_degree_than_the_graph_raises_before_any_work(monkeypatch):
+    # the path 3-1-0-2-4 has diameter 4; a degree-1 group's one orbit, {0},
+    # would report vertex 0's eccentricity, 2
+    path5 = Graph.from_edges(5, [(3, 1), (1, 0), (0, 2), (2, 4)])
+    p4 = path_graph(4)
+    monkeypatch.setattr(Graph, "is_connected", lambda g: pytest.fail("work was done"))
+    for degree in (1, 4, 6):
+        with pytest.raises(DomainError, match=f"^a group of degree {degree} does not act "
+                                              "on the 5 vertices of the graph$"):
+            diameter_by_orbits(path5, PermutationGroup((), degree))
+    for degree in (1, 3, 6):
+        with pytest.raises(DomainError, match=f"^a group of degree {degree} does not act "
+                                              "on the 4 vertices of the graph$"):
+            transitivity_report(p4, PermutationGroup((), degree))
+    monkeypatch.undo()
+    assert diameter_by_orbits(path5, PermutationGroup((), 5)) == path5.diameter() == 4
+    assert transitivity_report(p4, PermutationGroup((), 4)).vertex_orbits == 4
+
+
 def differs(engine_order, product_order):
     # the whole message, as ``aut`` prints it after "claim failed: "
     return (
@@ -395,7 +414,7 @@ def enumerated_aut(graph):
 def test_find_regular_subgroup_h41():
     kg = build_bipartite_kneser(4, 1)
     aut = enumerated_aut(kg.graph)
-    result = find_regular_subgroup(aut, kg.vertex_count)
+    result = find_regular_subgroup(aut)
     assert result.subgroup is not None
     assert result.subgroup.order == 8
 
@@ -403,7 +422,7 @@ def test_find_regular_subgroup_h41():
 def test_find_regular_subgroup_h52_none():
     kg = build_bipartite_kneser(5, 2)
     aut = enumerated_aut(kg.graph)
-    result = find_regular_subgroup(aut, kg.vertex_count)
+    result = find_regular_subgroup(aut)
     assert result.subgroup is None
     assert "not a proof" in SEARCH_CAVEAT
 
@@ -411,7 +430,7 @@ def test_find_regular_subgroup_h52_none():
 def test_find_regular_subgroup_k2():
     k2 = complete_graph(2)
     aut = enumerated_aut(k2)
-    result = find_regular_subgroup(aut, 2)
+    result = find_regular_subgroup(aut)
     assert result.subgroup is not None and result.subgroup.order == 2
 
 
@@ -423,7 +442,7 @@ def test_find_regular_subgroup_matches_the_two_phase_scan():
         kg = build_bipartite_kneser(n, k)
         cases.append((enumerated_aut(kg.graph), kg.vertex_count))
     for group, vertex_count in cases:
-        subgroup = find_regular_subgroup(group, vertex_count).subgroup
+        subgroup = find_regular_subgroup(group).subgroup
         found = None if subgroup is None else subgroup.elements
         assert found == two_phase_regular_subgroup(group, vertex_count), vertex_count
 
@@ -440,7 +459,7 @@ def test_find_regular_subgroup_matches_the_scan_over_every_row():
         cases.append((enumerated_aut(kg.graph), kg.vertex_count))
     pruned = 0
     for group, vertex_count in cases:
-        search = find_regular_subgroup(group, vertex_count)
+        search = find_regular_subgroup(group)
         found = None if search.subgroup is None else search.subgroup.elements
         expected, checked = every_row_regular_subgroup(group, vertex_count)
         assert found == expected, vertex_count
@@ -455,7 +474,7 @@ def test_find_regular_subgroup_tests_candidates_only_as_far_as_it_reads(monkeypa
     for n, k in [(7, 1), (5, 2)]:
         aut = enumerated_aut(build_bipartite_kneser(n, k).graph)
         tested.clear()
-        search = find_regular_subgroup(aut, 2 * binomial(n, k))
+        search = find_regular_subgroup(aut)
         assert tested == sorted(aut.elements)[:len(tested)], (n, k)  # in order, each once
         if search.subgroup is None:  # H(5,2): every row is scanned to its end
             assert len(tested) == aut.order
@@ -466,17 +485,15 @@ def test_find_regular_subgroup_tests_candidates_only_as_far_as_it_reads(monkeypa
 def test_find_regular_subgroup_needs_its_generators_among_its_elements():
     group = PermutationGroup([(1, 0, 2)], 3, elements=frozenset([bytes(range(3))]))
     with pytest.raises(StructureError, match="not one of its elements"):
-        find_regular_subgroup(group, 3)
+        find_regular_subgroup(group)
 
 
 def test_find_regular_subgroup_preconditions():
     kg = build_bipartite_kneser(3, 1)
     with pytest.raises(NeedEnumerationError):
-        find_regular_subgroup(known_group(kg), 6)  # not enumerated
+        find_regular_subgroup(known_group(kg))  # not enumerated
     with pytest.raises(NeedEnumerationError):
-        find_regular_subgroup(automorphism_group(kg.graph), 6)  # a certified order only
-    with pytest.raises(DomainError, match="degree 6"):
-        find_regular_subgroup(enumerated_aut(kg.graph), 3)
+        find_regular_subgroup(automorphism_group(kg.graph))  # a certified order only
 
 
 def test_regular_subgroups_found_are_semiregular():
@@ -484,7 +501,7 @@ def test_regular_subgroups_found_are_semiregular():
     rows = 0
     for n, k in feasible_parameters(5) + [(6, 1), (7, 1)]:
         kg = build_bipartite_kneser(n, k)
-        subgroup = find_regular_subgroup(enumerated_aut(kg.graph), kg.vertex_count).subgroup
+        subgroup = find_regular_subgroup(enumerated_aut(kg.graph)).subgroup
         if subgroup is None:
             continue
         rows += 1
@@ -795,7 +812,7 @@ from bkneser import automorphism_group, build_bipartite_kneser, find_regular_sub
 from oracles import stabilizer
 engine = automorphism_group(build_bipartite_kneser(5, 1).graph)
 aut = group_closure(engine.generators, degree=engine.degree)
-search = find_regular_subgroup(aut, 10)
+search = find_regular_subgroup(aut)
 print(search.candidates_checked, search.subgroup.generators)
 print(stabilizer(aut, 0).generators)
 """
