@@ -63,15 +63,15 @@ import math
 from collections import deque
 from functools import partial
 from itertools import accumulate, groupby
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import SizeLimitError, StructureError
 from .graphs import Graph
 from .perms import (
     DEFAULT_ORDER_CAP,
     PermutationGroup,
+    check_generators,
     closure_images,
-    is_graph_automorphism,
     orbit_partition,
 )
 
@@ -143,53 +143,10 @@ def refine(
     return [tuple(order[s:s + size]) for s, size in enumerate(length) if size]
 
 
-def _target_cell(cells: list[tuple[int, ...]]) -> Optional[int]:
-    """Index of the first largest non-singleton cell, or None when discrete."""
-    sizes = [len(cell) for cell in cells]
+def _target_cell(sizes: tuple[int, ...]) -> Optional[int]:
+    """Index of the first largest non-singleton cell from its sizes, or None when discrete."""
     largest = max(sizes)
     return sizes.index(largest) if largest > 1 else None
-
-
-def _first_automorphism(
-    child: Callable[[list[tuple[int, ...]], int, int], list[tuple[int, ...]]],
-    neighbours: Sequence[Sequence[int]],
-    edges: list[tuple[int, int]],
-    base_leaf: list[int],
-    shapes: Sequence[tuple[int, ...]],
-    start: list[tuple[int, ...]],
-) -> Optional[tuple[int, ...]]:
-    """The first automorphism from the base leaf to a leaf below ``start``, depth-first.
-
-    The stack holds the unvisited children of every node on the current path,
-    one per vertex u of its target cell, built by ``child(cells, target, u)``.
-    ``shapes[d]`` is the cell-size tuple of the base path's node at the depth
-    of ``start`` plus d; a node of another shape is dropped with its subtree.
-    Refinement commutes with automorphisms, so the leaf gamma(base leaf) is
-    reached only through the images under gamma of the base path's nodes,
-    which have the base shapes: no accepting leaf is cut, and the first one
-    found is the same.
-    """
-    stack: list[Iterator[list[tuple[int, ...]]]] = [iter([start])]
-    while stack:
-        cells = next(stack[-1], None)
-        if cells is None:
-            stack.pop()
-            continue
-        if tuple(map(len, cells)) != shapes[len(stack) - 1]:
-            continue
-        target = _target_cell(cells)
-        if target is not None:
-            stack.append(map(partial(child, cells, target), cells[target]))
-            continue
-        images = [0] * len(base_leaf)
-        for a, cell in zip(base_leaf, cells):
-            images[a] = cell[0]
-        for u, v in edges:
-            if images[v] not in neighbours[images[u]]:
-                break
-        else:
-            return tuple(images)
-    return None
 
 
 def _search(
@@ -201,6 +158,7 @@ def _search(
     each per level, or raises ``SizeLimitError`` past ``WORK_LIMIT``.
     """
     n = graph.vertex_count
+    neighbours = graph.neighbours
     edges = graph.edges()
     work = size = n + len(edges)
 
@@ -218,11 +176,43 @@ def _search(
 
     levels = []
     cells = refine(graph, initial_cells)
-    while (target := _target_cell(cells)) is not None:
+    while (target := _target_cell(tuple(map(len, cells)))) is not None:
         levels.append((cells, target))
         cells = child(cells, target, cells[target][0])
     base_leaf = [cell[0] for cell in cells]
     shapes = [tuple(map(len, level)) for level, _ in levels] + [(1,) * n]
+
+    def first_automorphism(depth: int, start: list[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
+        # The first leaf below ``start``, a node at ``depth``, whose labeling
+        # maps the base leaf to an automorphism, depth-first.  The stack holds
+        # the unvisited children of every node on the current path.  A node
+        # whose cell sizes differ from ``shapes`` at its depth is dropped with
+        # its subtree: refinement commutes with automorphisms, so the leaf
+        # gamma(base leaf) is reached only through the images under gamma of
+        # the base path's nodes, which have the base shapes.  No accepting
+        # leaf is cut, and the first one found is the same.
+        stack: list[Iterator[list[tuple[int, ...]]]] = [iter([start])]
+        while stack:
+            cells = next(stack[-1], None)
+            if cells is None:
+                stack.pop()
+                continue
+            sizes = tuple(map(len, cells))
+            if sizes != shapes[depth + len(stack) - 1]:
+                continue
+            target = _target_cell(sizes)
+            if target is not None:
+                stack.append(map(partial(child, cells, target), cells[target]))
+                continue
+            images = [0] * n
+            for a, cell in zip(base_leaf, cells):
+                images[a] = cell[0]
+            for u, v in edges:
+                if images[v] not in neighbours[images[u]]:
+                    break
+            else:
+                return tuple(images)
+        return None
 
     # Every generator found so far fixes the base points above the current
     # level, so all of them are valid for orbit pruning there.
@@ -236,8 +226,7 @@ def _search(
         for u in siblings:
             if ids[u] in seen:
                 continue
-            found = _first_automorphism(child, graph.neighbours, edges, base_leaf,
-                                        shapes[depth + 1:], child(cells, target, u))
+            found = first_automorphism(depth + 1, child(cells, target, u))
             if found is not None:
                 generators.append(found)
                 orbits = orbit_partition(range(n), generators)
@@ -249,7 +238,7 @@ def _search(
     return generators, base, [len(cells[target]) for cells, target in levels]
 
 
-def _lower_bound(generators: Sequence[tuple[int, ...]], base: Sequence[int], n: int) -> int:
+def _lower_bound(generators: Sequence[tuple[int, ...]], base: Sequence[int]) -> int:
     """The product over i of |b_i^<S_i>|, S_i the generators fixing b_1..b_{i-1}."""
     bound = 1
     for i, b in enumerate(base):
@@ -261,18 +250,16 @@ def _lower_bound(generators: Sequence[tuple[int, ...]], base: Sequence[int], n: 
 def automorphism_group(graph: Graph, order_cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
     """Generators and exact order of Aut(G).
 
-    A search past ``WORK_LIMIT`` raises ``SizeLimitError``; every emitted
-    generator is re-verified against the adjacency.  The order is the base-path
+    A search past ``WORK_LIMIT`` raises ``SizeLimitError``; the emitted
+    generators are re-checked by ``check_generators``.  The order is the base-path
     certificate's when its bounds meet, and the group then carries that
     order and no elements; otherwise the group is enumerated here, under
     ``order_cap``, the only use of the cap.
     """
     n = graph.vertex_count
     gen_images, base, sizes = _search(graph, [tuple(range(n))])
-    for images in gen_images:
-        if not is_graph_automorphism(graph, images):
-            raise StructureError("engine emitted a non-automorphism; this is a bug")
-    lower, upper = _lower_bound(gen_images, base, n), math.prod(sizes)
+    check_generators(graph, gen_images)
+    lower, upper = _lower_bound(gen_images, base), math.prod(sizes)
     if lower > upper:
         raise StructureError(
             f"the base path bounds |Aut| by {upper}, but the generators give at least {lower}; "

@@ -49,16 +49,10 @@ def rank_subset(mask: int, n: int, k: int) -> int:
         raise CardinalityError(
             f"expected a {k}-subset, got {format_subset(mask)} with {mask.bit_count()} elements"
         )
-    rank = 0
-    prev = 0
-    i = 0
-    for c in range(1, n + 1):
-        if mask >> (c - 1) & 1:
-            i += 1
-            for skipped in range(prev + 1, c):
-                rank += binomial(n - skipped, k - i)
-            prev = c
-    return rank
+    # count the k-subsets after c_0 < c_1 < ... (1-based) in lex order: for each i,
+    # those that agree on c_0..c_{i-1} and take their other k - i elements above c_i
+    elements = [c for c in range(1, n + 1) if mask >> (c - 1) & 1]
+    return math.comb(n, k) - 1 - sum(math.comb(n - c, k - i) for i, c in enumerate(elements))
 
 
 def unrank_subset(rank: int, n: int, k: int) -> int:

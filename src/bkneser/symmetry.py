@@ -346,6 +346,8 @@ def verify_direct_product(
     (d) the known generators generate S ∪ αS, of order 2 n!, which must be
         the group ``engine`` when one is given: equal orders, and each
         generator of ``engine`` in S ∪ αS.
+    An ``engine`` of another degree than the graph's vertex count raises
+    ``DomainError`` before any step.
 
     Steps (a) and (b) hold S as one level of a stabilizer chain (Sims,
     "Computational methods in the study of permutation groups", in
@@ -374,6 +376,8 @@ def verify_direct_product(
     equal.  S ∪ αS <= Aut, as its generators are verified automorphisms, so
     when the engine's order is certified, both groups are all of Aut.
     """
+    if engine is not None:
+        _check_degree(kg.graph, engine)
     f_swap, f_cycle = sym_generators(kg)
     alpha = complement_automorphism(kg)
     check_generators(kg.graph, (f_swap, f_cycle, alpha))

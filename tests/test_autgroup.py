@@ -281,13 +281,31 @@ def test_lower_bound_above_upper_bound_raises(monkeypatch):
         automorphism_group(build_bipartite_kneser(5, 2).graph)
 
 
+def test_emitted_non_automorphism_raises(monkeypatch):
+    # H(5,2) has no twin vertices, so a generator with two images swapped is
+    # still a permutation but no automorphism, and the re-check must catch it
+    graph = build_bipartite_kneser(5, 2).graph
+    original = autgroup._search
+
+    def tampered(graph, initial_cells):
+        generators, base, sizes = original(graph, initial_cells)
+        images = list(generators[0])
+        images[0], images[1] = images[1], images[0]
+        assert not is_graph_automorphism(graph, images)
+        return [tuple(images), *generators[1:]], base, sizes
+
+    monkeypatch.setattr(autgroup, "_search", tampered)
+    with pytest.raises(StructureError, match="automorphism"):
+        automorphism_group(graph)
+
+
 def test_lower_bound_counts_only_generators_fixing_the_prefix():
     # with base (0, 1), the swap (0 1) moves b_1, so it counts at level 1
     # and not at level 2: Sym({0, 1, 2}) has order 3 * 2, not 3 * 3
     swap01, swap12 = (1, 0, 2, 3), (0, 2, 1, 3)
-    assert _lower_bound([swap01, swap12], [0, 1], 4) == 6 == len(
+    assert _lower_bound([swap01, swap12], [0, 1]) == 6 == len(
         closure_images([swap01, swap12], 4))
-    assert _lower_bound([swap01], [0, 1], 4) == 2
+    assert _lower_bound([swap01], [0, 1]) == 2
 
 
 def test_certified_group_is_enumerated_by_an_explicit_closure():

@@ -267,6 +267,16 @@ def test_verify_direct_product_detects_bad_order():
         verify_direct_product(kg, wrong)
 
 
+def test_verify_direct_product_rejects_an_engine_of_another_degree_before_any_work(monkeypatch):
+    # a group with no generators and the right order would pass steps (a)-(d)
+    kg = build_bipartite_kneser(4, 1)
+    monkeypatch.setattr(symmetry, "sym_generators", lambda kg: pytest.fail("work was done"))
+    for degree in (4, 10):
+        with pytest.raises(DomainError, match=f"^a group of degree {degree} does not act "
+                                              "on the 8 vertices of the graph$"):
+            verify_direct_product(kg, PermutationGroup((), degree, order=48))
+
+
 def test_verify_direct_product_checks_its_maps_on_the_graph():
     # a 2-switch keeps every count, and the closures alone would still pass
     switched = two_switched(build_bipartite_kneser(5, 2))
