@@ -36,6 +36,7 @@ import errno
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from .autgroup import automorphism_group
@@ -92,11 +93,9 @@ def _emit(payload: dict) -> None:
 def cmd_build(args: argparse.Namespace) -> int:
     kg = build_bipartite_kneser(args.n, args.k, allow_null=args.allow_null)
     write = kg.graph.write_dot if args.format == "dot" else kg.graph.write_json
-    if args.out is None:
-        write(_stdout(), kg.labels())
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            write(handle, kg.labels())
+    out = nullcontext(_stdout()) if args.out is None else open(args.out, "w", encoding="utf-8")
+    with out as handle:
+        write(handle, kg.labels())
     return 0
 
 
@@ -165,14 +164,10 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
     payload: dict = {"kappa": kappa, "expected": expected, "match": kappa == expected}
     if args.certificate:
         # Vertex 0 and its complement partner are never adjacent when n > 2k.
-        u, v = 0, kg.side_size
-        payload["certificate"] = menger_certificate(kg.graph, u, v)
-    if kappa != expected:
-        _emit(payload)
-        raise VerificationError(
-            f"connectivity {kappa} does not match the degree bound {expected}"
-        )
+        payload["certificate"] = menger_certificate(kg.graph, 0, kg.side_size)
     _emit(payload)
+    if kappa != expected:
+        raise VerificationError(f"connectivity {kappa} does not match the degree bound {expected}")
     return 0
 
 
@@ -193,23 +188,26 @@ def cmd_cayley_check(args: argparse.Namespace) -> int:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     cap = _order_cap()
+    nmax = args.nmax if args.nmax is not None else {1: 5, 2: 6}[args.question]
     if args.question == 2:
-        nmax = args.nmax if args.nmax is not None else 6
         rows = explore_question2(nmax, args.kmax, order_cap=cap)
-        if args.format == "text":
-            _stdout().write(question2_table(rows))
-        else:
-            payload = {
-                "question": 2,
-                "nmax": nmax,
-                "rows": [r._asdict() for r in rows],
-                "note": "evidence only: equality on these instances proves nothing "
-                        "about unlisted (n, k)",
-            }
-            _emit(payload)
+        text = question2_table(rows)
+        payload = {
+            "question": 2,
+            "nmax": nmax,
+            "rows": [r._asdict() for r in rows],
+            "note": "evidence only: equality on these instances proves nothing "
+                    "about unlisted (n, k)",
+        }
     else:
-        nmax = args.nmax if args.nmax is not None else 5
         rows = explore_question1(nmax, args.kmax, order_cap=cap)
+        lines = []
+        for row in rows:
+            # a row skipped by the work limit has no order; one skipped at the cap has
+            order = "" if row.aut_order is None else f" |Aut|={row.aut_order}"
+            reason = "" if row.skip_reason is None else f": {row.skip_reason}"
+            lines.append(f"H({row.n},{row.k}):{order} {row.verdict}{reason}\n")
+        text = "".join(lines) + SEARCH_CAVEAT + "\n"
         payload = {
             "question": 1,
             "nmax": nmax,
@@ -217,16 +215,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "rows": [r._asdict() for r in rows],
             "caveat": SEARCH_CAVEAT,
         }
-        if args.format == "text":
-            out = _stdout()
-            for row in rows:
-                # a row skipped by the work limit has no order; one skipped at the cap has
-                order = "" if row.aut_order is None else f" |Aut|={row.aut_order}"
-                reason = "" if row.skip_reason is None else f": {row.skip_reason}"
-                out.write(f"H({row.n},{row.k}):{order} {row.verdict}{reason}\n")
-            out.write(payload["caveat"] + "\n")
-        else:
-            _emit(payload)
+    if args.format == "text":
+        _stdout().write(text)
+    else:
+        _emit(payload)
     return 0
 
 
@@ -236,37 +228,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build bipartite Kneser graphs and verify their algebraic properties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the one declaration of H(n,k)'s parameters, shared by the commands that take an instance
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--n", type=int, required=True)
+    instance.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("build", help="emit H(n,k) as JSON or DOT")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("build", parents=[instance], help="emit H(n,k) as JSON or DOT")
     p.add_argument("--allow-null", action="store_true")
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("props", help="counts, degree, bipartition, diameter")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("props", parents=[instance], help="counts, degree, bipartition, diameter")
     p.set_defaults(func=cmd_props)
 
-    p = sub.add_parser("aut", help="automorphism group order and generators")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("aut", parents=[instance], help="automorphism group order and generators")
     p.add_argument("--method", choices=["engine", "generators", "both"], default="both")
     p.set_defaults(func=cmd_aut)
 
-    p = sub.add_parser("transitivity", help="transitivity booleans and orbit counts")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--level", choices=["vertex", "edge", "arc", "distance", "all"], default="all"
-    )
+    p = sub.add_parser("transitivity", parents=[instance],
+                       help="transitivity booleans and orbit counts")
+    p.add_argument("--level", choices=["vertex", "edge", "arc", "distance", "all"], default="all")
     p.set_defaults(func=cmd_transitivity)
 
-    p = sub.add_parser("connectivity", help="vertex connectivity against the degree bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("connectivity", parents=[instance],
+                       help="vertex connectivity against the degree bound")
     p.add_argument("--certificate", action="store_true")
     p.set_defaults(func=cmd_connectivity)
 

@@ -105,17 +105,13 @@ class CayleyIsomorphism(NamedTuple):
 
 def explicit_iso_Hn1(n: int) -> CayleyIsomorphism:
     """The map {i} -> a^i, [n]-{j} -> a^j b, checked with ``perms.is_isomorphism``."""
-    if n < 3:
-        raise DomainError(f"H(n,1) Cayley isomorphism needs n >= 3, got {n}")
+    _check(n)
     kg = build_bipartite_kneser(n, 1)
     cay = build_cayley_graph(n, reflection_connection_set(n))
 
     # H vertex i-1 holds {i}; H vertex n+j-1 holds [n]-{j}.  a^n is the identity.
-    vertex_map = [0] * (2 * n)
-    for i in range(1, n + 1):
-        vertex_map[i - 1] = i % n
-        vertex_map[n + i - 1] = n + (i % n)
-    mapping = tuple(vertex_map)
+    rotations = [i % n for i in range(1, n + 1)]
+    mapping = tuple(rotations + [n + r for r in rotations])
     if not is_isomorphism(kg.graph, cay, mapping):
         raise IsomorphismError("the H(n,1) -> Cay(D_2n, omega) map is not an isomorphism")
     return CayleyIsomorphism(n=n, kneser=kg, cayley=cay, vertex_map=mapping)

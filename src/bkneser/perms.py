@@ -6,7 +6,9 @@ for element i+1, that is, for bit i of a subset mask; a vertex map is a tuple
 over 0..V-1.  Maps enter through ``PermutationGroup`` (its generators),
 ``induced_automorphism`` (theta) or ``is_isomorphism``, which reject tuples
 that are not permutations and raise ``DomainError`` on an image that is not
-an int; products and inverses of checked maps are not checked again.
+an int; ``format_cycles``, ``element_order`` and ``is_semiregular`` raise
+``DomainError`` on a map that is not a permutation.  Products and inverses
+of checked maps are not checked again.
 ``is_isomorphism`` is the one check that a vertex map carries one graph onto
 another: ``is_graph_automorphism`` is its case g1 = g2, and the H(n,1)
 Cayley map and the engine's isomorphism witnesses go through it too.
@@ -63,26 +65,32 @@ from .errors import (
     StructureError,
     as_int,
 )
-from .graphs import Graph
+from .graphs import Graph, _check_vertex
 from .kneser import KneserGraph
 
 DEFAULT_ORDER_CAP = 100_000
 
 
+def _not_a_permutation(n: int) -> DomainError:
+    return DomainError(f"the map is not a permutation of 0..{n - 1}")
+
+
 def format_cycles(images: Sequence[int]) -> str:
-    """Cycle notation over points 0..len-1, fixed points omitted."""
+    """Cycle notation over points 0..len-1, fixed points omitted.
+
+    A map that is not a permutation of 0..len-1 raises ``DomainError``.
+    """
     n = len(images)
-    seen = [False] * n
+    if not _is_permutation(images, n):
+        raise _not_a_permutation(n)
+    seen = bytearray(n)
     parts = []
     for start in range(n):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        x = images[start]
-        while x != start:
+        cycle = []
+        x = start
+        while not seen[x]:
+            seen[x] = 1
             cycle.append(x)
-            seen[x] = True
             x = images[x]
         if len(cycle) > 1:
             parts.append("(" + " ".join(map(str, cycle)) + ")")
@@ -171,17 +179,28 @@ def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _cycle_lengths(p: Sequence[int]) -> Iterator[int]:
-    """The length of each cycle of p, fixed points included, by least point."""
-    seen = bytearray(len(p))
-    for start in range(len(p)):
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = 1
-            x = p[x]
-            length += 1
-        if length:
-            yield length
+    """The length of each cycle of p, fixed points included, by least point.
+
+    A walk that leaves 0..len-1 or ends off its start raises ``DomainError``.
+    """
+    n = len(p)
+    seen = bytearray(n)
+    try:
+        if min(p, default=0) < 0:  # a negative image would index ``seen`` from its end
+            raise _not_a_permutation(n)
+        for start in range(n):
+            length = 0
+            x = start
+            while not seen[x]:
+                seen[x] = 1
+                x = p[x]
+                length += 1
+            if x != start:
+                raise _not_a_permutation(n)
+            if length:
+                yield length
+    except (IndexError, TypeError):
+        raise _not_a_permutation(n) from None
 
 
 def element_order(p: tuple[int, ...]) -> int:
@@ -199,9 +218,7 @@ def is_semiregular(p: Sequence[int]) -> bool:
 
 
 def commutes(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
-    if len(p) != len(q):
-        raise DomainError("cannot compare permutations of different degrees")
-    return all(p[q[x]] == q[p[x]] for x in range(len(p)))
+    return compose(p, q) == compose(q, p)
 
 
 def _check_degree(degree: int) -> int:
@@ -219,6 +236,14 @@ def _is_permutation(images: Sequence[int], degree: int) -> bool:
     except TypeError:
         ordered = sorted(as_int(x, "an image") for x in images)  # raises at the first non-int
     return ordered == list(range(degree))
+
+
+def _image_string(images: Sequence[int]) -> Optional[bytes]:
+    """``bytes(images)``, or None for a map that is no image string."""
+    try:
+        return bytes(tuple(images))  # tuple() first: bytes(5) is five zero bytes
+    except (TypeError, ValueError):
+        return None
 
 
 def _check_permutations(maps: Iterable[Sequence[int]], degree: int) -> None:
@@ -271,12 +296,7 @@ class PermutationGroup:
 
     def __contains__(self, images: Sequence[int]) -> bool:
         """True iff the map is an element; a map that is no image string is not one."""
-        elements = self._enumerated()
-        try:
-            key = bytes(tuple(images))  # tuple() first: bytes(5) is five zero bytes
-        except (TypeError, ValueError):
-            return False
-        return key in elements
+        return _image_string(images) in self._enumerated()
 
 
 def _cap_exceeded(order_cap: int) -> OrderCapExceeded:
@@ -400,17 +420,9 @@ def orbit_partition(
     return out
 
 
-def _check_point(point: int, degree: int) -> int:
-    """The point as an int in 0..degree-1, or ``DomainError``."""
-    point = as_int(point, "point")
-    if not 0 <= point < degree:
-        raise DomainError(f"point must be in 0..{degree - 1}, got {point}")
-    return point
-
-
 def orbit(group: PermutationGroup, point: int) -> tuple[int, ...]:
     """Orbit of a vertex under the generated group."""
-    point = _check_point(point, group.degree)
+    point = _check_vertex(point, group.degree)
     return orbit_partition([point], group.generators)[0]
 
 

@@ -45,6 +45,7 @@ from .perms import (
     DEFAULT_ORDER_CAP,
     PermutationGroup,
     _cap_exceeded,
+    _image_string,
     check_generators,
     closure_images,
     commutes,
@@ -305,10 +306,7 @@ class _SymImage:
 
     def __contains__(self, images: Sequence[int]) -> bool:
         """True iff the map is an element of S; a map that is no image string is not one."""
-        try:
-            g = bytes(tuple(images))  # tuple() first: bytes(5) is five zero bytes
-        except (TypeError, ValueError):
-            return False
+        g = _image_string(images)
         if not g or g[0] not in self._inverse_tables:  # g(0) lies outside the orbit of 0
             return False
         return g.translate(self._inverse_tables[g[0]]) in self.stabilizer.elements
@@ -324,9 +322,13 @@ class DirectProductReport(NamedTuple):
     def contains(self, images: Sequence[int]) -> bool:
         """True iff the vertex map lies in <known> = S ∪ αS: it or α∘it is in S.
 
-        α is an involution, so α∘g is in S exactly when g is in αS.
+        α is an involution, so α∘g is in S exactly when g is in αS.  A map
+        that is no image string is in neither, as for ``in`` on S.
         """
-        return images in self.sym_group or compose(self.complement, images) in self.sym_group
+        g = _image_string(images)
+        # α∘g is g read through α's table; an image past the degree maps to 255, as in S
+        alpha = bytes(self.complement).ljust(256, b"\xff")
+        return g is not None and (g in self.sym_group or g.translate(alpha) in self.sym_group)
 
 
 def verify_direct_product(

@@ -45,11 +45,10 @@ from bkneser.errors import (
     OrderCapExceeded,
     SizeLimitError,
 )
-from bkneser.graphs import Graph
+from bkneser.graphs import Graph, _check_vertex
 from bkneser.perms import (
     DEFAULT_ORDER_CAP,
     PermutationGroup,
-    _check_point,
     closure_images,
     element_order,
     inverse,
@@ -327,7 +326,7 @@ def two_phase_regular_subgroup(group, vertex_count):
 
 def stabilizer(group, point):
     """The subgroup of elements fixing ``point``, filtered from the full enumeration."""
-    point = _check_point(point, group.degree)
+    point = _check_vertex(point, group.degree)
     if group.elements is None:
         raise NeedEnumerationError("stabilizer needs a fully enumerated group")
     fixed = sorted(g for g in group.elements if g[point] == point)

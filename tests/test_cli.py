@@ -331,6 +331,49 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "props", "--n", "2", "--k", "2")[0] == 2  # domain
 
 
+# each instance command's usage line and options block, at 80 columns
+INSTANCE_HELP = {
+    "build": ("usage: bkneser build [-h] --n N --k K [--allow-null] [--format {json,dot}]\n"
+              "                     [--out OUT]\n",
+              "  -h, --help           show this help message and exit\n  --n N\n  --k K\n"
+              "  --allow-null\n  --format {json,dot}\n  --out OUT\n"),
+    "props": ("usage: bkneser props [-h] --n N --k K\n",
+              "  -h, --help  show this help message and exit\n  --n N\n  --k K\n"),
+    "aut": ("usage: bkneser aut [-h] --n N --k K [--method {engine,generators,both}]\n",
+            "  -h, --help            show this help message and exit\n  --n N\n  --k K\n"
+            "  --method {engine,generators,both}\n"),
+    "transitivity": ("usage: bkneser transitivity [-h] --n N --k K\n"
+                     "                            [--level {vertex,edge,arc,distance,all}]\n",
+                     "  -h, --help            show this help message and exit\n  --n N\n"
+                     "  --k K\n  --level {vertex,edge,arc,distance,all}\n"),
+    "connectivity": ("usage: bkneser connectivity [-h] --n N --k K [--certificate]\n",
+                     "  -h, --help     show this help message and exit\n  --n N\n  --k K\n"
+                     "  --certificate\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(INSTANCE_HELP))
+def test_instance_commands_share_one_declaration_of_n_and_k(capsys, monkeypatch, command):
+    # --n and --k come from one parent parser, ahead of each command's own options
+    monkeypatch.setenv("COLUMNS", "80")
+    usage, options = INSTANCE_HELP[command]
+    assert run_cli(capsys, command, "--help") == (0, f"{usage}\noptions:\n{options}", "")
+    missing_k = f"{usage}bkneser {command}: error: the following arguments are required: --k\n"
+    assert run_cli(capsys, command, "--n", "5") == (2, "", missing_k)
+
+
+def test_connectivity_mismatch_emits_its_payload_then_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "vertex_connectivity", lambda graph, generators: 5)
+    code, out, err = run_cli(capsys, "connectivity", "--n", "5", "--k", "2")
+    assert (code, out) == (1, '{"kappa":5,"expected":3,"match":false}\n')
+    assert err == "claim failed: connectivity 5 does not match the degree bound 3\n"
+
+
+def test_cayley_check_below_n_3_is_a_domain_error(capsys):
+    assert run_cli(capsys, "cayley-check", "--n", "2") == (
+        2, "", "error: dihedral group needs n >= 3, got 2\n")
+
+
 def test_order_cap_env_var(capsys, monkeypatch):
     # the one closure of `aut --method both` is the stabilizer of vertex 0 in
     # the Sym image, 3! = 6 elements on H(4,1)

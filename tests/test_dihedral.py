@@ -190,6 +190,12 @@ def test_explicit_iso_range():
         explicit_iso_Hn1(2)
 
 
+@pytest.mark.parametrize("n", ["5", 5.0, None])
+def test_explicit_iso_checks_n_as_every_dihedral_function_does(n):
+    with pytest.raises(DomainError, match="n must be an int"):
+        explicit_iso_Hn1(n)
+
+
 def test_engine_confirms_cayley_isomorphism():
     for n in range(3, 9):
         iso = explicit_iso_Hn1(n)

@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import permutations as iter_permutations
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,33 @@ def test_compose_inverse_random():
 def test_compose_size_mismatch():
     with pytest.raises(DomainError):
         compose((0, 1), (0, 1, 2))
+
+
+NOT_PERMUTATIONS = [(1, 1), (5, 0), (-1, 0), (0.5, 0), (None, 0), (1, 2, 0, 0)]
+
+
+def test_format_cycles_rejects_a_map_that_is_not_a_permutation():
+    # in a child with a timeout, so a walk that never gets back to its start fails the test
+    probe = ("from bkneser.errors import DomainError\n"
+             "from bkneser.perms import format_cycles\n"
+             f"for p in {NOT_PERMUTATIONS!r}:\n"
+             "    try:\n"
+             "        format_cycles(p)\n"
+             "    except DomainError:\n"
+             "        continue\n"
+             "    raise SystemExit(f'no DomainError for {p}')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=30)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("p", NOT_PERMUTATIONS)
+@pytest.mark.parametrize("function", [element_order, is_semiregular])
+def test_cycle_lengths_reject_a_map_that_is_not_a_permutation(function, p):
+    # a walk that leaves 0..len-1 or ends off its start
+    with pytest.raises(DomainError, match="not a permutation"):
+        function(p)
 
 
 def test_element_order_of_induced_cycle():
@@ -470,7 +501,7 @@ def test_membership_of_an_enumerated_group():
 @pytest.mark.parametrize("function", [orbit, stabilizer])
 def test_point_is_checked_where_it_enters(function, point):
     group = group_closure([(1, 0, 2)])
-    with pytest.raises(DomainError, match="point"):
+    with pytest.raises(DomainError, match="vertex"):
         function(group, point)
 
 
@@ -501,6 +532,8 @@ def test_known_non_commuting_pair():
     assert compose(f23, f12)[one] == v(mask(3))
     assert compose(f12, f23)[one] == v(mask(2))
     assert not commutes(f12, f23)
+    with pytest.raises(DomainError, match="different degrees"):
+        commutes(f12, f12[:-1])
 
 
 def test_is_regular_action_examples():

@@ -310,6 +310,19 @@ def test_direct_product_membership_matches_the_full_closure(n, k):
             assert not report.contains(g)
 
 
+def test_direct_product_contains_no_map_that_is_not_a_permutation():
+    # as for ``in`` on S: neither S nor αS holds a map of the wrong length, of
+    # floats, with an image past the degree, or with a negative image that α's
+    # tuple would read from its end
+    kg = build_bipartite_kneser(5, 2)
+    report = verify_direct_product(kg)
+    v, alpha = kg.vertex_count, report.complement
+    assert report.contains(alpha) and report.contains(tuple(range(v)))
+    for g in (tuple(range(v - 1)), tuple(range(v + 1)), tuple(map(float, range(v))),
+              (10**6, *range(1, v)), (alpha[0] - v, *alpha[1:]), None):
+        assert not report.contains(g)
+
+
 @pytest.mark.parametrize("n, k", feasible_parameters(7))
 def test_verify_direct_product_rejects_an_engine_group_of_the_wrong_order(n, k):
     # the Sym image alone: each generator lies in S ∪ αS, but its order is n!
